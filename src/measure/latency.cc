@@ -4,14 +4,34 @@
 
 namespace painter::measure {
 
+namespace {
+
+// Queueing/processing noise of one ping: exponential tail, occasionally a
+// large spike.
+double ProbeNoiseMs(util::Rng& rng) {
+  double noise = rng.Exponential(1.0 / 1.5);
+  if (rng.Bernoulli(0.05)) noise += rng.Exponential(1.0 / 20.0);
+  return noise;
+}
+
+}  // namespace
+
 LatencyOracle::LatencyOracle(const topo::Internet& internet,
                              const cloudsim::Deployment& deployment,
                              OracleConfig config)
-    : internet_(&internet), deployment_(&deployment), config_(config) {}
-
-double LatencyOracle::LastMileMs(util::UgId ug) const {
-  util::Rng rng{MixSeed(config_.seed, 0x11, ug.value())};
-  return rng.LogNormal(config_.last_mile_mu, config_.last_mile_sigma);
+    : internet_(&internet), deployment_(&deployment), config_(config) {
+  const std::size_t ugs = deployment.ugs().size();
+  last_mile_ms_.reserve(ugs);
+  mediocre_mu_.reserve(ugs);
+  for (std::uint64_t ug = 0; ug < ugs; ++ug) {
+    util::Rng last_mile{MixSeed(config_.seed, 0x11, ug)};
+    last_mile_ms_.push_back(
+        last_mile.LogNormal(config_.last_mile_mu, config_.last_mile_sigma));
+    // The per-UG mediocre level, identical across this UG's mediocre ASes.
+    util::Rng level{MixSeed(config_.seed, 0x77, ug)};
+    mediocre_mu_.push_back(config_.inflation_mu +
+                           level.Normal(0.0, config_.inflation_sigma));
+  }
 }
 
 double LatencyOracle::InflationFactor(util::UgId ug,
@@ -32,10 +52,7 @@ double LatencyOracle::InflationFactor(util::UgId ug,
     mu = config_.good_inflation_mu;
     sigma = config_.good_inflation_sigma;
   } else {
-    util::Rng ug_rng{MixSeed(config_.seed, 0x77, ug.value())};
-    // The per-UG mediocre level, identical across this UG's mediocre ASes.
-    mu = config_.inflation_mu +
-         ug_rng.Normal(0.0, config_.inflation_sigma);
+    mu = mediocre_mu_[ug.value()];
     sigma = config_.mediocre_as_jitter_sigma;
   }
   if (entry.tier == topo::AsTier::kTier1 ||
@@ -60,7 +77,8 @@ util::Millis LatencyOracle::TrueRtt(util::UgId ug,
   const topo::GeoPoint& b =
       metros[deployment_->pop(sess.pop).metro.value()].location;
   const double fiber_rtt = util::FiberRtt(topo::Distance(a, b)).count();
-  return util::Millis{LastMileMs(ug) + fiber_rtt * InflationFactor(ug, peering) +
+  return util::Millis{last_mile_ms_[ug.value()] +
+                      fiber_rtt * InflationFactor(ug, peering) +
                       config_.session_overhead_ms};
 }
 
@@ -71,9 +89,11 @@ util::Millis LatencyOracle::TrueRttOnDay(util::UgId ug,
   if (day <= 0) return util::Millis{rtt};
 
   // A degraded regime starting on day s covers [s, s + duration). Scan the
-  // possible start days that could still be active; durations are geometric
-  // with a short mean, so a bounded lookback window (covering >99.9% of the
-  // mass) is enough and keeps the query O(window).
+  // possible start days that could still be active; durations are 1 plus an
+  // exponential with a short mean, so a bounded lookback window keeps the
+  // query O(window). At the default 4-day mean the window is 24 days, and a
+  // regime outlives it only if 1 + Exp(mean 4) >= 26, probability
+  // e^(-25/4) ~ 0.19%: the window covers ~99.8% of the mass.
   const int lookback =
       static_cast<int>(std::ceil(config_.shift_mean_duration_days * 6.0));
   for (int s = std::max(1, day - lookback); s <= day; ++s) {
@@ -95,18 +115,16 @@ util::Millis LatencyOracle::TrueRttOnDay(util::UgId ug,
 util::Millis LatencyOracle::ProbeOnce(util::UgId ug, util::PeeringId peering,
                                       util::Rng& rng, int day) const {
   const double truth = TrueRttOnDay(ug, peering, day).count();
-  // Queueing/processing noise: exponential tail, occasionally a large spike.
-  double noise = rng.Exponential(1.0 / 1.5);
-  if (rng.Bernoulli(0.05)) noise += rng.Exponential(1.0 / 20.0);
-  return util::Millis{truth + noise};
+  return util::Millis{truth + ProbeNoiseMs(rng)};
 }
 
 util::Millis LatencyOracle::MeasureMin(util::UgId ug, util::PeeringId peering,
                                        util::Rng& rng, int count,
                                        int day) const {
-  double best = ProbeOnce(ug, peering, rng, day).count();
+  const double truth = TrueRttOnDay(ug, peering, day).count();
+  double best = truth + ProbeNoiseMs(rng);
   for (int i = 1; i < count; ++i) {
-    best = std::min(best, ProbeOnce(ug, peering, rng, day).count());
+    best = std::min(best, truth + ProbeNoiseMs(rng));
   }
   return util::Millis{best};
 }

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "cloudsim/deployment.h"
 #include "topo/generator.h"
@@ -89,7 +90,8 @@ class LatencyOracle {
   [[nodiscard]] util::Millis ProbeOnce(util::UgId ug, util::PeeringId peering,
                                        util::Rng& rng, int day = 0) const;
 
-  // Min over `count` pings — the paper's measurement primitive.
+  // Min over `count` pings — the paper's measurement primitive. Equal to the
+  // min of `count` ProbeOnce calls, but evaluates the truth only once.
   [[nodiscard]] util::Millis MeasureMin(util::UgId ug, util::PeeringId peering,
                                         util::Rng& rng, int count = 7,
                                         int day = 0) const;
@@ -100,13 +102,16 @@ class LatencyOracle {
   [[nodiscard]] const topo::Internet& internet() const { return *internet_; }
 
  private:
-  [[nodiscard]] double LastMileMs(util::UgId ug) const;
   [[nodiscard]] double InflationFactor(util::UgId ug,
                                        util::PeeringId peering) const;
 
   const topo::Internet* internet_;
   const cloudsim::Deployment* deployment_;
   OracleConfig config_;
+  // Per-UG draws, indexed by UG id and made once at construction: the
+  // last-mile RTT (key 0x11) and the mediocre inflation level mu (key 0x77).
+  std::vector<double> last_mile_ms_;
+  std::vector<double> mediocre_mu_;
 };
 
 // Deterministic 64-bit mix for hash-seeded draws (now in util/hashmix.h;

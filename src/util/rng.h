@@ -7,13 +7,85 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <span>
 
 namespace painter::util {
 
+// Returns exactly the outputs of std::mt19937_64(seed), but pays only for the
+// state words it reads. The standard engine seeds all 312 state words and
+// twists all of them before its first output; a hash-seeded draw that needs
+// one to four values throws almost all of that away.
+//
+// The first twist computes x'[k] = x[k + 156] ^ A(x[k], x[k + 1]) for
+// k < 156, where x is the seeded state. Seeding is a forward recurrence, so
+// output k needs seeded words 0..k + 156 and nothing else: the engine extends
+// the seeded prefix one word per output (157 recurrence steps for the first).
+// From output 156 on, the twist reads words it has already overwritten, so
+// the engine hands over to a real std::mt19937_64 advanced by discard(156).
+class LazyMt19937_64 {
+  using Std = std::mt19937_64;
+
+ public:
+  using result_type = Std::result_type;
+
+  static constexpr result_type min() { return Std::min(); }
+  static constexpr result_type max() { return Std::max(); }
+
+  explicit LazyMt19937_64(result_type seed) : seed_(seed) { words_[0] = seed; }
+
+  result_type operator()() {
+    if (next_ >= kLazyOutputs) return Tail();
+    for (; seeded_ <= next_ + kShift; ++seeded_) {
+      const result_type prev = words_[seeded_ - 1];
+      words_[seeded_] = Std::initialization_multiplier *
+                            (prev ^ (prev >> (Std::word_size - 2))) +
+                        seeded_;
+    }
+    const result_type y =
+        (words_[next_] & kUpperMask) | (words_[next_ + 1] & kLowerMask);
+    result_type z = words_[next_ + kShift] ^ (y >> 1) ^
+                    ((y & 1) != 0 ? Std::xor_mask : 0);
+    ++next_;
+    z ^= (z >> Std::tempering_u) & Std::tempering_d;
+    z ^= (z << Std::tempering_s) & Std::tempering_b;
+    z ^= (z << Std::tempering_t) & Std::tempering_c;
+    z ^= z >> Std::tempering_l;
+    return z;
+  }
+
+ private:
+  static constexpr std::size_t kShift = Std::shift_size;
+  static constexpr std::size_t kLazyOutputs = Std::state_size - Std::shift_size;
+  static constexpr result_type kLowerMask =
+      (result_type{1} << Std::mask_bits) - 1;
+  static constexpr result_type kUpperMask = ~kLowerMask;
+
+  result_type Tail() {
+    if (!tail_.has_value()) {
+      tail_.emplace(seed_);
+      tail_->discard(kLazyOutputs);
+    }
+    return (*tail_)();
+  }
+
+  result_type seed_;
+  std::size_t next_ = 0;    // outputs returned so far, while < kLazyOutputs
+  std::size_t seeded_ = 1;  // words_[0, seeded_) hold the seeded state
+  // Only the seeded prefix is ever read; value-initialised all the same.
+  std::array<result_type, Std::state_size> words_{};
+  std::optional<Std> tail_;
+};
+
+// Distribution wrappers over LazyMt19937_64: every draw equals the one the
+// same wrapper makes over std::mt19937_64(seed). A one-shot draw from a
+// hash-derived seed (see util/hashmix.h) costs ~160 recurrence steps; a long
+// stream pays one hand-over at output 156 and then runs the standard engine.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
@@ -79,10 +151,8 @@ class Rng {
     std::shuffle(items.begin(), items.end(), engine_);
   }
 
-  [[nodiscard]] std::mt19937_64& engine() { return engine_; }
-
  private:
-  std::mt19937_64 engine_;
+  LazyMt19937_64 engine_;
 };
 
 }  // namespace painter::util

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "measure/geolocation.h"
 #include "tests/world_fixture.h"
 
@@ -186,6 +190,103 @@ TEST_F(GeoTest, EstimateErrorBoundedByDisplacement) {
         std::abs(est->count() - w_.oracle->TrueRtt(ug, sess.id).count());
     EXPECT_LE(err,
               1.8 * util::FiberRtt(util::Km{t->uncertainty_km}).count() + 1e-9);
+  }
+}
+
+// Exact-output pins. FNV-1a over the IEEE-754 bit patterns of every value
+// the oracle and its keyed-draw neighbours return over the test world, so a
+// drifted draw fails here instead of only when it happens to flip a CELF
+// golden schedule. Changing any of these constants is a re-baseline.
+class Fnv1a {
+ public:
+  void Add(std::uint64_t bits) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (bits >> (8 * i)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void Add(double v) { Add(std::bit_cast<std::uint64_t>(v)); }
+  [[nodiscard]] std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+class OraclePinTest : public ::testing::Test {
+ protected:
+  const test::World& w_ = test::SharedWorld();
+
+  // Every (UG, peering) pair of the first 50 UGs, in id order.
+  template <typename Fn>
+  std::uint64_t HashPairs(Fn value_of) const {
+    Fnv1a h;
+    for (const auto& ug : w_.deployment->ugs()) {
+      if (ug.id.value() >= 50) break;
+      for (const auto& sess : w_.deployment->peerings()) {
+        h.Add(value_of(ug.id, sess.id));
+      }
+    }
+    return h.value();
+  }
+};
+
+TEST_F(OraclePinTest, TrueRtt) {
+  EXPECT_EQ(HashPairs([&](util::UgId ug, util::PeeringId p) {
+              return w_.oracle->TrueRtt(ug, p).count();
+            }),
+            0x2411459f0bb5b7f3ULL);
+}
+
+TEST_F(OraclePinTest, TrueRttOnDay) {
+  const std::uint64_t want[] = {0x0cc1be9e70bed071ULL, 0xadfcb9c5d372ff99ULL,
+                                0xa9a22b43e22d701cULL, 0x559fb36d6e17d065ULL};
+  const int days[] = {1, 5, 17, 25};
+  for (std::size_t i = 0; i < std::size(days); ++i) {
+    EXPECT_EQ(HashPairs([&](util::UgId ug, util::PeeringId p) {
+                return w_.oracle->TrueRttOnDay(ug, p, days[i]).count();
+              }),
+              want[i])
+        << "day " << days[i];
+  }
+}
+
+TEST_F(OraclePinTest, MeasureMin) {
+  util::Rng rng{17};
+  EXPECT_EQ(HashPairs([&](util::UgId ug, util::PeeringId p) {
+              return w_.oracle->MeasureMin(ug, p, rng).count();
+            }),
+            0xd931a6ec223c8dedULL);
+  EXPECT_EQ(HashPairs([&](util::UgId ug, util::PeeringId p) {
+              return w_.oracle->MeasureMin(ug, p, rng, 3, 9).count();
+            }),
+            0x68f6a80777c66111ULL);
+}
+
+TEST_F(OraclePinTest, GeoEstimateRtt) {
+  const GeoTargetCatalog targets{*w_.oracle, GeoTargetConfig{}};
+  EXPECT_EQ(HashPairs([&](util::UgId ug, util::PeeringId p) {
+              const auto est = targets.EstimateRtt(ug, p, 1e9);
+              return est.has_value() ? est->count() : -1.0;
+            }),
+            0xa8b7358db1393a48ULL);
+}
+
+TEST_F(OraclePinTest, ResolveAllSessions) {
+  std::vector<util::PeeringId> all;
+  for (const auto& sess : w_.deployment->peerings()) all.push_back(sess.id);
+  // The world's resolver, and one where a quarter of (AS, metro) pairs carry
+  // an exit quirk, so the quirk draw decides many exits.
+  const cloudsim::IngressResolver quirky{w_.internet(), *w_.deployment,
+                                         {.quirk_prob = 0.25}};
+  const std::uint64_t want[] = {0x5179ec56671b9321ULL, 0xdbd34adbea68f403ULL};
+  const cloudsim::IngressResolver* resolvers[] = {w_.resolver.get(), &quirky};
+  for (std::size_t i = 0; i < std::size(resolvers); ++i) {
+    Fnv1a h;
+    for (const auto& ingress : resolvers[i]->Resolve(all)) {
+      h.Add(ingress.has_value() ? std::uint64_t{ingress->value()}
+                                : ~std::uint64_t{0});
+    }
+    EXPECT_EQ(h.value(), want[i]) << "resolver " << i;
   }
 }
 

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <span>
 #include <sstream>
 #include <unordered_set>
+#include <vector>
 
+#include "util/hashmix.h"
 #include "util/ids.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -98,6 +104,71 @@ TEST(Rng, ParetoAboveScale) {
   Rng rng{11};
   for (int i = 0; i < 1000; ++i) {
     EXPECT_GE(rng.Pareto(5.0, 1.5), 5.0);
+  }
+}
+
+static_assert(std::uniform_random_bit_generator<LazyMt19937_64>);
+
+// The lazy engine must be std::mt19937_64 output for output, across the
+// hand-over at output 156 and the standard engine's own re-twist at 312.
+TEST(LazyMt19937_64, MatchesStdEngine) {
+  std::vector<std::uint64_t> seeds = {0, ~std::uint64_t{0}};
+  for (std::uint64_t i = 1; i <= 5000; ++i) {
+    seeds.push_back(i);
+    seeds.push_back(MixSeed(0x44, i));
+  }
+  std::size_t mismatches = 0;
+  for (const std::uint64_t seed : seeds) {
+    std::mt19937_64 want{seed};
+    LazyMt19937_64 got{seed};
+    for (int k = 0; k < 700; ++k) {
+      const auto w = want();
+      const auto g = got();
+      if (w != g && mismatches++ == 0) {
+        ADD_FAILURE() << "seed " << seed << " output " << k << ": " << g
+                      << " != " << w;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+// Rng's wrappers over the lazy engine must draw exactly what the standard
+// distributions draw over std::mt19937_64, which Rng ran on before. Index,
+// Pareto and WeightedIndex are built on UniformInt and Uniform.
+TEST(Rng, SameDrawsAsStdEngine) {
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, std::uint64_t{1}, MixSeed(7, 0x22, 3, 5),
+        ~std::uint64_t{0}}) {
+    std::mt19937_64 want{seed};
+    Rng got{seed};
+    // 40 rounds of ~15 engine outputs each run well past the hand-over at
+    // output 156.
+    for (int round = 0; round < 40; ++round) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " round " << round);
+      EXPECT_EQ(got.Uniform01(),
+                std::uniform_real_distribution<double>(0.0, 1.0)(want));
+      EXPECT_EQ(got.Uniform(-3.0, 8.0),
+                std::uniform_real_distribution<double>(-3.0, 8.0)(want));
+      EXPECT_EQ(got.UniformInt(-5, 1'000'000'007),
+                std::uniform_int_distribution<std::int64_t>(-5, 1'000'000'007)(
+                    want));
+      EXPECT_EQ(got.Bernoulli(0.3), std::bernoulli_distribution{0.3}(want));
+      EXPECT_EQ(got.Exponential(0.25),
+                std::exponential_distribution<double>(0.25)(want));
+      EXPECT_EQ(got.Normal(0.85, 0.35),
+                std::normal_distribution<double>(0.85, 0.35)(want));
+      EXPECT_EQ(got.LogNormal(1.4, 0.5),
+                std::lognormal_distribution<double>(1.4, 0.5)(want));
+      std::vector<int> shuffled = {0, 1, 2, 3, 4, 5, 6, 7, 8};
+      std::vector<int> expected = shuffled;
+      got.Shuffle(std::span<int>{shuffled});
+      std::shuffle(expected.begin(), expected.end(), want);
+      EXPECT_EQ(shuffled, expected);
+      std::mt19937_64 want_child{want()};
+      EXPECT_EQ(got.Fork().Uniform01(),
+                std::uniform_real_distribution<double>(0.0, 1.0)(want_child));
+    }
   }
 }
 
