@@ -74,7 +74,7 @@ BENCHMARK(BM_Expectation);
 // same stub count to read the serial-vs-parallel speedup of the CELF seeding
 // scan (thread count 1 forces the serial path) and the incremental-vs-naive
 // speedup of the CELF engine (last arg 0 disables the cross-round marginal
-// cache and the aggregate fast path). Results are bit-identical across every
+// cache and the surviving-set probes). Results are bit-identical across every
 // row at the same stub count — see the golden-schedule and property tests.
 void BM_OrchestratorPerPrefix(benchmark::State& state) {
   const auto& inst = SharedInstance(static_cast<std::size_t>(state.range(0)));

@@ -34,17 +34,16 @@ void LearningTimeline::Start() {
   active_ = true;
   finished_ = false;
   ++episodes_;
-  episode_reports_.clear();
+  reports_.clear();
   anchor_us_ = sim_->NowUs() + netsim::UsFromSeconds(config_.start_s);
   sim_->ScheduleAtUs(anchor_us_, [this]() { RunRound(); });
 }
 
 void LearningTimeline::RunRound() {
-  const std::size_t round = reports_.size();
+  const std::size_t round = rounds_run_++;
   std::vector<AdvertisementEnvironment::PrefixObservation> observations;
   reports_.push_back(
       orchestrator_->RunLearningIteration(*env_, round, &observations));
-  episode_reports_.push_back(reports_.back());
   if (config_.timeseries != nullptr) {
     const Orchestrator::IterationReport& rep = reports_.back();
     config_.timeseries->Append("orchestrator.round.predicted_ms",
@@ -63,11 +62,11 @@ void LearningTimeline::RunRound() {
 
   // Episode termination sees only this episode's reports: a re-armed
   // timeline must not be instantly "complete" because of rounds run by past
-  // episodes. For a single episode this is reports_ itself, so the report
+  // episodes. For a single episode these are all the rounds, so the report
   // sequence stays bit-identical to Learn().
   const bool cap_hit = config_.max_rounds_per_episode > 0 &&
-                       episode_reports_.size() >= config_.max_rounds_per_episode;
-  if (cap_hit || orchestrator_->LearningComplete(episode_reports_)) {
+                       reports_.size() >= config_.max_rounds_per_episode;
+  if (cap_hit || orchestrator_->LearningComplete(reports_)) {
     finished_ = true;
     active_ = false;
     return;
@@ -75,7 +74,7 @@ void LearningTimeline::RunRound() {
   // The episode's round k+1 at anchor + (k+1) * interval — re-derived from
   // the per-episode round count on the absolute grid, like every other
   // periodic scheduler here.
-  sim_->ScheduleAtUs(anchor_us_ + episode_reports_.size() * interval_us_,
+  sim_->ScheduleAtUs(anchor_us_ + reports_.size() * interval_us_,
                      [this]() { RunRound(); });
 }
 

@@ -64,13 +64,15 @@ class LearningTimeline {
   // orchestrator's LearningComplete fires over the episode's reports (or the
   // per-episode round cap hits). Re-armable: once an episode finishes,
   // Start() may be called again to run another on the same timeline — round
-  // indices and reports() keep accumulating globally, while the termination
-  // rule sees only the current episode. Throws std::logic_error while an
-  // episode is still active.
+  // indices and RoundsRun() keep counting globally, while reports() and the
+  // termination rule see only the current episode. Throws std::logic_error
+  // while an episode is still active.
   void Start();
 
-  // Reports of ALL rounds run so far, across episodes (== Learn()'s return
-  // when a single episode ran to completion).
+  // Reports of the current (or just-finished) episode's rounds (== Learn()'s
+  // return when a single episode ran to completion). Earlier episodes'
+  // reports are dropped at the next Start(), so an always-on timeline holds
+  // O(rounds per episode) reports, not O(simulated time).
   [[nodiscard]] const std::vector<Orchestrator::IterationReport>& reports()
       const {
     return reports_;
@@ -78,14 +80,13 @@ class LearningTimeline {
   // True after the most recent episode terminated (false before the first
   // Start() and while an episode is running).
   [[nodiscard]] bool Finished() const { return finished_; }
-  [[nodiscard]] std::size_t RoundsRun() const { return reports_.size(); }
+  // Rounds run so far, across every episode.
+  [[nodiscard]] std::size_t RoundsRun() const { return rounds_run_; }
   // True from Start() until the episode's terminating round.
   [[nodiscard]] bool Active() const { return active_; }
   [[nodiscard]] std::size_t EpisodeCount() const { return episodes_; }
   // Rounds run by the current (or just-finished) episode.
-  [[nodiscard]] std::size_t EpisodeRounds() const {
-    return episode_reports_.size();
-  }
+  [[nodiscard]] std::size_t EpisodeRounds() const { return reports_.size(); }
 
  private:
   void RunRound();
@@ -97,10 +98,10 @@ class LearningTimeline {
   RoundCallback on_round_;
   netsim::SimTime anchor_us_ = 0;  // grid origin: latest Start() + start_s
   netsim::SimTime interval_us_ = 0;
-  std::vector<Orchestrator::IterationReport> reports_;
   // Reports of the current episode only — the termination rule's input, so
   // a fresh episode is not instantly "complete" because of past rounds.
-  std::vector<Orchestrator::IterationReport> episode_reports_;
+  std::vector<Orchestrator::IterationReport> reports_;
+  std::size_t rounds_run_ = 0;  // global round index of the next round
   bool finished_ = false;
   bool active_ = false;
   std::size_t episodes_ = 0;

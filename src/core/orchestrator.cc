@@ -26,8 +26,8 @@ struct OrchestratorMetrics {
   obs::Counter& celf_stale_reevals =
       obs::Metrics().GetCounter("orchestrator.celf.stale_reevals");
   // Incremental-engine telemetry: seed marginals served from the cross-round
-  // cache vs re-evaluated after a dirty-UG invalidation, and expectation
-  // evaluations that had to fall off the running-aggregate fast path.
+  // cache vs re-evaluated after a dirty-UG invalidation, and Eq. 2 probes
+  // that had to walk the candidate list instead of answering in O(1).
   obs::Counter& celf_cache_hits =
       obs::Metrics().GetCounter("orchestrator.celf.cache_hits");
   obs::Counter& celf_cache_invalidations =
@@ -70,6 +70,74 @@ struct OrchestratorMetrics {
   static OrchestratorMetrics& Get() {
     static OrchestratorMetrics m;
     return m;
+  }
+};
+
+// One UG's candidates on the prefix under construction, in commit order, and
+// their surviving set: the candidates neither dominated by a learned
+// preference nor more than D_reuse farther than the nearest non-dominated
+// PoP — exactly those ComputeExpectationFromCandidates keeps (DESIGN.md §8).
+struct UgPrefixState {
+  struct Cand {
+    const IngressOption* opt;
+    double rtt;      // effective RTT, looked up once at commit
+    double km;       // opt->distance_km, kept inline for the scans
+    bool dominated;  // another candidate of the list is known-preferred
+    bool wins;       // the UG prefers it over some ingress (HasWins)
+  };
+  std::vector<Cand> cands;
+  // The surviving set: RTTs summed in candidate order (so sum / count is the
+  // reference's mean bit for bit), its size, and its PoP distance range.
+  // min_km is also the nearest non-dominated PoP. Unset when count == 0.
+  double sum = 0.0;
+  std::uint32_t count = 0;
+  double min_km = 0.0;
+  double max_km = 0.0;
+
+  void Clear() {
+    cands.clear();
+    sum = 0.0;
+    count = 0;
+  }
+
+  [[nodiscard]] double Mean() const {
+    return count == 0 ? kInf : sum / static_cast<double>(count);
+  }
+
+  // Appends `opt`: both directed dominance checks against the list, searched
+  // only for ingresses that ever won (a dominated candidate still dominates
+  // others, as in the reference), then one pass for the nearest
+  // non-dominated PoP and one for the window.
+  void Append(const RoutingModel& model, std::uint32_t ug,
+              const IngressOption* opt, double rtt, double d_reuse_km) {
+    bool opt_dominated = false;
+    const bool opt_wins =
+        model.HasPreferences(ug) && model.HasWins(ug, opt->peering);
+    for (Cand& c : cands) {
+      if (opt_wins && !c.dominated &&
+          model.Prefers(ug, opt->peering, c.opt->peering)) {
+        c.dominated = true;
+      }
+      if (c.wins && !opt_dominated &&
+          model.Prefers(ug, c.opt->peering, opt->peering)) {
+        opt_dominated = true;
+      }
+    }
+    cands.push_back(
+        Cand{opt, rtt, opt->distance_km, opt_dominated, opt_wins});
+    min_km = kInf;
+    for (const Cand& c : cands) {
+      if (!c.dominated) min_km = std::min(min_km, c.km);
+    }
+    sum = 0.0;
+    count = 0;
+    max_km = min_km;
+    for (const Cand& c : cands) {
+      if (c.dominated || c.km - min_km > d_reuse_km) continue;
+      sum += c.rtt;
+      ++count;
+      max_km = std::max(max_km, c.km);
+    }
   }
 };
 
@@ -186,27 +254,17 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
   std::vector<double> cur_e(n_ug, kInf);  // E of the in-progress prefix
   std::vector<util::PeeringId> sessions;  // its advertised sessions, sorted
   std::vector<SessionAttr> session_attrs;  // parallel to `sessions` when wide
-  // Per-UG candidate list for the in-progress prefix: the UG's compliant
-  // options among `sessions`, maintained incrementally so each marginal
-  // evaluation is O(|candidates|) instead of an intersection walk.
-  std::vector<std::vector<const IngressOption*>> cands(n_ug);
-  // Attribute each candidate was committed under (parallel to cands[u]) and
-  // a per-UG flag set once any candidate carries a non-default attribute:
-  // the running-aggregate fast paths assume plain candidates, so flagged UGs
-  // divert to the tiered attributed evaluation. Only maintained when the
-  // action space is widened — the legacy space never allocates them.
+  // Per-UG state of the in-progress prefix: the UG's compliant options among
+  // `sessions` and their surviving set, maintained at commit so a probe
+  // rarely walks the list. On the plain path cur_e[u] == state[u].Mean().
+  std::vector<UgPrefixState> state(n_ug);
+  // Attribute each candidate was committed under (parallel to
+  // state[u].cands) and a per-UG flag set once any candidate carries a
+  // non-default attribute: the surviving set assumes plain candidates, so
+  // flagged UGs divert to the tiered attributed evaluation. Only maintained
+  // when the action space is widened — the legacy space never allocates them.
   std::vector<std::vector<SessionAttr>> cand_attrs(wide ? n_ug : 0);
   std::vector<std::uint8_t> cand_attributed(wide ? n_ug : 0, 0);
-  // Running aggregates over the raw (exclusion-free) candidate list, in
-  // append order: the Eq. 2 mean of a grown-by-one list is
-  // (sum + rtt) / (count + 1) whenever neither exclusion can fire, which
-  // the min/max-distance spread and RoutingModel::HasPreferences detect
-  // exactly. Sums accumulate in the same order the from-scratch walk would,
-  // so the fast path is bit-identical to it.
-  std::vector<std::uint32_t> cand_count(n_ug, 0);
-  std::vector<double> cand_sum(n_ug, 0.0);
-  std::vector<double> cand_min_km(n_ug, 0.0);
-  std::vector<double> cand_max_km(n_ug, 0.0);
 
   // Effective single-candidate RTT per flat-index entry: the measured RTT
   // when the model has one, else the instance estimate — exactly the value
@@ -284,50 +342,72 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
     metrics.celf_cross_seed_invalidations.Add(cross_invalidations);
   }
 
-  // Eq. 2 mean of cands[u] + opt (kInf when unusable), without mutating
-  // state. Fast path: a lone candidate is exclusion-free by construction,
-  // and a multi-candidate list with no learned preferences and a distance
-  // spread within D_reuse keeps every candidate, so the mean is a running
-  // sum away. Anything else falls back to the from-scratch walk (which IS
-  // the reference semantics, so both paths agree bit-for-bit).
+  // Eq. 2 mean of state[u].cands + opt (kInf when unusable), without
+  // mutating state. The incremental engine makes the two directed dominance
+  // checks of opt against the list; unless opt kills a survivor, the grown
+  // surviving set follows from the kept aggregates in O(1). Sums stay in
+  // candidate order with opt last, so every branch is the reference's mean
+  // bit for bit. The naive engine runs the reference itself.
   auto expected_with = [&](std::uint32_t u, const IngressOption* opt,
                            double rtt) {
-    const std::uint32_t count = cand_count[u];
-    if (incremental) {
-      if (count == 0) return rtt;
-      if (!model_.HasPreferences(u)) {
-        const double min_km = std::min(cand_min_km[u], opt->distance_km);
-        const double max_km = std::max(cand_max_km[u], opt->distance_km);
-        if (max_km - min_km <= params.d_reuse_km) {
-          // No exclusion can fire: the mean is over the full grown list.
-          return (cand_sum[u] + rtt) / static_cast<double>(count + 1);
+    const UgPrefixState& s = state[u];
+    if (!incremental) {
+      // Scratch reused across calls; thread_local so the concurrent seeding
+      // scan below can evaluate marginals on pool workers without sharing.
+      thread_local std::vector<const IngressOption*> trial;
+      trial.clear();
+      for (const UgPrefixState::Cand& c : s.cands) trial.push_back(c.opt);
+      trial.push_back(opt);
+      const PrefixExpectation e =
+          ComputeExpectationFromCandidates(model_, u, trial, params);
+      return e.usable ? e.mean_rtt : kInf;
+    }
+    if (s.cands.empty()) return rtt;  // a lone candidate is exclusion-free
+    // The walk: re-derive the grown list's surviving set from the stored
+    // entries — no hash lookups, no k² dominance searches.
+    const auto walk = [&] {
+      metrics.celf_expectation_fallbacks.Add();  // sharded: worker-safe
+      thread_local UgPrefixState grown;
+      grown.cands.assign(s.cands.begin(), s.cands.end());
+      grown.Append(model_, u, opt, rtt, params.d_reuse_km);
+      return grown.Mean();
+    };
+    const double d_reuse = params.d_reuse_km;
+    bool opt_dominated = false;
+    if (model_.HasPreferences(u)) {
+      // Only ingresses that ever won can dominate: one HasWins search for
+      // opt, and the candidates' flags from their commit.
+      const bool opt_wins = model_.HasWins(u, opt->peering);
+      for (const UgPrefixState::Cand& c : s.cands) {
+        if (c.wins && !opt_dominated &&
+            model_.Prefers(u, c.opt->peering, opt->peering)) {
+          opt_dominated = true;
+          if (!opt_wins) break;  // settled: opt can kill nothing
         }
-        if (opt->distance_km - cand_min_km[u] > params.d_reuse_km) {
-          // The new option is excluded by D_reuse itself and (being farther
-          // than the current min) cannot shift the min, so the surviving set
-          // is exactly that of the current list — whose expectation cur_e[u]
-          // already is.
-          return cur_e[u];
-        }
-        if (cand_min_km[u] - opt->distance_km > params.d_reuse_km) {
-          // The new option undercuts every current candidate by more than
-          // D_reuse: they are all excluded and it alone survives.
-          return rtt;
+        if (opt_wins && !c.dominated && !(c.km - s.min_km > d_reuse) &&
+            model_.Prefers(u, opt->peering, c.opt->peering)) {
+          return walk();  // opt kills a survivor
         }
       }
-      metrics.celf_expectation_fallbacks.Add();  // sharded: worker-safe
     }
-    // Scratch reused across calls; thread_local so the concurrent seeding
-    // scan below can evaluate marginals on pool workers without sharing.
-    thread_local std::vector<const IngressOption*> trial;
-    trial.assign(cands[u].begin(), cands[u].end());
-    trial.push_back(opt);
-    const PrefixExpectation e =
-        ComputeExpectationFromCandidates(model_, u, trial, params);
-    return e.usable ? e.mean_rtt : kInf;
+    // opt kills no survivor, so the set can only gain opt or lose members
+    // to a lower window edge.
+    if (opt_dominated) return cur_e[u];  // opt joins no set
+    if (s.count == 0) return rtt;  // every existing candidate is dominated
+    const auto with_opt = [&] {
+      return (s.sum + rtt) / static_cast<double>(s.count + 1);
+    };
+    const double d = opt->distance_km;
+    if (d >= s.min_km) {
+      // The window keeps its lower edge: opt is inside it or excluded.
+      return d - s.min_km > d_reuse ? cur_e[u] : with_opt();
+    }
+    if (s.min_km - d > d_reuse) return rtt;  // every survivor drops out
+    if (s.max_km - d <= d_reuse) return with_opt();  // every survivor stays
+    return walk();  // the lower edge moves past part of the set
   };
 
-  // Attributed probe: Eq. 2 mean of cands[u] + (opt announced under `attr`).
+  // Attributed probe: Eq. 2 mean of the list + (opt announced under `attr`).
   // A plain probe against a plain candidate list delegates to expected_with
   // — in the legacy action space that is every call, so it stays
   // bit-identical. Otherwise the attributed tiered evaluation
@@ -348,8 +428,8 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
     };
     thread_local std::vector<AdvertisedOption> atrial;
     atrial.clear();
-    for (std::size_t k = 0; k < cands[u].size(); ++k) {
-      atrial.push_back(as_advertised(cands[u][k], cand_attrs[u][k]));
+    for (std::size_t k = 0; k < state[u].cands.size(); ++k) {
+      atrial.push_back(as_advertised(state[u].cands[k].opt, cand_attrs[u][k]));
     }
     atrial.push_back(as_advertised(opt, attr));
     const PrefixExpectation e =
@@ -383,13 +463,10 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
     sessions.clear();
     session_attrs.clear();
     std::fill(cur_e.begin(), cur_e.end(), kInf);
-    for (auto& c : cands) c.clear();
+    for (UgPrefixState& s : state) s.Clear();
     for (auto& a : cand_attrs) a.clear();
     std::fill(cand_attributed.begin(), cand_attributed.end(),
               static_cast<std::uint8_t>(0));
-    std::fill(cand_count.begin(), cand_count.end(), 0u);
-    std::fill(cand_sum.begin(), cand_sum.end(), 0.0);
-    // min/max km are only read when cand_count > 0; no reset needed.
 
     // Inner loop of Algorithm 1: add peerings while one yields positive
     // marginal benefit (Eq. 1 over modelled expectations).
@@ -417,7 +494,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
     std::uint64_t round = 0;
     {
       // Seed the CELF heap. Each peering's marginal touches only read-only
-      // shared state (base_best / cur_e / cands / the routing model), so the
+      // shared state (base_best / cur_e / state / the routing model), so the
       // scan is embarrassingly parallel; the heap is then built serially in
       // peering order, making the result bit-identical to the serial scan.
       // With the incremental engine, only dirty peerings are re-evaluated —
@@ -553,20 +630,11 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
         // expectation are untouched by this commit.
         if (nx && !opt->in_peer_cone) continue;
         cur_e[u] = expected_with_attr(u, opt, eff_rtt[i], attr);
-        cands[u].push_back(opt);
+        state[u].Append(model_, u, opt, eff_rtt[i], params.d_reuse_km);
         if (wide) {
           cand_attrs[u].push_back(attr);
           if (!attr.IsDefault()) cand_attributed[u] = 1;
         }
-        if (cand_count[u] == 0) {
-          cand_min_km[u] = opt->distance_km;
-          cand_max_km[u] = opt->distance_km;
-        } else {
-          cand_min_km[u] = std::min(cand_min_km[u], opt->distance_km);
-          cand_max_km[u] = std::max(cand_max_km[u], opt->distance_km);
-        }
-        cand_sum[u] += eff_rtt[i];
-        ++cand_count[u];
       }
       if (!config_.enable_reuse) break;  // ablation: one peering per prefix
     }

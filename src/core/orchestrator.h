@@ -74,7 +74,7 @@ struct OrchestratorConfig {
   // Incremental CELF engine (DESIGN.md "Incremental CELF evaluation"):
   // per-peering seed marginals are cached across prefix rounds and
   // invalidated through the dirty-UG rule, and grown-by-one candidate lists
-  // are evaluated from per-UG running aggregates instead of re-walking the
+  // are evaluated from a per-UG surviving set instead of re-walking the
   // list. Bit-identical to the from-scratch engine at any thread count (the
   // property and golden-schedule tests prove it); false forces the naive
   // path for testing and benchmarking.

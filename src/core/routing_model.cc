@@ -7,13 +7,6 @@
 #include "obs/metrics.h"
 
 namespace painter::core {
-namespace {
-
-std::uint64_t PairKey(util::PeeringId winner, util::PeeringId loser) {
-  return (static_cast<std::uint64_t>(winner.value()) << 32) | loser.value();
-}
-
-}  // namespace
 
 RoutingModel::RoutingModel(std::size_t ug_count)
     : prefers_(ug_count), measured_(ug_count) {}
@@ -65,14 +58,10 @@ bool RoutingModel::ObserveLatency(std::uint32_t ug, util::PeeringId ingress,
 bool RoutingModel::IsDominated(
     std::uint32_t ug, util::PeeringId candidate,
     std::span<const util::PeeringId> active) const {
-  const auto& set = prefers_.at(ug);
-  if (set.empty()) return false;
+  if (prefers_.at(ug).empty()) return false;
   for (util::PeeringId other : active) {
     if (other == candidate) continue;
-    if (std::binary_search(set.begin(), set.end(),
-                           PairKey(other, candidate))) {
-      return true;
-    }
+    if (Prefers(ug, other, candidate)) return true;
   }
   return false;
 }

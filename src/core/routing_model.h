@@ -23,6 +23,7 @@
 // likely", weights decay with excess distance).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -34,13 +35,13 @@
 
 namespace painter::core {
 
-// Thread-safety contract: the const methods (IsDominated, HasPreferences,
-// MeasuredRtt, PreferenceCount) and the ComputeExpectation* helpers below only read
-// shared state, so any number of threads may call them concurrently — the
-// orchestrator's parallel evaluation loops rely on this. The Observe*
-// mutators require exclusive access (they run in the serial Absorb phase of
-// the learning loop, never concurrently with evaluations). All evaluation
-// scratch is thread_local.
+// Thread-safety contract: the const methods (IsDominated, Prefers, HasWins,
+// HasPreferences, MeasuredRtt, PreferenceCount) and the ComputeExpectation*
+// helpers below only read shared state, so any number of threads may call
+// them concurrently — the orchestrator's parallel evaluation loops rely on
+// this. The Observe* mutators require exclusive access (they run in the
+// serial Absorb phase of the learning loop, never concurrently with
+// evaluations). All evaluation scratch is thread_local.
 class RoutingModel {
  public:
   explicit RoutingModel(std::size_t ug_count);
@@ -66,8 +67,29 @@ class RoutingModel {
   [[nodiscard]] bool IsDominated(std::uint32_t ug, util::PeeringId candidate,
                                  std::span<const util::PeeringId> active) const;
 
+  // True if `ug` is known to prefer `winner` over `loser`: one directed pair,
+  // one binary search. The orchestrator's incremental engine checks a new
+  // option against each candidate of the prefix under construction in both
+  // directions, which is O(k log P) per probe where IsDominated over the
+  // whole list is O(k² log P).
+  [[nodiscard]] bool Prefers(std::uint32_t ug, util::PeeringId winner,
+                             util::PeeringId loser) const {
+    const auto& set = prefers_[ug];
+    return std::binary_search(set.begin(), set.end(), PairKey(winner, loser));
+  }
+
+  // True if `ug` is known to prefer `winner` over some ingress. Pair keys
+  // sort by winner first, so this is one lower_bound; the orchestrator uses
+  // it to skip the Prefers searches of ingresses that never won.
+  [[nodiscard]] bool HasWins(std::uint32_t ug, util::PeeringId winner) const {
+    const auto& set = prefers_[ug];
+    const auto it = std::lower_bound(set.begin(), set.end(),
+                                     PairKey(winner, util::PeeringId{0}));
+    return it != set.end() && (*it >> 32) == winner.value();
+  }
+
   // True once any pairwise preference has been observed for `ug`. The
-  // orchestrator's incremental fast path keys off this: with no preferences,
+  // orchestrator's incremental engine keys off this: with no preferences,
   // the dominance exclusion can never fire for the UG.
   [[nodiscard]] bool HasPreferences(std::uint32_t ug) const {
     return !prefers_[ug].empty();
@@ -84,10 +106,14 @@ class RoutingModel {
   }
 
  private:
+  static std::uint64_t PairKey(util::PeeringId winner, util::PeeringId loser) {
+    return (static_cast<std::uint64_t>(winner.value()) << 32) | loser.value();
+  }
+
   // ug -> sorted flat list of (winner << 32 | loser) pair keys. A sorted
-  // vector beats a hash set here: the dominance probe (hot, called from the
-  // greedy loop's expectation fallback) is a binary search over a contiguous
-  // few-element array, and mutation happens only in the serial Absorb phase.
+  // vector beats a hash set here: the dominance probe (Prefers, hot in the
+  // greedy loop's Eq. 2 probes) is a binary search over a contiguous array,
+  // and mutation happens only in the serial Absorb phase.
   std::vector<std::vector<std::uint64_t>> prefers_;
   // ug -> ingress -> measured RTT.
   std::vector<std::unordered_map<std::uint32_t, double>> measured_;
@@ -120,10 +146,11 @@ struct PrefixExpectation {
     const ExpectationParams& params);
 
 // Same evaluation from an already-intersected candidate list (the UG's
-// compliant options among the advertised sessions). The greedy inner loop of
-// Algorithm 1 maintains these lists incrementally, so marginal evaluations
-// cost O(|candidates|^2) with tiny candidate counts instead of re-walking
-// the full option lists.
+// compliant options among the advertised sessions), O(|candidates|^2 log P)
+// with learned preferences. This is the reference semantics: the naive
+// greedy engine and the attributed path call it directly, and the
+// incremental engine's per-UG surviving-set state (DESIGN.md §8) must match
+// its mean bit for bit.
 [[nodiscard]] PrefixExpectation ComputeExpectationFromCandidates(
     const RoutingModel& model, std::uint32_t ug,
     std::span<const IngressOption* const> candidates,

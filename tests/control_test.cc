@@ -304,7 +304,30 @@ TEST_F(LearningTimelineRearmTest, RunsTwoCappedEpisodes) {
   EXPECT_TRUE(tl.Finished());
   EXPECT_EQ(tl.EpisodeCount(), 2u);
   EXPECT_LE(tl.EpisodeRounds(), 2u);
-  EXPECT_GT(tl.RoundsRun(), first);  // global reports keep accumulating
+  EXPECT_GT(tl.RoundsRun(), first);  // the global round count keeps going
+}
+
+TEST_F(LearningTimelineRearmTest, ReportsStayBoundedAcrossEpisodes) {
+  // An always-on service re-arms its timeline forever: reports() must hold
+  // only the current episode, while RoundsRun() still counts every round.
+  netsim::Simulator sim;
+  core::LearningTimelineConfig cfg;
+  cfg.start_s = 1.0;
+  cfg.round_interval_s = 1.0;
+  cfg.max_rounds_per_episode = 2;
+  core::LearningTimeline tl{sim, *orch_, *env_, cfg};
+
+  std::size_t rounds = 0;
+  for (int episode = 0; episode < 10; ++episode) {
+    tl.Start();
+    sim.Run(sim.Now() + 10.0);
+    ASSERT_TRUE(tl.Finished()) << episode;
+    EXPECT_LE(tl.reports().size(), cfg.max_rounds_per_episode) << episode;
+    rounds += tl.reports().size();
+    EXPECT_EQ(tl.RoundsRun(), rounds) << episode;
+  }
+  EXPECT_EQ(tl.EpisodeCount(), 10u);
+  EXPECT_GT(tl.RoundsRun(), cfg.max_rounds_per_episode);
 }
 
 TEST_F(LearningTimelineRearmTest, StartWhileActiveThrows) {

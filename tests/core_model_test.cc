@@ -172,6 +172,32 @@ TEST(RoutingModelTest, HasPreferencesPerUg) {
   EXPECT_FALSE(model.HasPreferences(0));
 }
 
+TEST(RoutingModelTest, PrefersAndHasWinsAreDirected) {
+  RoutingModel model{2};
+  const util::PeeringId p3{3};
+  const util::PeeringId p5{5};
+  const util::PeeringId p7{7};
+  const util::PeeringId cands[] = {p3, p5, p7};
+  model.ObservePreference(1, p5, cands);  // 5>3, 5>7
+  EXPECT_TRUE(model.Prefers(1, p5, p3));
+  EXPECT_TRUE(model.Prefers(1, p5, p7));
+  EXPECT_FALSE(model.Prefers(1, p3, p5));
+  EXPECT_FALSE(model.Prefers(1, p5, p5));
+  EXPECT_FALSE(model.Prefers(0, p5, p3));  // other UGs unaffected
+  EXPECT_TRUE(model.HasWins(1, p5));
+  EXPECT_FALSE(model.HasWins(1, p3));  // a loser, not a winner
+  EXPECT_FALSE(model.HasWins(1, p7));  // sorts after the only winner
+  EXPECT_FALSE(model.HasWins(1, util::PeeringId{0}));
+  EXPECT_FALSE(model.HasWins(0, p5));
+  // A contradicting observation retracts 5>7: 5 keeps its win over 3.
+  const util::PeeringId pair[] = {p5, p7};
+  model.ObservePreference(1, p7, pair);
+  EXPECT_TRUE(model.Prefers(1, p7, p5));
+  EXPECT_FALSE(model.Prefers(1, p5, p7));
+  EXPECT_TRUE(model.HasWins(1, p7));
+  EXPECT_TRUE(model.HasWins(1, p5));
+}
+
 TEST(BuildInstance, MeasuredInstanceConsistentWithWorld) {
   const test::World& w = test::SharedWorld();
   const auto inst = test::MakeInstance(w);

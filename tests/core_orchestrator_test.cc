@@ -3,6 +3,7 @@
 #include "core/evaluate.h"
 #include "core/orchestrator.h"
 #include "core/sim_environment.h"
+#include "obs/metrics.h"
 #include "tests/world_fixture.h"
 
 namespace painter::core {
@@ -244,6 +245,172 @@ TEST(LearningTerminationTest, RealImprovementResetsPatience) {
   EXPECT_FALSE(LearningShouldStop(improving, 0.01, 1e-3, 2));
   const std::vector<double> flat{1.0, 5.0, 5.0, 5.0};
   EXPECT_TRUE(LearningShouldStop(flat, 0.01, 1e-3, 2));
+}
+
+// ------------------------------------------- Eq. 2 probes on hand-made UGs
+//
+// Hand-made instances drive the incremental engine's per-UG surviving set
+// (DESIGN.md §8) through probe branches the fixture worlds reach only by
+// chance. Each schedule is traced by hand in the test's comment and checked
+// against the naive engine, which runs the reference expectation; the
+// counter deltas show which probes answered in O(1) and which walked the
+// candidate list.
+
+struct HandUg {
+  double weight;
+  double anycast_ms;
+  std::vector<IngressOption> options;  // sorted by peering id
+};
+
+ProblemInstance HandInstance(std::size_t peerings,
+                             const std::vector<HandUg>& ugs) {
+  ProblemInstance inst;
+  inst.peering_count = peerings;
+  inst.ugs_with_peering.assign(peerings, {});
+  for (std::uint32_t u = 0; u < ugs.size(); ++u) {
+    inst.ug_weight.push_back(ugs[u].weight);
+    inst.anycast_rtt_ms.push_back(ugs[u].anycast_ms);
+    inst.options.push_back(ugs[u].options);
+    inst.total_weight += ugs[u].weight;
+    for (const IngressOption& o : ugs[u].options) {
+      inst.ugs_with_peering[o.peering.value()].push_back(u);
+    }
+  }
+  return inst;
+}
+
+IngressOption Opt(std::uint32_t peering, double rtt_ms, double km) {
+  return IngressOption{.peering = util::PeeringId{peering},
+                       .rtt_ms = rtt_ms,
+                       .distance_km = km};
+}
+
+// One ComputeConfig call with its CELF evaluations and its Eq. 2 probes that
+// walked the candidate list.
+struct CountedConfig {
+  AdvertisementConfig config;
+  std::uint64_t evaluations = 0;
+  std::uint64_t walks = 0;
+};
+
+CountedConfig ComputeCounted(const Orchestrator& orch) {
+  obs::Counter& evals =
+      obs::Metrics().GetCounter("orchestrator.celf.evaluations");
+  obs::Counter& walks =
+      obs::Metrics().GetCounter("orchestrator.celf.expectation_fallbacks");
+  const std::uint64_t evals0 = evals.Value();
+  const std::uint64_t walks0 = walks.Value();
+  CountedConfig out;
+  out.config = orch.ComputeConfig();
+  out.evaluations = evals.Value() - evals0;
+  out.walks = walks.Value() - walks0;
+  return out;
+}
+
+std::vector<std::vector<util::PeeringId>> Schedule(
+    const AdvertisementConfig& config) {
+  std::vector<std::vector<util::PeeringId>> out;
+  for (std::size_t p = 0; p < config.PrefixCount(); ++p) {
+    out.push_back(config.Sessions(p));
+  }
+  return out;
+}
+
+TEST(SurvivingSetProbeTest, PreferenceCycleMakesUgUnusable) {
+  // UG0 can enter via a=0, b=1, c=2 (all within D_reuse) and has learned
+  // a>b, b>c, c>a; d=3 (48.5 ms) is in no learned pair. UG1, UG2 (weight 2)
+  // and UG3 hear only b, c and a.
+  const util::PeeringId a{0};
+  const util::PeeringId b{1};
+  const util::PeeringId c{2};
+  const util::PeeringId d{3};
+  const ProblemInstance inst = HandInstance(
+      4, {{1.0, 50.0, {Opt(0, 10.0, 100.0), Opt(1, 12.0, 200.0),
+                       Opt(2, 14.0, 300.0), Opt(3, 48.5, 400.0)}},
+          {1.0, 50.0, {Opt(1, 10.0, 100.0)}},
+          {2.0, 50.0, {Opt(2, 10.0, 100.0)}},
+          {1.0, 50.0, {Opt(0, 10.0, 100.0)}}});
+  const auto learn_cycle = [&](RoutingModel& model) {
+    const util::PeeringId ab[] = {a, b};
+    const util::PeeringId bc[] = {b, c};
+    const util::PeeringId ca[] = {c, a};
+    ASSERT_TRUE(model.ObservePreference(0, a, ab));
+    ASSERT_TRUE(model.ObservePreference(0, b, bc));
+    ASSERT_TRUE(model.ObservePreference(0, c, ca));
+    ASSERT_EQ(model.PreferenceCount(), 3u);
+  };
+  OrchestratorConfig cfg;
+  cfg.prefix_budget = 2;
+  cfg.num_threads = 1;
+  Orchestrator fast{inst, cfg};
+  learn_cycle(fast.mutable_model());
+  cfg.incremental_celf = false;
+  Orchestrator naive{inst, cfg};
+  learn_cycle(naive.mutable_model());
+
+  // Prefix 0 seeds c (116) > a (80) > b (78) > d (1.5) and commits c.
+  // Round 1: a is dominated by c and kills nothing (O(1), UG0 keeps 14); b
+  // kills the survivor c (walk 1, UG0 12) and commits (walk 2). Round 2: a
+  // is dominated by c and kills the survivor b (walk 3): every candidate is
+  // dominated, UG0 loses its 12 ms, UG3's 40 ms gain still wins, and a
+  // commits (walk 4) leaving UG0 unusable. Round 3: d joins a list with no
+  // survivor (O(1), UG0 48.5) and commits (O(1)). Prefix 1 seeds a (38.5) >
+  // b (36.5) > c (34.5), d adds nothing, and a commits; b is dominated by a
+  // (O(1)) and c kills a (walk 5, 14 ms > 10 ms): both are rejected.
+  const CountedConfig got = ComputeCounted(fast);
+  const std::vector<std::vector<util::PeeringId>> want{{a, b, c, d}, {a}};
+  EXPECT_EQ(Schedule(got.config), want);
+  EXPECT_EQ(Schedule(naive.ComputeConfig()), want);
+  EXPECT_EQ(got.evaluations, 14u);
+  EXPECT_EQ(got.walks, 5u);
+  const ExpectationParams params = fast.config().Expectation();
+  const util::PeeringId cycle[] = {a, b, c};
+  EXPECT_FALSE(ComputeExpectation(inst, fast.model(), 0, cycle, params).usable);
+  const PrefixExpectation e =
+      ComputeExpectation(inst, fast.model(), 0, got.config.Sessions(0), params);
+  ASSERT_TRUE(e.usable);
+  EXPECT_EQ(e.candidate_count, 1u);
+  EXPECT_EQ(e.mean_rtt, 48.5);
+}
+
+TEST(SurvivingSetProbeTest, WindowShiftDropsPartOfSurvivingSet) {
+  // D_reuse 1000 km. UG0 can enter via a=0 (20 ms @ 2000 km), b=1 (22 ms @
+  // 2800 km) and c=2 (30 ms @ 1500 km); UG1, UG2 and UG3 hear only b, c
+  // and a. No learned preferences.
+  const util::PeeringId a{0};
+  const util::PeeringId b{1};
+  const util::PeeringId c{2};
+  const ProblemInstance inst = HandInstance(
+      3, {{1.0, 50.0, {Opt(0, 20.0, 2000.0), Opt(1, 22.0, 2800.0),
+                       Opt(2, 30.0, 1500.0)}},
+          {1.0, 50.0, {Opt(1, 10.0, 100.0)}},
+          {1.0, 50.0, {Opt(2, 10.0, 100.0)}},
+          {1.0, 50.0, {Opt(0, 10.0, 100.0)}}});
+  OrchestratorConfig cfg;
+  cfg.prefix_budget = 1;
+  cfg.d_reuse_km = 1000.0;
+  cfg.num_threads = 1;
+  Orchestrator fast{inst, cfg};
+  cfg.incremental_celf = false;
+  Orchestrator naive{inst, cfg};
+
+  // Seeds a (70) > b (68) > c (60); a commits. Round 1: b lands inside the
+  // window (O(1), UG0 21); c undercuts it but every survivor stays within
+  // 1000 km of c (O(1), UG0 25); b commits (O(1)). Round 2: c moves the
+  // window's lower edge to 1500 km, past b at 2800 km but not a (walk 1,
+  // UG0 (20 + 30) / 2 = 25), and commits (walk 2).
+  const CountedConfig got = ComputeCounted(fast);
+  const std::vector<std::vector<util::PeeringId>> want{{a, b, c}};
+  EXPECT_EQ(Schedule(got.config), want);
+  EXPECT_EQ(Schedule(naive.ComputeConfig()), want);
+  EXPECT_EQ(got.evaluations, 6u);
+  EXPECT_EQ(got.walks, 2u);
+  const PrefixExpectation e =
+      ComputeExpectation(inst, fast.model(), 0, got.config.Sessions(0),
+                         fast.config().Expectation());
+  ASSERT_TRUE(e.usable);
+  EXPECT_EQ(e.candidate_count, 2u);
+  EXPECT_EQ(e.mean_rtt, 25.0);
 }
 
 TEST(AdvertisementConfigTest, AddAndQuery) {

@@ -91,10 +91,10 @@ TEST_P(OrchestratorPropertyTest, Deterministic) {
   }
 }
 
-// The incremental CELF engine (cross-round seed-marginal cache + aggregate
-// fast path) must produce the exact schedule of a from-scratch recompute, at
-// any thread count. DESIGN.md "Incremental CELF evaluation" argues why; this
-// checks it across seeded worlds.
+// The incremental CELF engine (cross-round seed-marginal cache + per-UG
+// surviving-set probes) must produce the exact schedule of a from-scratch
+// recompute, at any thread count. DESIGN.md "Incremental CELF evaluation"
+// argues why; this checks it across seeded worlds.
 TEST_P(OrchestratorPropertyTest, IncrementalMatchesNaiveRecompute) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{5}}) {
     OrchestratorConfig fast;
@@ -116,28 +116,41 @@ TEST_P(OrchestratorPropertyTest, IncrementalMatchesNaiveRecompute) {
 }
 
 // Same equivalence once the model holds learned preferences and measured
-// RTTs — the regime where the aggregate fast path must detect that an
-// exclusion can fire and fall back to the from-scratch expectation.
+// RTTs — the regime where probes must track dominance as well as D_reuse —
+// checked after every learning iteration, not only the last, at D_reuse
+// values that make the window bite hard (500 km), partly (1500 km) and
+// rarely (3000 km). The incremental calls must walk the candidate list at
+// least once, so the walk is cross-checked too; the hand-made cases in
+// core_orchestrator_test pin which probes answer in O(1).
 TEST_P(OrchestratorPropertyTest, IncrementalMatchesNaiveWithLearnedModel) {
-  OrchestratorConfig cfg;
-  cfg.prefix_budget = 6;
-  cfg.max_learning_iterations = 3;
-  Orchestrator learned{inst_, cfg};
-  SimEnvironment env{*w_.resolver, *w_.oracle, util::Rng{GetParam() + 9}};
-  (void)learned.Learn(env);
-  ASSERT_GT(learned.model().PreferenceCount() +
-                obs::Metrics().GetCounter("model.rtt_observations").Value(),
-            0u);
-
-  OrchestratorConfig naive_cfg = cfg;
-  naive_cfg.incremental_celf = false;
-  Orchestrator naive{inst_, naive_cfg};
-  naive.mutable_model() = learned.model();
-  const auto ca = learned.ComputeConfig();
-  const auto cb = naive.ComputeConfig();
-  ASSERT_EQ(ca.PrefixCount(), cb.PrefixCount());
-  for (std::size_t p = 0; p < ca.PrefixCount(); ++p) {
-    EXPECT_EQ(ca.Sessions(p), cb.Sessions(p)) << "prefix=" << p;
+  obs::Counter& walks =
+      obs::Metrics().GetCounter("orchestrator.celf.expectation_fallbacks");
+  for (const double d_reuse : {500.0, 1500.0, 3000.0}) {
+    OrchestratorConfig cfg;
+    cfg.prefix_budget = 6;
+    cfg.d_reuse_km = d_reuse;
+    Orchestrator learned{inst_, cfg};
+    OrchestratorConfig naive_cfg = cfg;
+    naive_cfg.incremental_celf = false;
+    Orchestrator naive{inst_, naive_cfg};
+    SimEnvironment env{*w_.resolver, *w_.oracle, util::Rng{GetParam() + 9}};
+    std::uint64_t walk_count = 0;
+    for (std::size_t iter = 0; iter < 3; ++iter) {
+      (void)learned.RunLearningIteration(env, iter);
+      naive.mutable_model() = learned.model();
+      const std::uint64_t walks0 = walks.Value();
+      const auto ca = learned.ComputeConfig();
+      walk_count += walks.Value() - walks0;
+      const auto cb = naive.ComputeConfig();
+      ASSERT_EQ(ca.PrefixCount(), cb.PrefixCount())
+          << "d_reuse=" << d_reuse << " iter=" << iter;
+      for (std::size_t p = 0; p < ca.PrefixCount(); ++p) {
+        EXPECT_EQ(ca.Sessions(p), cb.Sessions(p))
+            << "d_reuse=" << d_reuse << " iter=" << iter << " prefix=" << p;
+      }
+    }
+    ASSERT_GT(learned.model().PreferenceCount(), 0u);
+    EXPECT_GT(walk_count, 0u) << "d_reuse=" << d_reuse;
   }
 }
 

@@ -35,7 +35,14 @@
 #                 bench/control_loop, whose own gates require every scripted
 #                 fault answered within the reaction SLO, zero audit
 #                 mismatches, and the equal-reactivity recompute savings.
-#   8. ASan+UBSan, then TSan — dedicated sanitizer build trees running the
+#   8. golden   — reruns bench/fig6c_learning, control_loop, ablations and
+#                 unified_timeline at their defaults and diffs each stdout
+#                 against bench/results/golden/<bench>.stdout. Their stdout
+#                 carries no timings, so any byte that moves is a change in
+#                 what the learning loop, the control plane or the replay
+#                 computed; a change that means to move one re-pins the
+#                 file and says why.
+#   9. ASan+UBSan, then TSan — dedicated sanitizer build trees running the
 #                 `sanitize` + `property` + `shard` + `actionspace` +
 #                 `control` label selection
 #                 (tools/asan_check.sh and tools/tsan_check.sh), which
@@ -50,44 +57,59 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build}"
 
-echo "=== ci 0/9: metrics naming lint ==="
+echo "=== ci 0/10: metrics naming lint ==="
 python3 tools/metrics_lint.py
 
-echo "=== ci 1/9: tier1 correctness gate ==="
+echo "=== ci 1/10: tier1 correctness gate ==="
 cmake -B "$BUILD_DIR" -S . >/dev/null
 cmake --build "$BUILD_DIR" -j
 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure
 
-echo "=== ci 2/9: property suites ==="
+echo "=== ci 2/10: property suites ==="
 ctest --test-dir "$BUILD_DIR" -L property --output-on-failure
 
-echo "=== ci 3/9: action-space tier ==="
+echo "=== ci 3/10: action-space tier ==="
 ctest --test-dir "$BUILD_DIR" -L actionspace --output-on-failure
 
-echo "=== ci 4/9: workload tier + throughput smoke ==="
+echo "=== ci 4/10: workload tier + throughput smoke ==="
 ctest --test-dir "$BUILD_DIR" -L workload --output-on-failure
 cmake --build "$BUILD_DIR" -j --target workload_throughput >/dev/null
 "$BUILD_DIR"/bench/workload_throughput --smoke >/dev/null
 
-echo "=== ci 5/9: shard tier + sharded-timeline smoke ==="
+echo "=== ci 5/10: shard tier + sharded-timeline smoke ==="
 ctest --test-dir "$BUILD_DIR" -L shard --output-on-failure
 cmake --build "$BUILD_DIR" -j --target unified_timeline >/dev/null
 "$BUILD_DIR"/bench/unified_timeline --smoke --shards 2 >/dev/null
 
-echo "=== ci 6/9: timeline tier + unified-timeline smoke ==="
+echo "=== ci 6/10: timeline tier + unified-timeline smoke ==="
 ctest --test-dir "$BUILD_DIR" -L timeline --output-on-failure
 cmake --build "$BUILD_DIR" -j --target unified_timeline >/dev/null
 "$BUILD_DIR"/bench/unified_timeline --smoke >/dev/null
 
-echo "=== ci 7/9: control tier + control-loop smoke ==="
+echo "=== ci 7/10: control tier + control-loop smoke ==="
 ctest --test-dir "$BUILD_DIR" -L control --output-on-failure
 cmake --build "$BUILD_DIR" -j --target control_loop >/dev/null
 "$BUILD_DIR"/bench/control_loop --smoke >/dev/null
 
-echo "=== ci 8/9: ASan+UBSan (sanitize|property|shard|actionspace|control labels) ==="
+echo "=== ci 8/10: golden stdout of the learning, control and replay benches ==="
+GOLDEN_BENCHES=(fig6c_learning control_loop ablations unified_timeline)
+cmake --build "$BUILD_DIR" -j --target "${GOLDEN_BENCHES[@]}" >/dev/null
+bench_bin="$(cd "$BUILD_DIR/bench" && pwd)"
+golden_out="$(mktemp -d)"
+trap 'rm -rf "$golden_out"' EXIT
+for b in "${GOLDEN_BENCHES[@]}"; do
+  # Run inside the temp dir with PAINTER_REPORT_DIR unset: the reports
+  # land there, and the "Report: BENCH_<bench>.json" line the goldens carry
+  # stays a bare file name.
+  (cd "$golden_out" && env -u PAINTER_REPORT_DIR "$bench_bin/$b") \
+      >"$golden_out/$b.stdout"
+  diff -u "bench/results/golden/$b.stdout" "$golden_out/$b.stdout"
+done
+
+echo "=== ci 9/10: ASan+UBSan (sanitize|property|shard|actionspace|control labels) ==="
 tools/asan_check.sh
 
-echo "=== ci 9/9: TSan (sanitize|property|shard|actionspace|control labels) ==="
+echo "=== ci 10/10: TSan (sanitize|property|shard|actionspace|control labels) ==="
 tools/tsan_check.sh
 
 echo "ci_check: all stages green."
