@@ -31,12 +31,12 @@
 //   chaos_runner               # seeds 1..50
 //   chaos_runner --seeds 200   # seeds 1..200
 //   chaos_runner --seed 17     # just seed 17 (repro mode)
-//   chaos_runner --shards 4    # loaded runs use the shard-per-thread engine
+//   chaos_runner --shards 4    # loaded runs use the sharded replay engine
 //                              # (0 = classic serial engine, the default)
 //   chaos_runner --under_load [--seeds N] [--threads T] [--slo_p99_rtts X]
 //
-// With --shards N > 0 every loaded run replays through the shard-per-thread
-// engine (DESIGN.md §13) under the same fault plans — the invariant checks
+// With --shards N > 0 every loaded run replays through the sharded engine
+// (N shard simulators on one thread, DESIGN.md §13) under the same fault plans — the invariant checks
 // must still come back clean — and the --under_load report additionally
 // carries the des.shard.* queue-depth/epoch-skew series for the first loaded
 // seed. Reports are compared against baselines only at the default

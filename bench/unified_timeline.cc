@@ -19,7 +19,7 @@
 // Usage:
 //   unified_timeline                     # full run (seed 7, 1 thread)
 //   unified_timeline --seed 11 --threads 4
-//   unified_timeline --shards 4          # shard-per-thread workload engine
+//   unified_timeline --shards 4          # sharded workload engine
 //                                        # (0 = classic serial timeline)
 //   unified_timeline --smoke             # small world + short trace
 #include <cstdint>

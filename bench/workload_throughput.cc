@@ -11,10 +11,11 @@
 //                TM-Edge (8 tunnels, 4 PoPs), once under the classic
 //                latency-only policy and once under the capacity-aware
 //                policy, and demand >= 100k concurrently pinned flows.
-//   sharded    — replay the same trace through the shard-per-thread engine
-//                (DESIGN.md §13) at every shard count in {1, 2, 4, 8},
-//                print the scaling-efficiency table, and demand the runs'
-//                canonical stats be byte-identical across shard counts.
+//   sharded    — replay the same trace through the sharded engine (DESIGN.md
+//                §13; every shard on the calling thread) at every shard
+//                count in {1, 2, 4, 8}, print the per-count cost table, and
+//                demand the runs' canonical stats be byte-identical across
+//                shard counts.
 //
 // Determinism: every non-wall value in the report is a pure function of the
 // seed. Wall-clock results live in "wall_*" keys / phase wall_ms, which

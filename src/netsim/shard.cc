@@ -1,65 +1,13 @@
 #include "netsim/shard.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 
 namespace painter::netsim {
-
-// Two-phase rendezvous: the coordinator publishes (boundary, stop) and
-// releases the workers; each worker runs its shard to the boundary and
-// reports back; the coordinator resumes once every worker is done. A plain
-// mutex/condvar pair — on an oversubscribed machine blocking beats spinning,
-// and the wait itself establishes the happens-before edges the determinism
-// contract needs (coordinator writes before release are visible to workers;
-// worker writes before report are visible to the coordinator).
-struct ShardedSimulator::Barrier {
-  std::mutex mu;
-  std::condition_variable start_cv;
-  std::condition_variable done_cv;
-  std::uint64_t generation = 0;  // bumped per released batch
-  std::size_t running = 0;
-
-  // Coordinator: release all workers into the current epoch.
-  void Release(std::size_t workers) {
-    {
-      const std::lock_guard<std::mutex> lock{mu};
-      running = workers;
-      ++generation;
-    }
-    start_cv.notify_all();
-  }
-
-  // Coordinator: block until every released worker reported done.
-  void AwaitAll() {
-    std::unique_lock<std::mutex> lock{mu};
-    done_cv.wait(lock, [this] { return running == 0; });
-  }
-
-  // Worker: block for the next release after `seen` and return its
-  // generation.
-  std::uint64_t AwaitRelease(std::uint64_t seen) {
-    std::unique_lock<std::mutex> lock{mu};
-    start_cv.wait(lock, [&] { return generation != seen; });
-    return generation;
-  }
-
-  // Worker: report this epoch's shard work done.
-  void ReportDone() {
-    bool last = false;
-    {
-      const std::lock_guard<std::mutex> lock{mu};
-      last = --running == 0;
-    }
-    if (last) done_cv.notify_all();
-  }
-};
 
 namespace {
 
@@ -90,52 +38,6 @@ ShardedSimulator::ShardedSimulator(Simulator& control, const Config& config)
     shards_.push_back(std::make_unique<Simulator>());
   }
   stats_.shard_executed_events.assign(config.shards, 0);
-
-  switch (config.threading) {
-    case Threading::kThreads:
-      use_threads_ = true;
-      break;
-    case Threading::kInline:
-      use_threads_ = false;
-      break;
-    case Threading::kAuto:
-      use_threads_ =
-          config.shards > 1 && std::thread::hardware_concurrency() > 1;
-      break;
-  }
-  if (use_threads_) {
-    barrier_ = std::make_unique<Barrier>();
-    workers_.reserve(config.shards);
-    for (std::size_t i = 0; i < config.shards; ++i) {
-      workers_.emplace_back([this, i] {
-        std::uint64_t seen = 0;
-        while (true) {
-          seen = barrier_->AwaitRelease(seen);
-          if (stop_workers_) return;  // coordinator holds off until joined
-          shards_[i]->RunUntilUs(worker_boundary_us_);
-          barrier_->ReportDone();
-        }
-      });
-    }
-  }
-}
-
-ShardedSimulator::~ShardedSimulator() {
-  if (use_threads_) {
-    stop_workers_ = true;
-    barrier_->Release(shards_.size());
-    // jthread joins on destruction; workers exit without reporting.
-  }
-}
-
-void ShardedSimulator::RunShardsTo(SimTime boundary_us) {
-  if (use_threads_) {
-    worker_boundary_us_ = boundary_us;
-    barrier_->Release(shards_.size());
-    barrier_->AwaitAll();
-    return;
-  }
-  for (const auto& shard : shards_) shard->RunUntilUs(boundary_us);
 }
 
 void ShardedSimulator::RecordBarrier(
@@ -181,8 +83,8 @@ void ShardedSimulator::Run(SimTime until_us, const Hook& prepare,
     if (prepare) prepare(epoch, b);
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       executed_before[i] = shards_[i]->ExecutedEvents();
+      shards_[i]->RunUntilUs(b);
     }
-    RunShardsTo(b);
     if (merge) merge(epoch, b);
     RecordBarrier(b, executed_before);
     if (b == grid_b) ++next_epoch_;

@@ -1,33 +1,33 @@
-// Shard-per-thread discrete-event simulation with deterministic epoch
-// barriers (DESIGN.md §13).
+// Sharded discrete-event simulation with deterministic epoch barriers
+// (DESIGN.md §13).
 //
 // The single-Simulator timeline (§11) puts every component on one integer-µs
-// event heap; that heap is the hot path's serial bottleneck. This layer
-// splits the timeline into one *control* simulator plus N *shard*
-// simulators, each with its own event heap, synchronized in lock-step
-// epochs (the mcsim_public multi-core pattern):
+// event heap. This layer splits the timeline into one *control* simulator
+// plus N *shard* simulators, each with its own event heap, synchronized in
+// lock-step epochs (the mcsim_public epoch-barrier pattern):
 //
 //   per epoch k with boundary b_k = start + (k+1) * epoch_us:
-//     1. the coordinator thread runs the control simulator to b_k
-//        (probes, faults, TTL refresh, advertisement rounds — everything
-//        that is inherently global);
-//     2. `prepare` hook (coordinator thread): publish read-only snapshots
-//        of control state to the shards;
-//     3. every shard simulator runs its own heap to b_k — in parallel on
-//        its own thread when hardware allows, inline otherwise;
-//     4. `merge` hook (coordinator thread): drain the shards' outboxes in
-//        canonical shard-then-sequence order and apply them to control
-//        state.
+//     1. the control simulator runs to b_k (probes, faults, TTL refresh,
+//        advertisement rounds — everything that is inherently global);
+//     2. `prepare` hook: publish read-only snapshots of control state to
+//        the shards;
+//     3. every shard simulator runs its own heap to b_k, in shard order, on
+//        the calling thread;
+//     4. `merge` hook: drain the shards' outboxes in canonical order and
+//        apply them to control state.
+//
+// Sharding is a data partition, not a thread partition: everything runs on
+// the thread that calls Run(). Threads were measured and lost: at one tick
+// per epoch a barrier carries ~31 arrivals of shard work, less than a
+// condvar round trip to the workers costs, and coarser epochs would change
+// the once-per-tick decision the replay's identity rests on.
 //
 // Determinism contract: shards may only read control state between
-// `prepare` and the barrier (it is frozen then), and may only write
-// shard-local state; all cross-shard effects flow through `merge`, which
-// runs single-threaded and must apply messages in an order independent of
-// the shard count (the workload replay k-way merges per-shard delta lists
-// by trace index). Under that contract the run is a pure function of
-// (events, hooks) — bit-identical at any shard count and with any
-// Threading mode, because thread scheduling can only reorder work *within*
-// a shard's private phase.
+// `prepare` and `merge` (it is frozen then), and may only write shard-local
+// state; all cross-shard effects flow through `merge`, which must apply
+// messages in an order independent of the shard count (the workload replay
+// walks the global trace order). Under that contract the run is a pure
+// function of (events, hooks) — bit-identical at any shard count.
 //
 // Epoch length: the epoch is the minimum cross-shard reaction latency — a
 // write merged at b_k is first visible to picks prepared at b_k (and used
@@ -40,7 +40,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "netsim/sim.h"
@@ -53,18 +52,9 @@ namespace painter::netsim {
 
 class ShardedSimulator {
  public:
-  enum class Threading {
-    // Threads when shards > 1 and the machine has > 1 hardware thread;
-    // inline otherwise. Results are identical either way.
-    kAuto,
-    kThreads,  // always spawn one thread per shard (TSan / property tests)
-    kInline,   // run shards on the coordinator thread (single-core, debug)
-  };
-
   struct Config {
     std::size_t shards = 1;  // power of two in [1, 256]
     SimTime epoch_us = 0;    // barrier period; must be > 0
-    Threading threading = Threading::kAuto;
     // Optional per-shard queue-depth / epoch-skew series (des.shard<i>.*,
     // des.shard.*), appended at epoch barriers. Do NOT attach a registry
     // whose export is byte-compared across shard counts: the per-shard key
@@ -82,13 +72,12 @@ class ShardedSimulator {
     std::vector<std::uint64_t> shard_executed_events;  // per shard
   };
 
-  // Hooks run on the coordinator thread; `boundary_us` is b_k.
+  // `boundary_us` is b_k.
   using Hook = std::function<void(std::uint64_t epoch, SimTime boundary_us)>;
 
-  // `control` must outlive the coordinator. Throws std::invalid_argument on
-  // a non-power-of-two shard count or a zero epoch.
+  // `control` must outlive this object. Throws std::invalid_argument on a
+  // non-power-of-two shard count or a zero epoch.
   ShardedSimulator(Simulator& control, const Config& config);
-  ~ShardedSimulator();
 
   ShardedSimulator(const ShardedSimulator&) = delete;
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
@@ -117,9 +106,6 @@ class ShardedSimulator {
   void ExportMetrics() const;
 
  private:
-  struct Barrier;  // two-phase rendezvous for persistent worker threads
-
-  void RunShardsTo(SimTime boundary_us);
   void RecordBarrier(SimTime boundary_us,
                      const std::vector<std::uint64_t>& executed_before);
 
@@ -131,13 +117,6 @@ class ShardedSimulator {
   SimTime start_us_ = 0;   // epoch-grid anchor (control time at first Run)
   std::uint64_t next_epoch_ = 0;
   Stats stats_;
-
-  // Threading (only materialized when the mode resolves to threads).
-  bool use_threads_ = false;
-  std::unique_ptr<Barrier> barrier_;
-  std::vector<std::jthread> workers_;
-  SimTime worker_boundary_us_ = 0;  // published before the start barrier
-  bool stop_workers_ = false;       // published before the start barrier
 };
 
 }  // namespace painter::netsim

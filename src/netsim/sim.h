@@ -116,7 +116,7 @@ class Simulator {
   [[nodiscard]] double Now() const { return SecondsFromUs(now_us_); }
   [[nodiscard]] std::size_t ExecutedEvents() const { return executed_; }
   [[nodiscard]] bool Empty() const { return heap_.empty(); }
-  // Events currently queued — the shard coordinator samples this at every
+  // Events currently queued — ShardedSimulator samples this at every
   // epoch barrier for the des.shard<i>.queue_depth series.
   [[nodiscard]] std::size_t PendingEvents() const { return heap_.size(); }
 

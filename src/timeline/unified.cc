@@ -247,7 +247,6 @@ UnifiedTimelineResult RunUnifiedTimeline(const UnifiedTimelineConfig& config) {
   } else {
     workload::ShardedReplayConfig scfg;
     scfg.shards = config.shards;
-    scfg.threading = config.threading;
     scfg.engine = wcfg;
     replay.emplace(sim, edge, tunnel_pop, load, policy, trace,
                    std::move(scfg));

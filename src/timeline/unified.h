@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "dnssim/ttl_cache.h"
-#include "netsim/shard.h"
 #include "workload/engine.h"
 
 namespace painter::obs {
@@ -48,15 +47,13 @@ struct UnifiedTimelineConfig {
   // loops. 0 = hardware concurrency. Results are identical at any value.
   std::size_t num_threads = 1;
   // 0 = the classic single-simulator timeline (byte-identical to before the
-  // sharded engine existed). >= 1 = the shard-per-thread timeline
-  // (DESIGN.md §13): the simulator above becomes the control shard and the
-  // workload replays on `shards` shard-local simulators under epoch
-  // barriers. Results are identical for every value >= 1 (the property
+  // sharded engine existed). >= 1 = the sharded timeline (DESIGN.md §13):
+  // the simulator above becomes the control shard and the workload replays
+  // on `shards` shard-local simulators under epoch barriers, all on the
+  // calling thread. Results are identical for every value >= 1 (the property
   // suite pins 1/2/4/8) but not to the serial path — the sharded engine
   // makes its destination decision once per tick, not once per arrival.
   std::size_t shards = 0;
-  netsim::ShardedSimulator::Threading threading =
-      netsim::ShardedSimulator::Threading::kAuto;
 
   // Simulated-Internet world the advertisement rounds execute against.
   std::size_t stubs = 200;

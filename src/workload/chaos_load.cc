@@ -67,7 +67,6 @@ ChaosLoadResult RunChaosUnderLoad(std::uint64_t seed,
                       const std::vector<int>& tunnel_pop) {
       ShardedReplayConfig rcfg;
       rcfg.shards = config.shards;
-      rcfg.threading = config.threading;
       rcfg.engine = ecfg;
       rcfg.shard_timeseries = config.shard_timeseries;
       replay.emplace(sim, edge, tunnel_pop, load, policy, trace,

@@ -23,7 +23,6 @@
 
 #include "faultsim/invariants.h"
 #include "faultsim/scenario.h"
-#include "netsim/shard.h"
 #include "workload/engine.h"
 
 namespace painter::workload {
@@ -41,12 +40,11 @@ struct ChaosLoadConfig {
   std::size_t num_threads = 1;
   // 0 = the serial WorkloadEngine on the scenario simulator (the classic
   // path, byte-identical to before the sharded timeline existed). >= 1 =
-  // the sharded replay (DESIGN.md §13) with that many shard simulators;
-  // results are identical for every value >= 1 but NOT to the serial path
-  // (per-tick instead of per-arrival policy decisions).
+  // the sharded replay (DESIGN.md §13) with that many shard simulators,
+  // run on the calling thread; results are identical for every value >= 1
+  // but NOT to the serial path (per-tick instead of per-arrival policy
+  // decisions).
   std::size_t shards = 0;
-  netsim::ShardedSimulator::Threading threading =
-      netsim::ShardedSimulator::Threading::kAuto;
   // Optional des.shard<i>.* series (sharded path only); see
   // ShardedReplayConfig::shard_timeseries for the cross-shard-count caveat.
   obs::TimeseriesRegistry* shard_timeseries = nullptr;

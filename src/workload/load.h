@@ -71,12 +71,12 @@ class LoadTracker {
   // sized by PublishCapacityDeltas.
   std::vector<int> capacity_band_;
   // Single-writer guard. The tracker is deliberately not thread-safe: under
-  // the sharded timeline every mutation happens on the coordinator thread
-  // inside the epoch-barrier merge, and shard threads only ever read frozen
-  // snapshots. Each mutation does a plain (non-atomic) write here, so a
-  // mutation racing a cross-thread mutation or read is a data race TSan
-  // reports even in NDEBUG builds — the annotation survives asserts being
-  // compiled out. tests run under tools/tsan_check.sh's `shard` stage.
+  // the sharded timeline every mutation happens inside the epoch-barrier
+  // merge, on the thread that runs the replay, and shard ticks only read
+  // snapshots frozen before them. Each mutation does a plain (non-atomic)
+  // write here, so a mutation racing a cross-thread mutation or read is a
+  // data race TSan reports even in NDEBUG builds — the annotation survives
+  // asserts being compiled out.
   std::size_t writer_guard_ = 0;
 
   void NoteWrite();

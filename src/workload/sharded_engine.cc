@@ -38,7 +38,6 @@ netsim::ShardedSimulator::Config DesConfigFor(
       .shards = config.shards,
       // Epoch = admission tick (see the header's epoch-length rationale).
       .epoch_us = netsim::UsFromSeconds(config.engine.tick_s),
-      .threading = config.threading,
       .timeseries = config.shard_timeseries};
 }
 
@@ -220,7 +219,6 @@ void ShardedWorkloadReplay::ShardTick(std::size_t s) {
       flow.rate_bps = timing.rate_bps;
       sh.expiry_buckets[BucketOf(timing.expiry_us)].push_back(
           BucketEntry{key, idx, epoch_pop_, timing.rate_bps});
-      sh.assigns.push_back(AssignDelta{idx, timing.rate_bps});
       ++sh.cursor;
     }
   } else {
@@ -258,17 +256,34 @@ void ShardedWorkloadReplay::Merge(std::uint64_t /*epoch*/,
   const std::uint64_t now_us = boundary_us - start_us_;
   const std::vector<FlowEvent>& events = trace_->events;
 
-  // Arrival-order work: on_arrival and the count stats walk the *global*
-  // trace cursor, so hook order and counts are independent of the
-  // partition. Every shard consumed exactly its slice of this range.
+  // Arrival-order work: on_arrival, the count stats and the load assigns
+  // walk the *global* trace cursor, so hook order, counts and the
+  // floating-point fold order are independent of the partition. Every shard
+  // consumed exactly its slice of this range; in an admit epoch every event
+  // in it was pinned. Assigns before releases: the serial tick's structure.
   std::size_t due_end = global_cursor_;
   while (due_end < events.size() && events[due_end].start_us <= now_us) {
-    if (config_.engine.on_arrival) config_.engine.on_arrival(events[due_end]);
+    const FlowEvent& event = events[due_end];
+    if (config_.engine.on_arrival) config_.engine.on_arrival(event);
+    if (epoch_admit_) {
+      if (load_->Utilization(epoch_pop_) >= 1.0) {
+        ++stats_.saturated_assignments;
+      }
+      load_->OnAssign(epoch_pop_, TimingFor(event, config_.engine).rate_bps);
+      stats_.bytes_offered += static_cast<double>(event.bytes);
+    }
     ++due_end;
   }
   const auto due = static_cast<std::uint64_t>(due_end - global_cursor_);
   global_cursor_ = due_end;
   stats_.arrivals += due;
+  if (epoch_admit_) {
+    // Offered load only grew since the last release, so the post-assign
+    // utilization is the epoch's high-water mark — one read replaces the
+    // serial engine's per-admission watermark, bit-exactly.
+    stats_.max_utilization =
+        std::max(stats_.max_utilization, load_->Utilization(epoch_pop_));
+  }
   if (due > 0) {
     if (epoch_admit_) {
       stats_.started += due;
@@ -290,39 +305,8 @@ void ShardedWorkloadReplay::Merge(std::uint64_t /*epoch*/,
     }
   }
 
-  // Load-delta exchange, canonical order (header: determinism contract).
-  // Assigns first, then releases — the serial tick's structure — and each
-  // k-way merged across shards so the floating-point fold order is a pure
-  // function of the trace.
-  if (epoch_admit_) {
-    std::vector<std::size_t> pos(shards_.size(), 0);
-    while (true) {
-      std::size_t best = shards_.size();
-      std::uint32_t best_idx = 0;
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        const Shard& sh = shards_[s];
-        if (pos[s] >= sh.assigns.size()) continue;
-        const std::uint32_t idx = sh.assigns[pos[s]].trace_idx;
-        if (best == shards_.size() || idx < best_idx) {
-          best = s;
-          best_idx = idx;
-        }
-      }
-      if (best == shards_.size()) break;
-      const AssignDelta& a = shards_[best].assigns[pos[best]++];
-      if (load_->Utilization(epoch_pop_) >= 1.0) {
-        ++stats_.saturated_assignments;
-      }
-      load_->OnAssign(epoch_pop_, a.rate_bps);
-      stats_.bytes_offered +=
-          static_cast<double>(events[a.trace_idx].bytes);
-    }
-    // Offered load only grew since the last release, so the post-assign
-    // utilization is the epoch's high-water mark — one read replaces the
-    // serial engine's per-admission watermark, bit-exactly.
-    stats_.max_utilization =
-        std::max(stats_.max_utilization, load_->Utilization(epoch_pop_));
-  }
+  // Releases, k-way merged across shards in canonical order (header:
+  // determinism contract).
   {
     std::uint64_t released = 0;
     std::vector<std::size_t> pos(shards_.size(), 0);
@@ -352,10 +336,7 @@ void ShardedWorkloadReplay::Merge(std::uint64_t /*epoch*/,
       ReplayMetrics::Get().completed.Add(released);
     }
   }
-  for (Shard& sh : shards_) {
-    sh.assigns.clear();
-    sh.releases.clear();
-  }
+  for (Shard& sh : shards_) sh.releases.clear();
 
   std::size_t concurrent = 0;
   for (const Shard& sh : shards_) {

@@ -20,21 +20,22 @@
 // Load shaping is unaffected in practice: a tick is 100 ms and single-digit
 // arrivals, far finer than the diurnal swings the threshold reacts to.
 //
-// Cross-shard messages: shards never touch the shared LoadTracker. Each
-// shard accumulates assign/release deltas in per-epoch outboxes; the
-// barrier merge k-way-merges them by (expiry bucket, trace index) and
-// applies them to the authoritative tracker in exactly that order — a
+// Cross-shard effects: shards never touch the shared LoadTracker. The merge
+// applies an epoch's assigns while it walks the global due range of the
+// trace (exactly the flows the shards admitted that tick), and k-way-merges
+// the shards' release outboxes by (expiry bucket, trace index) — a
 // canonical order no shard count can perturb — so even the floating-point
 // folds (offered bytes/s, high-water utilization) come out bit-identical.
-// The merge also drives EngineConfig::on_arrival in global trace order,
-// with control-shard state (DNS TTL versions, advertisement rounds) frozen
-// at the boundary.
+// The same walk drives EngineConfig::on_arrival in global trace order, with
+// control-shard state (DNS TTL versions, advertisement rounds) frozen at
+// the boundary.
 //
 // The per-flow hot path is also simply cheaper than the serial engine's:
 // one policy Pick per tick instead of per arrival, no Find before the
 // expiry Erase (bucket entries carry pop and rate), and per-epoch instead
 // of per-flow metrics increments — so `--shards 1` is a faster serial
-// engine, and thread-per-shard scales it on multi-core hosts.
+// engine. Every shard runs on the calling thread; more shards partition
+// the same work, they do not parallelize it.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +56,6 @@ struct ShardedReplayConfig {
   // Power of two in [1, 256]. 1 = the serial semantics of this engine (NOT
   // byte-identical to WorkloadEngine: see the snapshot-decision note above).
   std::size_t shards = 1;
-  netsim::ShardedSimulator::Threading threading =
-      netsim::ShardedSimulator::Threading::kAuto;
   // Tick/duration/policy-hook configuration, shared with the serial engine.
   // `engine.timeseries` registers the same occupancy/utilization samplers
   // the serial engine registers (shard-count-invariant values).
@@ -110,11 +109,6 @@ class ShardedWorkloadReplay {
   [[nodiscard]] std::string CanonicalStats() const;
 
  private:
-  // One admission's load delta, exchanged at the barrier.
-  struct AssignDelta {
-    std::uint32_t trace_idx;
-    double rate_bps;
-  };
   // One expiry's load delta. `bucket` first in the merge order: a final
   // drain releases several buckets in one epoch and bucket-major order is
   // the serial engine's.
@@ -138,8 +132,7 @@ class ShardedWorkloadReplay {
     std::size_t cursor = 0;
     std::size_t tick_index = 0;
     std::vector<std::vector<BucketEntry>> expiry_buckets;
-    // Epoch outboxes: written during the shard's tick, drained at merge.
-    std::vector<AssignDelta> assigns;
+    // Epoch outbox: written during the shard's tick, drained at merge.
     std::vector<ReleaseDelta> releases;
     std::size_t post_admit_size = 0;  // store size after admissions
     std::uint64_t max_tick_skew_us = 0;
@@ -168,15 +161,15 @@ class ShardedWorkloadReplay {
   std::size_t bucket_count_ = 0;
   bool started_ = false;
 
-  // Coordinator -> shard state, written in Prepare, frozen during the
-  // worker phase (the barrier publishes it).
+  // The epoch's decision: written in Prepare, read-only in the shard ticks
+  // and the merge.
   std::vector<TunnelView> epoch_views_;
   int epoch_pick_ = -1;
   std::int32_t epoch_pop_ = -1;
   bool epoch_admit_ = false;
   bool epoch_final_ = false;  // this tick: no admissions, drain everything
 
-  // Coordinator-only bookkeeping.
+  // Bookkeeping the shard ticks never touch.
   std::size_t global_cursor_ = 0;  // next trace event not yet due
   bool final_requested_ = false;
   bool ticks_stopped_ = false;

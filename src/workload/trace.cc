@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <tuple>
 
 #include "obs/metrics.h"
 #include "util/hashmix.h"
@@ -191,14 +192,24 @@ Trace LoadTrace(std::istream& is) {
   Trace trace;
   trace.seed = ReadU64(is);
   trace.duration_us = ReadU64(is);
+  // The count is untrusted: the vector grows as events are actually read,
+  // so a forged count ends in "truncated stream", not a huge allocation.
   const std::uint64_t count = ReadU64(is);
-  trace.events.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     FlowEvent e;
     e.start_us = ReadU64(is);
     e.ug = ReadU32(is);
     e.seq = ReadU32(is);
     e.bytes = ReadU64(is);
+    // Every replay engine walks the trace with a cursor; an event behind
+    // the cursor would be admitted after its expiry bucket drained.
+    if (!trace.events.empty()) {
+      const FlowEvent& prev = trace.events.back();
+      if (std::tie(prev.start_us, prev.ug, prev.seq) >=
+          std::tie(e.start_us, e.ug, e.seq)) {
+        throw std::runtime_error{"trace: events out of canonical order"};
+      }
+    }
     trace.events.push_back(e);
   }
   return trace;

@@ -83,7 +83,8 @@ struct Trace {
 // platform-independent; the same trace always serializes to the same bytes.
 [[nodiscard]] std::string SerializeTrace(const Trace& trace);
 void SaveTrace(const Trace& trace, std::ostream& os);
-// Throws std::runtime_error on a bad header or truncated stream.
+// Throws std::runtime_error on a bad header, a truncated stream, or events
+// not strictly increasing in (start_us, ug, seq).
 [[nodiscard]] Trace LoadTrace(std::istream& is);
 
 // FNV-1a over SerializeTrace bytes: the one-number identity reports carry.

@@ -1,17 +1,19 @@
-// Property suite for the shard-per-thread timeline (DESIGN.md §13).
+// Property suite for the sharded timeline (DESIGN.md §13).
 //
 // The headline property: the sharded workload replay is a pure function of
 // (world, trace, config) — bit-identical canonical stats at every shard
-// count in {1, 2, 4, 8}, with threaded and inline execution, serially and
-// under chaos plans. Plus the epoch-barrier edge cases the determinism
-// argument leans on: an event landing exactly on a barrier belongs to the
-// epoch that ends there, and cross-shard load deltas merged at the barrier
-// land in canonical trace order.
+// count in {1, 2, 4, 8}, serially and under chaos plans, pinned to exact
+// hashes so a change to the engine cannot move them unnoticed. Plus the
+// epoch-barrier edge cases the determinism argument leans on: an event
+// landing exactly on a barrier belongs to the epoch that ends there, and
+// cross-shard load deltas merged at the barrier land in canonical trace
+// order.
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -34,7 +36,6 @@ namespace painter {
 namespace {
 
 using netsim::ShardedSimulator;
-using Threading = ShardedSimulator::Threading;
 
 // ---------------------------------------------------------------------------
 // ShardedSimulator: barrier protocol.
@@ -71,8 +72,7 @@ TEST(ShardedSimulatorTest, ShardOfTakesTopFingerprintBits) {
 // before prepare and shards run to the boundary before merge.
 TEST(ShardedSimulatorTest, EpochProtocolOrdering) {
   netsim::Simulator control;
-  ShardedSimulator des{
-      control, {.shards = 2, .epoch_us = 100, .threading = Threading::kInline}};
+  ShardedSimulator des{control, {.shards = 2, .epoch_us = 100}};
 
   std::vector<std::string> log;
   control.ScheduleAtUs(50, [&] { log.push_back("control@50"); });
@@ -104,8 +104,7 @@ TEST(ShardedSimulatorTest, EpochProtocolOrdering) {
 // includes every control effect up to and including the boundary).
 TEST(ShardedSimulatorTest, EventExactlyOnBarrierRunsInThatEpoch) {
   netsim::Simulator control;
-  ShardedSimulator des{
-      control, {.shards = 2, .epoch_us = 100, .threading = Threading::kInline}};
+  ShardedSimulator des{control, {.shards = 2, .epoch_us = 100}};
   std::uint64_t control_sees = ~0ull;  // prepare generation at control event
   std::uint64_t shard_sees = ~0ull;    // prepare generation at shard event
   std::uint64_t current = ~0ull;
@@ -121,8 +120,7 @@ TEST(ShardedSimulatorTest, EventExactlyOnBarrierRunsInThatEpoch) {
 // A Run() horizon mid-epoch pauses and resumes without losing the grid.
 TEST(ShardedSimulatorTest, ResumesAcrossPartialEpochs) {
   netsim::Simulator control;
-  ShardedSimulator des{
-      control, {.shards = 1, .epoch_us = 100, .threading = Threading::kInline}};
+  ShardedSimulator des{control, {.shards = 1, .epoch_us = 100}};
   std::vector<netsim::SimTime> boundaries;
   const auto merge = [&](std::uint64_t, netsim::SimTime b) {
     boundaries.push_back(b);
@@ -139,34 +137,31 @@ TEST(ShardedSimulatorTest, ResumesAcrossPartialEpochs) {
   EXPECT_EQ(des.shard(0).NowUs(), 310u);
 }
 
-// Identical scripted work under threads and inline: same event order per
-// shard, same stats. The TSan stage runs this with real threads.
-TEST(ShardedSimulatorTest, ThreadsMatchInline) {
-  const auto run = [](Threading threading) {
-    netsim::Simulator control;
-    ShardedSimulator des{
-        control, {.shards = 4, .epoch_us = 50, .threading = threading}};
-    std::vector<std::vector<netsim::SimTime>> fired(4);
-    for (std::size_t s = 0; s < 4; ++s) {
-      for (netsim::SimTime t = 10 * (s + 1); t <= 400; t += 35) {
-        des.shard(s).ScheduleAtUs(t, [&fired, s, &des] {
-          fired[s].push_back(des.shard(s).NowUs());
-        });
-      }
+// Every shard's events run on the thread that called Run().
+TEST(ShardedSimulatorTest, RunsShardsOnTheCallingThread) {
+  netsim::Simulator control;
+  ShardedSimulator des{control, {.shards = 4, .epoch_us = 50}};
+  // One list per shard, so a shard running elsewhere cannot race another.
+  std::vector<std::vector<std::thread::id>> ran_on(4);
+  for (std::size_t s = 0; s < 4; ++s) {
+    for (netsim::SimTime t = 10 * (s + 1); t <= 400; t += 35) {
+      des.shard(s).ScheduleAtUs(t, [&ran_on, s] {
+        ran_on[s].push_back(std::this_thread::get_id());
+      });
     }
-    des.Run(400, nullptr, nullptr);
-    return std::make_pair(fired, des.stats().epochs);
-  };
-  const auto inline_run = run(Threading::kInline);
-  const auto threaded_run = run(Threading::kThreads);
-  EXPECT_EQ(inline_run.first, threaded_run.first);
-  EXPECT_EQ(inline_run.second, threaded_run.second);
+  }
+  des.Run(400, nullptr, nullptr);
+  for (std::size_t s = 0; s < 4; ++s) {
+    ASSERT_FALSE(ran_on[s].empty()) << "shard " << s;
+    for (const std::thread::id id : ran_on[s]) {
+      EXPECT_EQ(id, std::this_thread::get_id()) << "shard " << s;
+    }
+  }
 }
 
 TEST(ShardedSimulatorTest, StatsMeasureSkewAndQueueDepth) {
   netsim::Simulator control;
-  ShardedSimulator des{
-      control, {.shards = 2, .epoch_us = 100, .threading = Threading::kInline}};
+  ShardedSimulator des{control, {.shards = 2, .epoch_us = 100}};
   // Epoch 0: three events on shard 0, none on shard 1 -> skew 3. Shard 1
   // holds a far-future event, so its queue depth at the barrier is 1.
   for (netsim::SimTime t : {10, 20, 30}) {
@@ -239,13 +234,12 @@ workload::EngineConfig ReplayEngineConfig() {
 }
 
 std::string RunShardedReplay(std::uint64_t seed, const workload::Trace& trace,
-                             std::size_t shards, Threading threading,
+                             std::size_t shards,
                              workload::WorkloadEngine::Stats* stats = nullptr) {
   ReplayWorld w;
   BuildReplayWorld(w, seed);
   workload::ShardedReplayConfig cfg;
   cfg.shards = shards;
-  cfg.threading = threading;
   cfg.engine = ReplayEngineConfig();
   const workload::LoadAwarePolicy policy{0.85};  // must outlive the replay
   workload::ShardedWorkloadReplay replay{
@@ -265,35 +259,48 @@ TEST(ShardReplayProperty, BitIdenticalAcrossShardCounts) {
     const workload::Trace trace = SmallTrace(seed);
     ASSERT_GT(trace.events.size(), 100u);
     workload::WorkloadEngine::Stats base_stats;
-    const std::string base =
-        RunShardedReplay(seed, trace, 1, Threading::kInline, &base_stats);
+    const std::string base = RunShardedReplay(seed, trace, 1, &base_stats);
     EXPECT_EQ(base_stats.arrivals, trace.events.size());
     EXPECT_GT(base_stats.started, 0u);
     EXPECT_EQ(base_stats.down_picks, 0u);
     EXPECT_EQ(base_stats.max_tick_skew_us, 0u);
     EXPECT_EQ(base_stats.completed, base_stats.started);
     for (const std::size_t shards : {2u, 4u, 8u}) {
-      EXPECT_EQ(RunShardedReplay(seed, trace, shards, Threading::kAuto), base)
+      EXPECT_EQ(RunShardedReplay(seed, trace, shards), base)
           << "seed " << seed << " shards " << shards;
     }
   }
 }
 
-TEST(ShardReplayProperty, ThreadsMatchInline) {
-  const std::uint64_t seed = 7;
-  const workload::Trace trace = SmallTrace(seed);
-  const std::string inline_stats =
-      RunShardedReplay(seed, trace, 4, Threading::kInline);
-  const std::string threaded_stats =
-      RunShardedReplay(seed, trace, 4, Threading::kThreads);
-  EXPECT_EQ(inline_stats, threaded_stats);
-}
-
 TEST(ShardReplayProperty, RerunIsByteIdentical) {
   const std::uint64_t seed = 19;
   const workload::Trace trace = SmallTrace(seed);
-  EXPECT_EQ(RunShardedReplay(seed, trace, 4, Threading::kThreads),
-            RunShardedReplay(seed, trace, 4, Threading::kThreads));
+  EXPECT_EQ(RunShardedReplay(seed, trace, 4), RunShardedReplay(seed, trace, 4));
+}
+
+// Exact-output pin: FNV-1a over CanonicalStats() bytes. The identity tests
+// above compare shard counts with each other; this compares them with the
+// engine's recorded output, so a change that moves every shard count at
+// once still fails. Changing a constant is a re-baseline.
+std::uint64_t Fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ShardReplayPin, CanonicalStatsHash) {
+  const std::pair<std::uint64_t, std::uint64_t> want[] = {
+      {3, 0x5a6e0460589528ccULL}, {11, 0xf653f6196f082112ULL}};
+  for (const auto& [seed, hash] : want) {
+    const workload::Trace trace = SmallTrace(seed);
+    for (const std::size_t shards : {1u, 4u}) {
+      EXPECT_EQ(Fnv1a(RunShardedReplay(seed, trace, shards)), hash)
+          << "seed " << seed << " shards " << shards;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -310,7 +317,7 @@ workload::Trace HandTrace(std::vector<workload::FlowEvent> events,
 
 std::string RunHandTrace(const workload::Trace& trace, std::size_t shards,
                          workload::WorkloadEngine::Stats* stats) {
-  return RunShardedReplay(5, trace, shards, Threading::kInline, stats);
+  return RunShardedReplay(5, trace, shards, stats);
 }
 
 // An arrival exactly on a tick boundary (start_us == k * tick_us) is
@@ -389,7 +396,6 @@ TEST(ShardChaosProperty, InvariantsAndStatsIdenticalAcrossShardCounts) {
     for (const std::size_t shards : {2u, 4u}) {
       workload::ChaosLoadConfig scfg;
       scfg.shards = shards;
-      scfg.threading = Threading::kThreads;  // real threads under TSan
       const workload::ChaosLoadResult got =
           workload::RunChaosUnderLoad(seed, {}, scfg);
       EXPECT_TRUE(got.ok()) << "seed " << seed << " shards " << shards;

@@ -4,6 +4,9 @@
 //  - Trace byte-identity: the same (seed, profiles) serialize to identical
 //    bytes at 1, 2, and 4 generation threads, and survive a save/load
 //    round-trip bit-for-bit.
+//  - Untrusted trace input: a forged event count, events out of canonical
+//    order, every truncation and random byte flips either load as a
+//    canonical-order trace or throw std::runtime_error — nothing else.
 //  - Store correctness: the sharded open-addressing store agrees with a
 //    std::unordered_map reference model under randomized insert / erase /
 //    batched-expiry churn that forces rehashes, and a pinned value written
@@ -17,9 +20,14 @@
 //    traffic keep all four §5.2.3 invariants and the policy contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "netsim/packet.h"
@@ -82,6 +90,92 @@ TEST(TraceProperty, SaveLoadRoundTripsBitForBit) {
 
   std::stringstream bad{"not a trace"};
   EXPECT_THROW((void)LoadTrace(bad), std::runtime_error);
+}
+
+// A small serialized trace: a few dozen events, so the mutation loop below
+// can afford every truncation point.
+Trace TinyTrace() {
+  TraceConfig tc;
+  tc.seed = 44;
+  tc.duration_s = 10.0;
+  tc.mean_flows_per_s = 4.0;
+  return GenerateTrace(tc, SyntheticUgProfiles(6, 44));
+}
+
+// PWLT1 header layout: magic[8], seed u64, duration_us u64, count u64.
+constexpr std::size_t kCountOffset = 24;
+
+void PutU64(std::string& bytes, std::size_t offset, std::uint64_t v) {
+  for (std::size_t i = 0; i < 8; ++i) {
+    bytes[offset + i] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+// True iff `input` loads as a trace strictly increasing in (start_us, ug,
+// seq) or is rejected with std::runtime_error. Any other exception escapes
+// and fails the calling test.
+bool LoadsCanonicalOrRejects(const std::string& input) {
+  std::stringstream buf{input};
+  Trace trace;
+  try {
+    trace = LoadTrace(buf);
+  } catch (const std::runtime_error&) {
+    return true;
+  }
+  return std::adjacent_find(trace.events.begin(), trace.events.end(),
+                            [](const FlowEvent& a, const FlowEvent& b) {
+                              return std::tie(a.start_us, a.ug, a.seq) >=
+                                     std::tie(b.start_us, b.ug, b.seq);
+                            }) == trace.events.end();
+}
+
+TEST(TraceProperty, LoadRejectsForgedEventCount) {
+  // A header-only stream claiming 2^62 or 2^40 events: the loader must not
+  // size anything from the claim before reading the events.
+  for (const std::uint64_t count :
+       {std::uint64_t{1} << 62, std::uint64_t{1} << 40}) {
+    std::string bytes =
+        SerializeTrace(Trace{.seed = 1, .duration_us = 1, .events = {}});
+    PutU64(bytes, kCountOffset, count);
+    std::stringstream buf{bytes};
+    EXPECT_THROW((void)LoadTrace(buf), std::runtime_error) << count;
+  }
+}
+
+TEST(TraceProperty, LoadRejectsEventsOutOfCanonicalOrder) {
+  Trace trace = TinyTrace();
+  ASSERT_GE(trace.events.size(), 4u);
+  Trace swapped = trace;
+  std::swap(swapped.events[1], swapped.events[2]);
+  std::stringstream swapped_buf{SerializeTrace(swapped)};
+  EXPECT_THROW((void)LoadTrace(swapped_buf), std::runtime_error);
+
+  // A repeated (start_us, ug, seq) is not strictly increasing either, even
+  // with a different size.
+  Trace repeated = trace;
+  repeated.events[2] = repeated.events[1];
+  repeated.events[2].bytes += 1;
+  std::stringstream repeated_buf{SerializeTrace(repeated)};
+  EXPECT_THROW((void)LoadTrace(repeated_buf), std::runtime_error);
+}
+
+TEST(TraceProperty, LoadSurvivesTruncationAndByteFlips) {
+  const std::string bytes = SerializeTrace(TinyTrace());
+  ASSERT_GT(bytes.size(), kCountOffset + 8 + 4 * 24);
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    std::stringstream buf{bytes.substr(0, n)};
+    EXPECT_THROW((void)LoadTrace(buf), std::runtime_error) << "length " << n;
+  }
+  util::Rng rng{util::MixSeed(44, 0xF11Bu)};
+  for (int round = 0; round < 2000; ++round) {
+    std::string mutated = bytes;
+    const std::size_t flips = 1 + rng.Index(3);
+    for (std::size_t f = 0; f < flips; ++f) {
+      mutated[rng.Index(mutated.size())] ^=
+          static_cast<char>(1 + rng.Index(255));
+    }
+    EXPECT_TRUE(LoadsCanonicalOrRejects(mutated)) << "round " << round;
+  }
 }
 
 netsim::FlowKey RandomKey(util::Rng& rng, std::uint32_t space) {

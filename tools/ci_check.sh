@@ -16,12 +16,12 @@
 #   4. workload — the workload-engine tier (ctest -L workload) plus a smoke
 #                 run of bench/workload_throughput (tiny trace, full pipeline:
 #                 generate -> pin-lookup -> policy replay -> sharded sweep).
-#   5. shard    — the shard-per-thread DES tier (ctest -L shard: epoch-barrier
-#                 protocol ordering, serial-vs-sharded bit-identity across
-#                 shard counts, threads-vs-inline identity, chaos/timeline
-#                 identity under the sharded engine) plus a sharded smoke of
-#                 bench/unified_timeline (--shards 2, its own gates still
-#                 apply).
+#   5. shard    — the sharded DES tier (ctest -L shard: epoch-barrier
+#                 protocol ordering, shards on the calling thread,
+#                 bit-identity across shard counts, the canonical-stats
+#                 pins, chaos/timeline identity under the sharded engine)
+#                 plus a sharded smoke of bench/unified_timeline
+#                 (--shards 2, its own gates still apply).
 #   6. timeline — the unified-timeline tier (ctest -L timeline: integer-µs
 #                 clock, tick-grid, TTL-cache, and byte-identity tests) plus
 #                 a smoke run of bench/unified_timeline, whose own gates
@@ -47,7 +47,7 @@
 #                 `control` label selection
 #                 (tools/asan_check.sh and tools/tsan_check.sh), which
 #                 includes the faultsim chaos batch at multiple thread counts
-#                 and the sharded-replay suites with forced worker threads.
+#                 and the sharded-replay suites.
 #
 # Any stage failing aborts the pipeline with that stage's exit status.
 #

@@ -12,7 +12,7 @@ GetCounter / GetGauge / GetHistogram and enforces:
     _bytes, _rtts, _frac) — misspelled unit-like suffixes (_msec, _sec,
     _secs, _millis, _usec, _percent, ...) are flagged so one name never
     ships two spellings of the same unit;
-  - the "des.*" namespace is reserved for the shard-per-thread DES family
+  - the "des.*" namespace is reserved for the sharded DES family
     (DESIGN.md §13): aggregate names "des.shard.<leaf>", per-shard names
     "des.shard<N>.<leaf>", and the bare literal "des.shard" (the runtime
     per-shard concatenation prefix). Anything else under "des." is almost
@@ -99,7 +99,7 @@ def lint_name(name: str) -> str | None:
         name = name[:-1]
     segments = name.split(".")
     if segments[0] == "des" and not DES_SHARD_RE.match(name):
-        return ("the des.* namespace is reserved for the shard-per-thread "
+        return ("the des.* namespace is reserved for the sharded "
                 "DES family: des.shard.<leaf>, des.shard<N>.<leaf>, or the "
                 "runtime prefix 'des.shard'")
     for family, members in CLOSED_FAMILIES.items():

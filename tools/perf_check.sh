@@ -18,8 +18,9 @@
 #    across shard counts 1/2/4/8 — the bench exits non-zero if the scale
 #    gates fail), diffs its report against the workload baseline the same
 #    way, and requires the sharded engine's best shard count to be at least
-#    as fast as the serial replay (the DESIGN.md §13 no-regression gate —
-#    parallel speedup beyond that depends on the host's core count).
+#    as fast as the serial replay (the DESIGN.md §13 no-regression gate;
+#    shards run on one thread, so the gain is per-epoch batching, not
+#    parallelism).
 # 5. Builds and runs bench/unified_timeline at full scale (its own gates
 #    require >= 2 advertisement rounds on the shared clock and zero tick
 #    skew) and diffs its report against the timeline baseline.
@@ -115,7 +116,9 @@ else
 fi
 
 # Sharded-engine no-regression gate: the best shard count must match or beat
-# the serial replay's throughput on this host.
+# the serial replay's throughput on this host. Shards share one thread, so
+# this measures the epoch batching (one policy Pick per tick, expiry buckets
+# that carry their release), not any parallel speedup.
 python3 - "$WORKLOAD_REPORT" <<'PY'
 import json, sys
 report = json.load(open(sys.argv[1]))

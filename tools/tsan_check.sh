@@ -7,13 +7,10 @@
 # plus every `property` suite, the `shard` epoch-barrier suite, the
 # `actionspace` advertisement/catchment suites, and the `control` always-on
 # control-plane suites (whose services drive the multi-threaded
-# orchestrator from DES callbacks) (minus `slow`) — this
-# includes the faultsim chaos batch that re-runs the same
-# seeds at 1/2/4 worker threads, and the sharded-replay property tests that
-# force Threading::kThreads so the barrier handoff (shard outboxes written
-# by worker threads, merged by the coordinator; the LoadTracker's
-# single-writer guard) is exercised under TSan even on one core. Any data
-# race fails the job.
+# orchestrator from DES callbacks) (minus `slow`) — this includes the
+# thread-pool suites, the orchestrator's parallel CELF scans, and the
+# faultsim chaos batch that re-runs the same seeds at 1/2/4 worker threads.
+# Any data race fails the job.
 #
 # Usage: tools/tsan_check.sh [build-dir] [label-regex]
 #        (defaults: build-tsan, 'sanitize|property|shard|actionspace|control')
