@@ -43,32 +43,6 @@ thread_local struct ShardCache {
   std::vector<Slot> slots;
 } t_shards;
 
-struct SerialMap {
-  std::mutex mu;
-  std::map<const MetricsRegistry*, std::uint64_t> serials;
-  static SerialMap& Get() {
-    static SerialMap* m = new SerialMap();  // outlives all registries
-    return *m;
-  }
-};
-
-std::uint64_t SerialOf(const MetricsRegistry* reg) {
-  SerialMap& m = SerialMap::Get();
-  std::lock_guard<std::mutex> lock(m.mu);
-  auto [it, inserted] = m.serials.emplace(reg, 0);
-  if (inserted) it->second = g_registry_serial.fetch_add(1);
-  return it->second;
-}
-
-// A destroyed registry must drop its serial: a later registry allocated at
-// the same address would otherwise inherit it and hit stale (dangling) shard
-// pointers in other threads' caches.
-void ForgetSerial(const MetricsRegistry* reg) {
-  SerialMap& m = SerialMap::Get();
-  std::lock_guard<std::mutex> lock(m.mu);
-  m.serials.erase(reg);
-}
-
 std::size_t BucketOf(double v, const HistogramSpec& spec) {
   if (!(v >= spec.min_bound)) return 0;  // underflow (and NaN) bucket
   const std::size_t i =
@@ -80,9 +54,8 @@ std::size_t BucketOf(double v, const HistogramSpec& spec) {
 }  // namespace
 
 MetricsRegistry::Shard& MetricsRegistry::LocalShard() {
-  const std::uint64_t serial = SerialOf(this);
   for (const auto& slot : t_shards.slots) {
-    if (slot.serial == serial) return *slot.shard;
+    if (slot.serial == serial_) return *slot.shard;
   }
   auto shard = std::make_unique<Shard>();
   Shard* raw = shard.get();
@@ -90,13 +63,14 @@ MetricsRegistry::Shard& MetricsRegistry::LocalShard() {
     std::lock_guard<std::mutex> lock(mu_);
     shards_.push_back(std::move(shard));
   }
-  t_shards.slots.push_back({serial, raw});
+  t_shards.slots.push_back({serial_, raw});
   return *raw;
 }
 
-MetricsRegistry::MetricsRegistry() = default;
+MetricsRegistry::MetricsRegistry()
+    : serial_(g_registry_serial.fetch_add(1)) {}
 
-MetricsRegistry::~MetricsRegistry() { ForgetSerial(this); }
+MetricsRegistry::~MetricsRegistry() = default;
 
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* g = [] {

@@ -43,7 +43,8 @@ namespace painter::obs {
 
 class MetricsRegistry;
 
-// Monotonic event count. Add() is wait-free after the first call on a thread.
+// Monotonic event count. Add() takes one uncontended lock, of the calling
+// thread's own shard; no process-wide lock after the first call on a thread.
 class Counter {
  public:
   void Add(std::uint64_t n = 1);
@@ -159,6 +160,9 @@ class MetricsRegistry {
   Shard& LocalShard();
   [[nodiscard]] std::uint64_t MergedCounter(std::uint32_t id) const;
 
+  // Never reused: a registry built at a freed one's address cannot match
+  // the stale shard pointers other threads still cache under the old one.
+  const std::uint64_t serial_;
   mutable std::mutex mu_;
   // deque: growth never relocates existing entries, so handle references and
   // shard indices stay stable without holding mu_ on the read side.

@@ -109,7 +109,7 @@ void TmEdge::DeliverToPop(std::size_t i, const netsim::Packet& packet) {
 void TmEdge::ProbeTunnel(std::size_t i) {
   Tunnel& tun = tunnels_[i];
   const std::uint64_t id = tun.next_probe_id++;
-  tun.outstanding.emplace(id, sim_->Now());
+  tun.outstanding.emplace_back(id, sim_->Now());
   TmMetrics::Get().probes_sent.Add();
 
   netsim::Packet probe;
@@ -124,7 +124,9 @@ void TmEdge::ProbeTunnel(std::size_t i) {
 
 void TmEdge::OnProbeReply(std::size_t i, std::uint64_t probe_id) {
   Tunnel& tun = tunnels_[i];
-  const auto it = tun.outstanding.find(probe_id);
+  const auto it = std::find_if(
+      tun.outstanding.begin(), tun.outstanding.end(),
+      [probe_id](const auto& probe) { return probe.first == probe_id; });
   if (it == tun.outstanding.end()) return;  // already timed out
   TmMetrics::Get().probe_replies.Add();
   const double rtt = sim_->Now() - it->second;
@@ -146,7 +148,9 @@ void TmEdge::OnProbeReply(std::size_t i, std::uint64_t probe_id) {
 
 void TmEdge::OnProbeTimeout(std::size_t i, std::uint64_t probe_id) {
   Tunnel& tun = tunnels_[i];
-  const auto it = tun.outstanding.find(probe_id);
+  const auto it = std::find_if(
+      tun.outstanding.begin(), tun.outstanding.end(),
+      [probe_id](const auto& probe) { return probe.first == probe_id; });
   if (it == tun.outstanding.end()) return;  // answered in time
   TmMetrics::Get().probe_timeouts.Add();
   tun.outstanding.erase(it);

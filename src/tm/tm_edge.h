@@ -11,7 +11,7 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "netsim/link.h"
@@ -126,8 +126,9 @@ class TmEdge {
     double rtt_ewma_s = 0.0;
     bool have_rtt = false;
     std::uint64_t next_probe_id = 1;
-    // probe id -> send time, for timeout detection.
-    std::unordered_map<std::uint64_t, double> outstanding;
+    // (probe id, send time) awaiting reply or timeout: at most about
+    // timeout / probe interval entries, so a linear search, no hash nodes.
+    std::vector<std::pair<std::uint64_t, double>> outstanding;
   };
 
   void ProbeTunnel(std::size_t i);

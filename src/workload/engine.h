@@ -80,6 +80,7 @@ struct EngineConfig {
   // this to weight benefit curves by the realized byte mix; the hook must be
   // deterministic and must not mutate the engine or the edge.
   std::function<void(const FlowEvent&)> on_arrival;
+  // Pin-table layout; only the serial engine has a pin table to lay out.
   FlowStoreConfig store;
   // Optional streaming telemetry. When set, Start() registers sampled series
   // for flow-table occupancy and per-PoP utilization on the registry's grid.
@@ -157,15 +158,14 @@ class WorkloadEngine {
   void Start();
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const FlowStore<PinnedFlow>& store() const { return store_; }
   [[nodiscard]] std::size_t Concurrent() const { return store_.size(); }
 
   // Current per-tunnel views from the TM-Edge (usable = probed up with a
   // measured RTT, exactly TmEdge::TunnelRttMs's notion).
   [[nodiscard]] std::vector<TunnelView> CurrentViews() const;
 
-  // The 5-tuple a trace event is pinned under; injective in (ug, seq) for
-  // seq < 2^28.
+  // The 5-tuple a trace event is pinned under; injective in (ug, seq) below
+  // kTraceUgLimit and kTraceSeqLimit, which LoadTrace enforces.
   [[nodiscard]] static netsim::FlowKey KeyFor(const FlowEvent& event);
 
  private:

@@ -65,13 +65,11 @@ std::size_t ShardedWorkloadReplay::BucketOf(std::uint64_t expiry_us) const {
   return std::min(bucket, bucket_count_ - 1);
 }
 
-std::size_t ShardedWorkloadReplay::LiveFlows() const {
+std::size_t ShardedWorkloadReplay::Concurrent() const {
   std::size_t live = 0;
-  for (const Shard& sh : shards_) live += sh.store.size();
+  for (const Shard& sh : shards_) live += sh.live;
   return live;
 }
-
-std::size_t ShardedWorkloadReplay::Concurrent() const { return LiveFlows(); }
 
 void ShardedWorkloadReplay::Start() {
   if (started_) {
@@ -133,7 +131,7 @@ void ShardedWorkloadReplay::Start() {
   if (config_.engine.timeseries != nullptr) {
     config_.engine.timeseries->RegisterSampler(
         "workload.engine.concurrent_flows",
-        [this]() { return static_cast<double>(LiveFlows()); });
+        [this]() { return static_cast<double>(Concurrent()); });
     for (std::size_t p = 0; p < load_->PopCount(); ++p) {
       config_.engine.timeseries->RegisterSampler(
           "workload.load.pop" + std::to_string(p) + ".utilization",
@@ -198,8 +196,7 @@ void ShardedWorkloadReplay::ShardTick(std::size_t s) {
     for (std::size_t b = sh.tick_index; b < bucket_count_; ++b) {
       DrainBucket(sh, b);
     }
-    sh.post_admit_size = sh.store.size();  // 0: every pin had a bucket entry
-    sh.stopped = true;
+    sh.post_admit_size = sh.live;  // 0: every bucket is drained
     return;
   }
 
@@ -209,16 +206,10 @@ void ShardedWorkloadReplay::ShardTick(std::size_t s) {
       const std::uint32_t idx = sh.events[sh.cursor];
       const FlowEvent& event = events[idx];
       if (event.start_us > now_us) break;
-      const netsim::FlowKey key = WorkloadEngine::KeyFor(event);
       const FlowTiming timing = TimingFor(event, config_.engine);
-      PinnedFlow& flow = sh.store.Upsert(key);
-      flow.tunnel = epoch_pick_;
-      flow.pop = epoch_pop_;
-      flow.bytes = event.bytes;
-      flow.expiry_us = timing.expiry_us;
-      flow.rate_bps = timing.rate_bps;
       sh.expiry_buckets[BucketOf(timing.expiry_us)].push_back(
-          BucketEntry{key, idx, epoch_pop_, timing.rate_bps});
+          BucketEntry{idx, epoch_pop_, timing.rate_bps});
+      ++sh.live;
       ++sh.cursor;
     }
   } else {
@@ -229,7 +220,7 @@ void ShardedWorkloadReplay::ShardTick(std::size_t s) {
       ++sh.cursor;
     }
   }
-  sh.post_admit_size = sh.store.size();  // serial peak point: pre-expiry
+  sh.post_admit_size = sh.live;  // serial peak point: pre-expiry
 
   if (sh.tick_index < bucket_count_) DrainBucket(sh, sh.tick_index);
   ++sh.tick_index;
@@ -239,14 +230,15 @@ void ShardedWorkloadReplay::ShardTick(std::size_t s) {
 }
 
 void ShardedWorkloadReplay::DrainBucket(Shard& sh, std::size_t bucket) {
-  for (const BucketEntry& entry : sh.expiry_buckets[bucket]) {
-    if (!sh.store.Erase(entry.key)) continue;  // defensive; keys are unique
+  std::vector<BucketEntry>& entries = sh.expiry_buckets[bucket];
+  for (const BucketEntry& entry : entries) {
     sh.releases.push_back(ReleaseDelta{static_cast<std::uint32_t>(bucket),
                                        entry.trace_idx, entry.pop,
                                        entry.rate_bps});
   }
-  sh.expiry_buckets[bucket].clear();
-  sh.expiry_buckets[bucket].shrink_to_fit();
+  sh.live -= entries.size();
+  entries.clear();
+  entries.shrink_to_fit();
 }
 
 void ShardedWorkloadReplay::Merge(std::uint64_t /*epoch*/,
@@ -356,7 +348,7 @@ void ShardedWorkloadReplay::Merge(std::uint64_t /*epoch*/,
   }
   if (!final_requested_) {
     const bool trace_done = global_cursor_ >= events.size();
-    const bool drained = LiveFlows() == 0;
+    const bool drained = Concurrent() == 0;
     const bool past_end = now_us >= trace_->duration_us + 1'000'000u;
     if (trace_done && (drained || past_end)) {
       // Decided here, executed next tick (one tick later than the serial
@@ -390,7 +382,7 @@ std::string ShardedWorkloadReplay::CanonicalStats() const {
   add_d("bytes_offered", stats_.bytes_offered);
   add_d("max_utilization", stats_.max_utilization);
   add_u("max_tick_skew_us", stats_.max_tick_skew_us);
-  add_u("live_flows", static_cast<std::uint64_t>(LiveFlows()));
+  add_u("live_flows", static_cast<std::uint64_t>(Concurrent()));
   for (std::size_t p = 0; p < load_->PopCount(); ++p) {
     const int pop = static_cast<int>(p);
     std::snprintf(buf, sizeof buf, "pop%zu.offered_bps=%.17g\n", p,

@@ -5,8 +5,10 @@
 // log2 N)` — the flow store's own high-bit rule — so a flow's admission,
 // pinning, and expiry all happen on one shard and never migrate. The trace
 // is split into per-shard index lists once at Start(); each shard walks its
-// slice with a private cursor, pins into a private FlowStore, and drains
-// private expiry buckets, all inside tick events on its own simulator.
+// slice with a private cursor and pins a flow by filing one entry, which
+// carries all its release needs, under a private expiry bucket: a shard
+// keeps no flow table, only a count of its live pins. All of it runs inside
+// tick events on the shard's own simulator.
 //
 // The epoch is the admission tick. The serial engine already snapshots
 // tunnel views once per tick; the sharded engine moves the *load* reads to
@@ -31,8 +33,8 @@
 // the boundary.
 //
 // The per-flow hot path is also simply cheaper than the serial engine's:
-// one policy Pick per tick instead of per arrival, no Find before the
-// expiry Erase (bucket entries carry pop and rate), and per-epoch instead
+// one policy Pick per tick instead of per arrival, no flow-table insert,
+// lookup or erase (a pin is one 16-byte bucket entry), and per-epoch instead
 // of per-flow metrics increments — so `--shards 1` is a faster serial
 // engine. Every shard runs on the calling thread; more shards partition
 // the same work, they do not parallelize it.
@@ -46,7 +48,6 @@
 #include "netsim/sim.h"
 #include "tm/tm_edge.h"
 #include "workload/engine.h"
-#include "workload/flow_store.h"
 #include "workload/load.h"
 #include "workload/trace.h"
 
@@ -98,6 +99,7 @@ class ShardedWorkloadReplay {
   void RunUs(netsim::SimTime until_us);
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
+  // Pinned flows whose expiry bucket has not drained yet.
   [[nodiscard]] std::size_t Concurrent() const;
   [[nodiscard]] std::size_t ShardCount() const { return des_.ShardCount(); }
   [[nodiscard]] const netsim::ShardedSimulator& des() const { return des_; }
@@ -118,25 +120,24 @@ class ShardedWorkloadReplay {
     std::int32_t pop;
     double rate_bps;
   };
-  // A pinned flow's expiry record (no store lookup needed to release).
+  // A pinned flow, filed under its expiry bucket: the only record of the
+  // pin, and all its release needs.
   struct BucketEntry {
-    netsim::FlowKey key;
     std::uint32_t trace_idx;
     std::int32_t pop;
     double rate_bps;
   };
 
   struct Shard {
-    FlowStore<PinnedFlow> store;
     std::vector<std::uint32_t> events;  // indices into trace, trace order
     std::size_t cursor = 0;
     std::size_t tick_index = 0;
     std::vector<std::vector<BucketEntry>> expiry_buckets;
     // Epoch outbox: written during the shard's tick, drained at merge.
     std::vector<ReleaseDelta> releases;
-    std::size_t post_admit_size = 0;  // store size after admissions
+    std::size_t live = 0;             // pins admitted and not yet drained
+    std::size_t post_admit_size = 0;  // `live` after admissions
     std::uint64_t max_tick_skew_us = 0;
-    bool stopped = false;
   };
 
   void ShardTick(std::size_t s);
@@ -144,7 +145,6 @@ class ShardedWorkloadReplay {
   void Prepare(std::uint64_t epoch, netsim::SimTime boundary_us);
   void Merge(std::uint64_t epoch, netsim::SimTime boundary_us);
   [[nodiscard]] std::size_t BucketOf(std::uint64_t expiry_us) const;
-  [[nodiscard]] std::size_t LiveFlows() const;
 
   netsim::Simulator* control_;
   netsim::ShardedSimulator des_;

@@ -6,6 +6,7 @@
 #include <ostream>
 #include <stdexcept>
 #include <tuple>
+#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "util/hashmix.h"
@@ -195,6 +196,8 @@ Trace LoadTrace(std::istream& is) {
   // The count is untrusted: the vector grows as events are actually read,
   // so a forged count ends in "truncated stream", not a huge allocation.
   const std::uint64_t count = ReadU64(is);
+  // Per UG, the smallest seq its next event may carry.
+  std::unordered_map<std::uint32_t, std::uint32_t> next_seq;
   for (std::uint64_t i = 0; i < count; ++i) {
     FlowEvent e;
     e.start_us = ReadU64(is);
@@ -210,6 +213,16 @@ Trace LoadTrace(std::istream& is) {
         throw std::runtime_error{"trace: events out of canonical order"};
       }
     }
+    // Flows are pinned under a key built from (ug, seq): ids beyond its bits
+    // would alias, and a repeated pair would re-pin a live flow.
+    if (e.ug >= kTraceUgLimit || e.seq >= kTraceSeqLimit) {
+      throw std::runtime_error{"trace: ug or seq beyond the flow-key range"};
+    }
+    const auto it = next_seq.try_emplace(e.ug, 0).first;
+    if (e.seq < it->second) {
+      throw std::runtime_error{"trace: a UG's seq does not strictly increase"};
+    }
+    it->second = e.seq + 1;
     trace.events.push_back(e);
   }
   return trace;

@@ -27,6 +27,10 @@
 
 namespace painter::workload {
 
+// Exclusive bounds on FlowEvent::ug and ::seq (WorkloadEngine::KeyFor's bits).
+inline constexpr std::uint32_t kTraceUgLimit = std::uint32_t{1} << 24;
+inline constexpr std::uint32_t kTraceSeqLimit = std::uint32_t{1} << 28;
+
 // One flow arrival. 24 bytes; a day at a million flows costs ~24 MB.
 struct FlowEvent {
   std::uint64_t start_us = 0;  // arrival time, microseconds of simulated time
@@ -83,8 +87,9 @@ struct Trace {
 // platform-independent; the same trace always serializes to the same bytes.
 [[nodiscard]] std::string SerializeTrace(const Trace& trace);
 void SaveTrace(const Trace& trace, std::ostream& os);
-// Throws std::runtime_error on a bad header, a truncated stream, or events
-// not strictly increasing in (start_us, ug, seq).
+// Throws std::runtime_error on a bad header, a truncated stream, events not
+// strictly increasing in (start_us, ug, seq), a UG's seq not strictly
+// increasing along the trace, or a ug / seq at or past its kTrace*Limit.
 [[nodiscard]] Trace LoadTrace(std::istream& is);
 
 // FNV-1a over SerializeTrace bytes: the one-number identity reports carry.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -53,6 +54,26 @@ TEST(MetricsRegistryTest, CounterMergesAcrossThreads) {
   }
   for (auto& w : workers) w.join();
   EXPECT_EQ(c.Value(), static_cast<std::uint64_t>(kThreads) * kAdds);
+}
+
+// Threads find their shard of a registry by its serial. A registry built
+// where a destroyed one lived gets a fresh serial, so this thread's cached
+// slot for the first never matches the second.
+TEST(MetricsRegistryTest, RegistryAtAFreedAddressCountsFromZero) {
+  std::optional<MetricsRegistry> reg;
+  reg.emplace();
+  const MetricsRegistry* first = &*reg;
+  Counter& a = reg->GetCounter("reuse.count");
+  EXPECT_EQ(a.Value(), 0u);
+  a.Add(5);
+  EXPECT_EQ(a.Value(), 5u);
+  reg.emplace();  // destroys the first registry, builds the second in place
+  ASSERT_EQ(&*reg, first);
+  Counter& b = reg->GetCounter("reuse.count");
+  EXPECT_EQ(b.Value(), 0u);
+  b.Add(3);
+  EXPECT_EQ(b.Value(), 3u);
+  EXPECT_EQ(reg->CounterValue("reuse.count"), 3u);
 }
 
 TEST(MetricsRegistryTest, GaugeLastWriteWins) {

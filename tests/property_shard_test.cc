@@ -7,7 +7,8 @@
 // epoch-barrier edge cases the determinism argument leans on: an event
 // landing exactly on a barrier belongs to the epoch that ends there, and
 // cross-shard load deltas merged at the barrier land in canonical trace
-// order.
+// order. And the live-pin count, the replay's only record of occupancy,
+// agrees with the serial engine's pin table.
 
 #include <algorithm>
 #include <cstdint>
@@ -276,6 +277,69 @@ TEST(ShardReplayProperty, RerunIsByteIdentical) {
   const std::uint64_t seed = 19;
   const workload::Trace trace = SmallTrace(seed);
   EXPECT_EQ(RunShardedReplay(seed, trace, 4), RunShardedReplay(seed, trace, 4));
+}
+
+// One record per pin: the sharded replay keeps no flow table, only a count
+// of live pins per shard. Under LatencyOnlyPolicy the per-tick decision does
+// not read load, so the serial WorkloadEngine, whose pins live in a real
+// FlowStore, must start, complete and peak on exactly the same flows.
+struct PinCounts {
+  std::uint64_t started = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t peak_concurrent = 0;
+  std::size_t concurrent_at_end = 0;
+};
+
+// `shards` = 0 runs the serial WorkloadEngine.
+PinCounts RunLatencyOnly(std::uint64_t seed, const workload::Trace& trace,
+                         std::size_t shards) {
+  ReplayWorld w;
+  BuildReplayWorld(w, seed);
+  const workload::LatencyOnlyPolicy policy;
+  const double until_s = netsim::SecondsFromUs(trace.duration_us) + 25.0;
+  w.edge->Start();
+  const auto counts = [](const workload::WorkloadEngine::Stats& st,
+                         std::size_t concurrent) {
+    return PinCounts{st.started, st.completed, st.peak_concurrent, concurrent};
+  };
+  if (shards == 0) {
+    workload::WorkloadEngine engine{w.sim,  *w.edge, w.tunnel_pop,
+                                    w.load, policy,  trace,
+                                    ReplayEngineConfig()};
+    engine.Start();
+    w.sim.Run(until_s);
+    return counts(engine.stats(), engine.Concurrent());
+  }
+  workload::ShardedReplayConfig cfg;
+  cfg.shards = shards;
+  cfg.engine = ReplayEngineConfig();
+  workload::ShardedWorkloadReplay replay{
+      w.sim, *w.edge, w.tunnel_pop, w.load, policy, trace, std::move(cfg)};
+  replay.Start();
+  replay.Run(until_s);
+  return counts(replay.stats(), replay.Concurrent());
+}
+
+TEST(ShardReplayProperty, LiveCountMatchesSerialPinTable) {
+  for (const std::uint64_t seed : {3ull, 11ull}) {
+    const workload::Trace trace = SmallTrace(seed);
+    const PinCounts serial = RunLatencyOnly(seed, trace, 0);
+    EXPECT_GT(serial.started, trace.events.size() / 2) << "seed " << seed;
+    EXPECT_EQ(serial.completed, serial.started) << "seed " << seed;
+    EXPECT_GT(serial.peak_concurrent, 100u) << "seed " << seed;
+    EXPECT_EQ(serial.concurrent_at_end, 0u) << "seed " << seed;
+    for (const std::size_t shards : {1u, 4u}) {
+      const PinCounts sharded = RunLatencyOnly(seed, trace, shards);
+      EXPECT_EQ(sharded.started, serial.started)
+          << "seed " << seed << " shards " << shards;
+      EXPECT_EQ(sharded.completed, serial.completed)
+          << "seed " << seed << " shards " << shards;
+      EXPECT_EQ(sharded.peak_concurrent, serial.peak_concurrent)
+          << "seed " << seed << " shards " << shards;
+      EXPECT_EQ(sharded.concurrent_at_end, 0u)
+          << "seed " << seed << " shards " << shards;
+    }
+  }
 }
 
 // Exact-output pin: FNV-1a over CanonicalStats() bytes. The identity tests

@@ -5,8 +5,9 @@
 //    bytes at 1, 2, and 4 generation threads, and survive a save/load
 //    round-trip bit-for-bit.
 //  - Untrusted trace input: a forged event count, events out of canonical
-//    order, every truncation and random byte flips either load as a
-//    canonical-order trace or throw std::runtime_error — nothing else.
+//    order, a repeated or out-of-range (ug, seq), every truncation and
+//    random byte flips either load as a canonical-order trace of unique
+//    in-range keys or throw std::runtime_error — nothing else.
 //  - Store correctness: the sharded open-addressing store agrees with a
 //    std::unordered_map reference model under randomized insert / erase /
 //    batched-expiry churn that forces rehashes, and a pinned value written
@@ -112,8 +113,9 @@ void PutU64(std::string& bytes, std::size_t offset, std::uint64_t v) {
 }
 
 // True iff `input` loads as a trace strictly increasing in (start_us, ug,
-// seq) or is rejected with std::runtime_error. Any other exception escapes
-// and fails the calling test.
+// seq), with every (ug, seq) unique and inside the flow-key range, or is
+// rejected with std::runtime_error. Any other exception escapes and fails
+// the calling test.
 bool LoadsCanonicalOrRejects(const std::string& input) {
   std::stringstream buf{input};
   Trace trace;
@@ -122,11 +124,26 @@ bool LoadsCanonicalOrRejects(const std::string& input) {
   } catch (const std::runtime_error&) {
     return true;
   }
-  return std::adjacent_find(trace.events.begin(), trace.events.end(),
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> keys;
+  for (const FlowEvent& e : trace.events) {
+    if (e.ug >= kTraceUgLimit || e.seq >= kTraceSeqLimit) return false;
+    keys.emplace_back(e.ug, e.seq);
+  }
+  std::sort(keys.begin(), keys.end());
+  return std::adjacent_find(keys.begin(), keys.end()) == keys.end() &&
+         std::adjacent_find(trace.events.begin(), trace.events.end(),
                             [](const FlowEvent& a, const FlowEvent& b) {
                               return std::tie(a.start_us, a.ug, a.seq) >=
                                      std::tie(b.start_us, b.ug, b.seq);
                             }) == trace.events.end();
+}
+
+// Serializes `events` (already in canonical order) and loads them back.
+Trace LoadEvents(std::vector<FlowEvent> events) {
+  const Trace trace{
+      .seed = 1, .duration_us = 10'000'000, .events = std::move(events)};
+  std::stringstream buf{SerializeTrace(trace)};
+  return LoadTrace(buf);
 }
 
 TEST(TraceProperty, LoadRejectsForgedEventCount) {
@@ -157,6 +174,40 @@ TEST(TraceProperty, LoadRejectsEventsOutOfCanonicalOrder) {
   repeated.events[2].bytes += 1;
   std::stringstream repeated_buf{SerializeTrace(repeated)};
   EXPECT_THROW((void)LoadTrace(repeated_buf), std::runtime_error);
+}
+
+// Canonical order alone lets a UG's (ug, seq) pair repeat at a later start,
+// which would re-pin a live flow under the same key.
+TEST(TraceProperty, LoadRejectsRepeatedFlowKey) {
+  EXPECT_THROW(
+      (void)LoadEvents({FlowEvent{.start_us = 10, .ug = 7, .seq = 3},
+                        FlowEvent{.start_us = 20, .ug = 7, .seq = 3}}),
+      std::runtime_error);
+  // A seq that goes backwards can collide with a later one just the same.
+  EXPECT_THROW(
+      (void)LoadEvents({FlowEvent{.start_us = 10, .ug = 7, .seq = 3},
+                        FlowEvent{.start_us = 20, .ug = 7, .seq = 2}}),
+      std::runtime_error);
+  // Other UGs and increasing seqs interleave freely.
+  const Trace ok =
+      LoadEvents({FlowEvent{.start_us = 10, .ug = 7, .seq = 3},
+                  FlowEvent{.start_us = 10, .ug = 8, .seq = 3},
+                  FlowEvent{.start_us = 20, .ug = 7, .seq = 4},
+                  FlowEvent{.start_us = 30, .ug = 8, .seq = 9}});
+  EXPECT_EQ(ok.events.size(), 4u);
+}
+
+// The pin key keeps 24 bits of ug and 28 of seq: anything wider would alias.
+TEST(TraceProperty, LoadRejectsIdsBeyondTheFlowKey) {
+  EXPECT_THROW(
+      (void)LoadEvents({FlowEvent{.start_us = 10, .ug = kTraceUgLimit}}),
+      std::runtime_error);
+  EXPECT_THROW(
+      (void)LoadEvents({FlowEvent{.start_us = 10, .seq = kTraceSeqLimit}}),
+      std::runtime_error);
+  const Trace edge = LoadEvents({FlowEvent{
+      .start_us = 10, .ug = kTraceUgLimit - 1, .seq = kTraceSeqLimit - 1}});
+  EXPECT_EQ(edge.events.size(), 1u);
 }
 
 TEST(TraceProperty, LoadSurvivesTruncationAndByteFlips) {

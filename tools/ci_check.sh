@@ -35,13 +35,15 @@
 #                 bench/control_loop, whose own gates require every scripted
 #                 fault answered within the reaction SLO, zero audit
 #                 mismatches, and the equal-reactivity recompute savings.
-#   8. golden   — reruns bench/fig6c_learning, control_loop, ablations and
-#                 unified_timeline at their defaults and diffs each stdout
-#                 against bench/results/golden/<bench>.stdout. Their stdout
+#   8. golden   — reruns bench/fig6c_learning, control_loop, ablations,
+#                 unified_timeline and fig10_failover at their defaults, plus
+#                 unified_timeline --shards 4 and chaos_runner --under_load
+#                 --shards 4 (the sharded replay), and diffs each stdout
+#                 against bench/results/golden/<name>.stdout. Their stdout
 #                 carries no timings, so any byte that moves is a change in
-#                 what the learning loop, the control plane or the replay
-#                 computed; a change that means to move one re-pins the
-#                 file and says why.
+#                 what the learning loop, the control plane, the TM-Edge
+#                 probe loop or the replay computed; a change that means to
+#                 move one re-pins the file and says why.
 #   9. ASan+UBSan, then TSan — dedicated sanitizer build trees running the
 #                 `sanitize` + `property` + `shard` + `actionspace` +
 #                 `control` label selection
@@ -91,19 +93,32 @@ ctest --test-dir "$BUILD_DIR" -L control --output-on-failure
 cmake --build "$BUILD_DIR" -j --target control_loop >/dev/null
 "$BUILD_DIR"/bench/control_loop --smoke >/dev/null
 
-echo "=== ci 8/10: golden stdout of the learning, control and replay benches ==="
-GOLDEN_BENCHES=(fig6c_learning control_loop ablations unified_timeline)
-cmake --build "$BUILD_DIR" -j --target "${GOLDEN_BENCHES[@]}" >/dev/null
+echo "=== ci 8/10: golden stdout of the learning, control, TM and replay benches ==="
+# "<golden name>=<bench> [args...]"; a bare bench name runs it at its
+# defaults and is its own golden name.
+GOLDEN_RUNS=(
+  fig6c_learning
+  control_loop
+  ablations
+  unified_timeline
+  fig10_failover
+  "unified_timeline.shards4=unified_timeline --shards 4"
+  "chaos_runner.under_load.shards4=chaos_runner --under_load --shards 4"
+)
+cmake --build "$BUILD_DIR" -j --target fig6c_learning control_loop ablations \
+    unified_timeline fig10_failover chaos_runner >/dev/null
 bench_bin="$(cd "$BUILD_DIR/bench" && pwd)"
 golden_out="$(mktemp -d)"
 trap 'rm -rf "$golden_out"' EXIT
-for b in "${GOLDEN_BENCHES[@]}"; do
+for run in "${GOLDEN_RUNS[@]}"; do
+  name="${run%%=*}"
+  read -ra cmd <<<"${run#*=}"
   # Run inside the temp dir with PAINTER_REPORT_DIR unset: the reports
   # land there, and the "Report: BENCH_<bench>.json" line the goldens carry
   # stays a bare file name.
-  (cd "$golden_out" && env -u PAINTER_REPORT_DIR "$bench_bin/$b") \
-      >"$golden_out/$b.stdout"
-  diff -u "bench/results/golden/$b.stdout" "$golden_out/$b.stdout"
+  (cd "$golden_out" && env -u PAINTER_REPORT_DIR "$bench_bin/${cmd[0]}" \
+      "${cmd[@]:1}") >"$golden_out/$name.stdout"
+  diff -u "bench/results/golden/$name.stdout" "$golden_out/$name.stdout"
 done
 
 echo "=== ci 9/10: ASan+UBSan (sanitize|property|shard|actionspace|control labels) ==="
