@@ -40,7 +40,9 @@ void AblateReuseAndLearning() {
       cfg.enable_reuse = reuse;
       cfg.enable_learning = learning;
       cfg.max_learning_iterations = 10;
-      cfg.learning_stop_frac = -1.0;  // run all iterations
+      // Drops only the relative margin; the patience rule still stops a run
+      // that stalls before its 10 iterations.
+      cfg.learning_stop_frac = -1.0;
       core::Orchestrator orch{instance, cfg};
       core::SimEnvironment env{*w.resolver, *w.oracle, util::Rng{31}};
       const auto reports = orch.Learn(env);

@@ -23,8 +23,8 @@
 // paper's unit; §5.2.3 quotes ~1.3 RTT). The exit status asserts the SLO
 // (loaded p99 <= --slo_p99_rtts, default 8) on top of the invariant checks,
 // and the run report carries a painter.timeseries.v1 block from the first
-// loaded seed that is byte-identical across reruns and --threads 1/2/4
-// (after obs::StripVolatile). perf_check.sh gates this report against a
+// loaded seed that is byte-identical across reruns (after
+// obs::StripVolatile). perf_check.sh gates this report against a
 // committed baseline.
 //
 // Usage:
@@ -33,7 +33,7 @@
 //   chaos_runner --seed 17     # just seed 17 (repro mode)
 //   chaos_runner --shards 4    # loaded runs use the sharded replay engine
 //                              # (0 = classic serial engine, the default)
-//   chaos_runner --under_load [--seeds N] [--threads T] [--slo_p99_rtts X]
+//   chaos_runner --under_load [--seeds N] [--slo_p99_rtts X]
 //
 // With --shards N > 0 every loaded run replays through the sharded engine
 // (N shard simulators on one thread, DESIGN.md §13) under the same fault plans — the invariant checks
@@ -118,8 +118,7 @@ std::vector<double> InRtts(
 // The --under_load SLO harness: idle vs loaded detection latency per seed,
 // aggregated in RTTs. Returns the process exit status.
 int RunUnderLoadMode(std::uint64_t first_seed, std::uint64_t last_seed,
-                     std::size_t threads, std::size_t shards,
-                     double slo_p99_rtts) {
+                     std::size_t shards, double slo_p99_rtts) {
   obs::Metrics().ResetValues();
   obs::RunReport report{"chaos_under_load"};
   report.SetSeed(first_seed);
@@ -156,7 +155,6 @@ int RunUnderLoadMode(std::uint64_t first_seed, std::uint64_t last_seed,
     const obs::RunReport::ScopedPhase phase{report, "loaded_sweep"};
     for (std::uint64_t seed = first_seed; seed <= last_seed; ++seed) {
       workload::ChaosLoadConfig cfg;
-      cfg.num_threads = threads;
       cfg.shards = shards;
       if (seed == first_seed) {
         cfg.timeseries = &timeseries;
@@ -260,7 +258,6 @@ int main(int argc, char** argv) {
   std::uint64_t first_seed = 1;
   std::uint64_t last_seed = 50;
   bool under_load = false;
-  std::size_t threads = 1;
   std::size_t shards = 0;
   double slo_p99_rtts = 8.0;
   for (int i = 1; i < argc; ++i) {
@@ -270,21 +267,18 @@ int main(int argc, char** argv) {
       first_seed = last_seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--under_load") == 0) {
       under_load = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       shards = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--slo_p99_rtts") == 0 && i + 1 < argc) {
       slo_p99_rtts = std::strtod(argv[++i], nullptr);
     } else {
       std::cerr << "usage: chaos_runner [--seeds N | --seed S] [--under_load] "
-                   "[--threads T] [--shards N] [--slo_p99_rtts X]\n";
+                   "[--shards N] [--slo_p99_rtts X]\n";
       return 64;
     }
   }
   if (under_load) {
-    return RunUnderLoadMode(first_seed, last_seed, threads, shards,
-                            slo_p99_rtts);
+    return RunUnderLoadMode(first_seed, last_seed, shards, slo_p99_rtts);
   }
 
   obs::Metrics().ResetValues();

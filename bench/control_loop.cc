@@ -27,7 +27,7 @@
 //
 // Usage:
 //   control_loop                  # full run (seed 909)
-//   control_loop --seed 7 --threads 4
+//   control_loop --seed 7
 //   control_loop --smoke          # small world + short horizons
 #include <algorithm>
 #include <cmath>
@@ -105,11 +105,9 @@ Shape SmokeShape() {
                {60.0, 90.0, 120.0}, 20.0, 150.0, 30.0, 60.0, 180.0, 25.0};
 }
 
-core::OrchestratorConfig OrchConfig(std::size_t threads, bool incremental,
-                                    bool audit) {
+core::OrchestratorConfig OrchConfig(bool incremental, bool audit) {
   core::OrchestratorConfig cfg;
   cfg.prefix_budget = 4;
-  cfg.num_threads = threads;
   cfg.max_learning_iterations = 16;
   cfg.cross_call_seed_cache = incremental;
   cfg.seed_cache_audit = audit;
@@ -139,17 +137,14 @@ control::ControlPlaneConfig ServiceConfig(const Shape& s) {
 
 int main(int argc, char** argv) {
   std::uint64_t seed = 909;
-  std::size_t threads = 1;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else {
-      std::cerr << "usage: control_loop [--seed S] [--threads N] [--smoke]\n";
+      std::cerr << "usage: control_loop [--seed S] [--smoke]\n";
       return 64;
     }
   }
@@ -200,7 +195,7 @@ int main(int argc, char** argv) {
     const std::uint64_t hits0 = Counter("orchestrator.celf.cross_seed_hits");
 
     core::Orchestrator orch{
-        inst, OrchConfig(threads, /*incremental=*/true, /*audit=*/true)};
+        inst, OrchConfig(/*incremental=*/true, /*audit=*/true)};
     core::SimEnvironment inner{*w.resolver, *w.oracle,
                                util::Rng{util::MixSeed(seed, 0xBEEF)}};
     netsim::Simulator sim;
@@ -283,7 +278,7 @@ int main(int argc, char** argv) {
   {
     const obs::RunReport::ScopedPhase phase{report, "savings"};
     core::Orchestrator orch{
-        inst, OrchConfig(threads, /*incremental=*/true, /*audit=*/false)};
+        inst, OrchConfig(/*incremental=*/true, /*audit=*/false)};
     core::SimEnvironment inner{*w.resolver, *w.oracle,
                                util::Rng{util::MixSeed(seed, 0xD1F7)}};
     netsim::Simulator sim;
@@ -335,7 +330,7 @@ int main(int argc, char** argv) {
     // one, so matching the service's reaction latency means re-learning on
     // the wake timer.
     core::Orchestrator batch{
-        inst, OrchConfig(threads, /*incremental=*/false, /*audit=*/false)};
+        inst, OrchConfig(/*incremental=*/false, /*audit=*/false)};
     const std::uint64_t batch0 = Counter("orchestrator.celf.evaluations");
     (void)batch.Learn(churn);
     batch_evals = Counter("orchestrator.celf.evaluations") - batch0;

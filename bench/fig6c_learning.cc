@@ -47,7 +47,10 @@ int main() {
     ocfg.prefix_budget = budget;
     ocfg.d_reuse_km = 3000.0;
     ocfg.max_learning_iterations = 6;
-    ocfg.learning_stop_frac = -1.0;  // run all iterations for the figure
+    // A negative fraction drops only the relative margin: the patience rule
+    // (learning_abs_epsilon_ms, learning_patience) still stops each budget,
+    // here after 4 of its 6 iterations.
+    ocfg.learning_stop_frac = -1.0;
     core::Orchestrator orch{instance, ocfg};
     core::SimEnvironment env{resolver, *w.oracle, util::Rng{31}};
     const obs::RunReport::ScopedPhase phase{

@@ -64,7 +64,7 @@ int main() {
     series.push_back(std::move(dynamic));
     series.push_back(std::move(fixed));
   }
-  PrintSweep(std::cout, "day (%% of that day's possible benefit)", xs, series,
+  PrintSweep(std::cout, "day (% of that day's possible benefit)", xs, series,
              1);
 
   std::cout << "\nPaper shape: dynamic choices hold ~95-100% of day-0 "

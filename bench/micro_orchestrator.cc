@@ -17,7 +17,6 @@
 #include "core/orchestrator.h"
 #include "core/problem.h"
 #include "obs/report.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -70,43 +69,35 @@ void BM_Expectation(benchmark::State& state) {
 }
 BENCHMARK(BM_Expectation);
 
-// Args: {stub count, num_threads, incremental_celf}. Compare rows at the
-// same stub count to read the serial-vs-parallel speedup of the CELF seeding
-// scan (thread count 1 forces the serial path) and the incremental-vs-naive
-// speedup of the CELF engine (last arg 0 disables the cross-round marginal
-// cache and the surviving-set probes). Results are bit-identical across every
-// row at the same stub count — see the golden-schedule and property tests.
+// Args: {stub count, incremental_celf}. Compare rows at the same stub count
+// to read the incremental-vs-naive speedup of the CELF engine (last arg 0
+// disables the cross-round marginal cache and the surviving-set probes).
+// Results are bit-identical across every row at the same stub count — see
+// the golden-schedule and property tests.
 void BM_OrchestratorPerPrefix(benchmark::State& state) {
   const auto& inst = SharedInstance(static_cast<std::size_t>(state.range(0)));
   core::OrchestratorConfig cfg;
   cfg.prefix_budget = 8;
-  cfg.num_threads = static_cast<std::size_t>(state.range(1));
-  cfg.incremental_celf = state.range(2) != 0;
+  cfg.incremental_celf = state.range(1) != 0;
   for (auto _ : state) {
     core::Orchestrator orch{inst, cfg};
     benchmark::DoNotOptimize(orch.ComputeConfig());
   }
   state.counters["ugs"] = static_cast<double>(inst.UgCount());
   state.counters["sessions"] = static_cast<double>(inst.peering_count);
-  state.counters["threads"] = static_cast<double>(cfg.num_threads);
   state.counters["incremental"] = cfg.incremental_celf ? 1.0 : 0.0;
   state.counters["s_per_prefix"] = benchmark::Counter(
       8.0, benchmark::Counter::kIsIterationInvariantRate |
                benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_OrchestratorPerPrefix)
-    ->Args({300, 1, 1})
-    ->Args({600, 1, 0})
-    ->Args({600, 1, 1})
-    ->Args({600, 2, 1})
-    ->Args({600, 8, 1})
-    ->Args({1200, 1, 0})
-    ->Args({1200, 1, 1})
-    ->Args({1200, 2, 1})
-    ->Args({1200, 8, 1})
+    ->Args({300, 1})
+    ->Args({600, 0})
+    ->Args({600, 1})
+    ->Args({1200, 0})
+    ->Args({1200, 1})
     ->Unit(benchmark::kMillisecond);
 
-// Arg: num_threads for the per-UG prediction loop (1 = serial baseline).
 void BM_PredictBenefit(benchmark::State& state) {
   const auto& inst = SharedInstance(600);
   core::OrchestratorConfig cfg;
@@ -114,15 +105,11 @@ void BM_PredictBenefit(benchmark::State& state) {
   core::Orchestrator orch{inst, cfg};
   const auto config = orch.ComputeConfig();
   const core::RoutingModel model{inst.UgCount()};
-  const auto threads = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        core::PredictBenefit(inst, model, config, {}, threads));
+    benchmark::DoNotOptimize(core::PredictBenefit(inst, model, config, {}));
   }
-  state.counters["threads"] = static_cast<double>(threads);
 }
-BENCHMARK(BM_PredictBenefit)->Arg(1)->Arg(2)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PredictBenefit)->Unit(benchmark::kMillisecond);
 
 // Timed passes over the orchestrator paths at the largest stub count,
 // written as a painter.bench.v1 report (BENCH_micro_orchestrator.json).
@@ -133,16 +120,11 @@ BENCHMARK(BM_PredictBenefit)->Arg(1)->Arg(2)->Arg(8)
 void WriteRunReport() {
   constexpr std::size_t kStubs = 1200;
   constexpr std::size_t kBudget = 8;
-  // At least 2 so the parallel path (and the pool's queue-wait telemetry) is
-  // exercised even on single-core machines; on real hardware, all cores.
-  const std::size_t threads =
-      std::max<std::size_t>(2, util::EffectiveThreads(0));
 
   obs::RunReport report{"micro_orchestrator"};
   report.SetSeed(900 + kStubs);
   report.AddConfig("stubs", static_cast<double>(kStubs));
   report.AddConfig("prefix_budget", static_cast<double>(kBudget));
-  report.AddConfig("threads", static_cast<double>(threads));
 
   const core::ProblemInstance* inst = nullptr;
   {
@@ -150,11 +132,9 @@ void WriteRunReport() {
     inst = &SharedInstance(kStubs);
   }
 
-  auto time_compute = [&](std::size_t num_threads, bool incremental,
-                          const char* phase_name) {
+  auto time_compute = [&](bool incremental, const char* phase_name) {
     core::OrchestratorConfig cfg;
     cfg.prefix_budget = kBudget;
-    cfg.num_threads = num_threads;
     cfg.incremental_celf = incremental;
     double best_ms = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < 3; ++rep) {
@@ -169,14 +149,12 @@ void WriteRunReport() {
     report.AddPhaseMs(phase_name, best_ms);
     return best_ms;
   };
-  const double serial_ms = time_compute(1, true, "compute_serial");
-  const double parallel_ms = time_compute(threads, true, "compute_parallel");
-  const double naive_serial_ms =
-      time_compute(1, false, "compute_naive_serial");
-  const double naive_parallel_ms =
-      time_compute(threads, false, "compute_naive_parallel");
+  // Phase names keep their "_serial" suffix so they stay comparable with
+  // the committed baseline report.
+  const double serial_ms = time_compute(true, "compute_serial");
+  const double naive_serial_ms = time_compute(false, "compute_naive_serial");
 
-  auto time_predict = [&](std::size_t num_threads, const char* phase_name) {
+  {
     core::OrchestratorConfig cfg;
     cfg.prefix_budget = kBudget;
     core::Orchestrator orch{*inst, cfg};
@@ -185,33 +163,19 @@ void WriteRunReport() {
     double best_ms = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < 3; ++rep) {
       const auto start = std::chrono::steady_clock::now();
-      const auto pred =
-          core::PredictBenefit(*inst, model, config, {}, num_threads);
+      const auto pred = core::PredictBenefit(*inst, model, config, {});
       const auto elapsed = std::chrono::steady_clock::now() - start;
       best_ms = std::min(
           best_ms, std::chrono::duration<double, std::milli>(elapsed).count());
       benchmark::DoNotOptimize(pred);
     }
-    report.AddPhaseMs(phase_name, best_ms);
-    return best_ms;
-  };
-  const double predict_serial_ms = time_predict(1, "predict_serial");
-  const double predict_parallel_ms = time_predict(threads, "predict_parallel");
+    report.AddPhaseMs("predict_serial", best_ms);
+  }
 
   report.AddValue("compute_s_per_prefix_serial",
                   serial_ms / 1000.0 / static_cast<double>(kBudget));
-  if (parallel_ms > 0.0) {
-    report.AddValue("compute_speedup", serial_ms / parallel_ms);
-  }
   if (serial_ms > 0.0) {
     report.AddValue("incremental_speedup_serial", naive_serial_ms / serial_ms);
-  }
-  if (parallel_ms > 0.0) {
-    report.AddValue("incremental_speedup_parallel",
-                    naive_parallel_ms / parallel_ms);
-  }
-  if (predict_parallel_ms > 0.0) {
-    report.AddValue("predict_speedup", predict_serial_ms / predict_parallel_ms);
   }
   report.AttachMetrics();
   report.Write(bench::ReportPath("micro_orchestrator"));

@@ -12,13 +12,12 @@
 //
 // Determinism: every non-wall value in the report is a pure function of the
 // seed, and `summary_fnv64` fingerprints the full CanonicalSummary — the
-// same seed must produce byte-identical stripped reports at any --threads
-// value and across reruns (tests/timeline_test.cc and tools/ci_check.sh
-// enforce this).
+// same seed must produce byte-identical stripped reports across reruns
+// (tests/timeline_test.cc and tools/ci_check.sh enforce this).
 //
 // Usage:
-//   unified_timeline                     # full run (seed 7, 1 thread)
-//   unified_timeline --seed 11 --threads 4
+//   unified_timeline                     # full run (seed 7)
+//   unified_timeline --seed 11
 //   unified_timeline --shards 4          # sharded workload engine
 //                                        # (0 = classic serial timeline)
 //   unified_timeline --smoke             # small world + short trace
@@ -51,21 +50,18 @@ std::uint64_t Fnv64(const std::string& bytes) {
 
 int main(int argc, char** argv) {
   std::uint64_t seed = 7;
-  std::size_t threads = 1;
   std::size_t shards = 0;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       shards = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else {
-      std::cerr << "usage: unified_timeline [--seed S] [--threads N] "
-                   "[--shards N] [--smoke]\n";
+      std::cerr << "usage: unified_timeline [--seed S] [--shards N] "
+                   "[--smoke]\n";
       return 64;
     }
   }
@@ -79,16 +75,13 @@ int main(int argc, char** argv) {
   obs::Metrics().ResetValues();
   obs::RunReport report{"unified_timeline"};
   report.SetSeed(seed);
-  // Deliberately NOT recording --threads: results are thread-count-invariant
-  // and the determinism gate diffs stripped reports across thread counts.
   report.AddConfig("smoke", smoke ? 1.0 : 0.0);
 
   timeline::UnifiedTimelineConfig cfg;
   cfg.seed = seed;
-  cfg.num_threads = threads;
-  // Like --threads, --shards is deliberately NOT recorded in the report:
-  // results are identical across all shard counts >= 1 (tests pin this), and
-  // --shards 0 keeps the classic serial timeline — the committed baseline.
+  // --shards is deliberately NOT recorded in the report: results are
+  // identical across all shard counts >= 1 (tests pin this), and --shards 0
+  // keeps the classic serial timeline — the committed baseline.
   cfg.shards = shards;
   if (smoke) {
     cfg.stubs = 80;
@@ -109,7 +102,7 @@ int main(int argc, char** argv) {
 
   // Streaming telemetry for the whole run: occupancy, per-PoP utilization,
   // TTL staleness, per-round predicted/realized — attached to the report as
-  // a painter.timeseries.v1 block (deterministic, thread-count-invariant).
+  // a painter.timeseries.v1 block (deterministic).
   obs::TimeseriesRegistry timeseries{{.period_s = smoke ? 5.0 : 10.0}};
   cfg.timeseries = &timeseries;
 

@@ -208,7 +208,6 @@ int main(int argc, char** argv) {
   tc.seed = seed;
   tc.duration_s = smoke ? 120.0 : 3600.0;
   tc.mean_flows_per_s = smoke ? 50.0 : 320.0;
-  tc.num_threads = 0;  // hardware concurrency; trace is thread-count-invariant
   const std::vector<workload::UgProfile> profiles =
       workload::SyntheticUgProfiles(smoke ? 32 : 512, seed);
 

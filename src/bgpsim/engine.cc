@@ -70,8 +70,6 @@ BgpEngine::Rel BgpEngine::RelOf(util::AsId a, util::AsId b) const {
 }
 
 RoutingOutcome BgpEngine::Propagate(const Announcement& ann) const {
-  // Sharded counter: Propagate runs from ParallelFor workers during ingress
-  // resolution, so this must not contend on a shared cell.
   static obs::Counter& propagations =
       obs::Metrics().GetCounter("bgpsim.propagations");
   propagations.Add();
@@ -122,8 +120,7 @@ RoutingOutcome BgpEngine::Propagate(const Announcement& ann) const {
     seeds.push_back(Seed{n, attr});
   }
   if (prepended_sessions > 0 || withdraw_equiv > 0) {
-    // bgp.prepend.*: closed metric family (tools/metrics_lint.py). Sharded
-    // counters — Propagate runs from ParallelFor workers.
+    // bgp.prepend.*: closed metric family (tools/metrics_lint.py).
     static obs::Counter& prepend_sessions =
         obs::Metrics().GetCounter("bgp.prepend.sessions");
     static obs::Counter& prepend_hops =

@@ -143,8 +143,8 @@ class ControlPlaneService {
 
   // Canonical run summary (%.17g doubles, fixed field order) including every
   // round record and the committed schedule's wire text — byte-identical
-  // across reruns and thread counts of a deterministic scenario; the
-  // property tests compare these strings directly.
+  // across reruns of a deterministic scenario; the property tests compare
+  // these strings directly.
   [[nodiscard]] std::string CanonicalStats() const;
 
  private:

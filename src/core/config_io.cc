@@ -18,7 +18,8 @@ bool SetError(ParseError* error, std::size_t line, std::string message) {
 }
 
 // Parses a v2 session token `<id>[/pN][/lp|/nx]` (suffixes in any order,
-// each at most once). Returns false on malformed input.
+// each at most once). Returns false on malformed input, and on an id that
+// does not fit a valid PeeringId.
 bool ParseSessionToken(const std::string& token, std::uint64_t* id,
                        SessionAttr* attr, std::string* why) {
   const std::size_t slash = token.find('/');
@@ -28,6 +29,10 @@ bool ParseSessionToken(const std::string& token, std::uint64_t* id,
   if (ec != std::errc{} || ptr != id_part.data() + id_part.size() ||
       id_part.empty()) {
     *why = "malformed session id";
+    return false;
+  }
+  if (*id >= util::PeeringId::kInvalidValue) {
+    *why = "session id " + id_part + " out of range";
     return false;
   }
   *attr = SessionAttr{};

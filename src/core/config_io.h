@@ -44,9 +44,9 @@ struct ParseError {
   std::string message;
 };
 
-// Parses the v1 format. On failure returns nullopt and fills `error` (if
-// non-null). When `deployment` is provided, every session id must exist in
-// it.
+// Parses the v1 and v2 formats. On failure returns nullopt and fills `error`
+// (if non-null). Every session id must fit a valid PeeringId; when
+// `deployment` is provided, it must also exist in it.
 [[nodiscard]] std::optional<AdvertisementConfig> ReadConfig(
     std::istream& is, const cloudsim::Deployment* deployment = nullptr,
     ParseError* error = nullptr);

@@ -6,15 +6,13 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace painter::core {
 
 Orchestrator::Prediction PredictBenefit(const ProblemInstance& instance,
                                         const RoutingModel& model,
                                         const AdvertisementConfig& config,
-                                        const ExpectationParams& params,
-                                        std::size_t num_threads) {
+                                        const ExpectationParams& params) {
   static obs::Counter& predictions =
       obs::Metrics().GetCounter("evaluator.predict.calls");
   predictions.Add();
@@ -27,53 +25,30 @@ Orchestrator::Prediction PredictBenefit(const ProblemInstance& instance,
   // floored at zero — but a UG on a reused prefix may realize anywhere in
   // [lower, upper], which is exactly the uncertainty One-per-PoP strategies
   // suffer from and One-per-Peering never has.
-  //
-  // UGs are independent: per-UG terms are computed (possibly concurrently)
-  // into a dense buffer and reduced in UG order below, so the sums are
-  // bit-identical to the serial accumulation at any thread count.
-  struct Term {
-    double lower = 0.0;
-    double mean = 0.0;
-    double estimated = 0.0;
-    double upper = 0.0;
-  };
-  std::vector<Term> terms(instance.UgCount());
   const bool attributed = !config.AllAttrsDefault();
-  util::ParallelFor(
-      num_threads, 0, instance.UgCount(), /*grain=*/64,
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          const auto u = static_cast<std::uint32_t>(i);
-          const double any = instance.anycast_rtt_ms[u];
-          const PrefixExpectation* best = nullptr;
-          PrefixExpectation scratch;
-          for (std::size_t p = 0; p < config.PrefixCount(); ++p) {
-            const PrefixExpectation e =
-                attributed
-                    ? ComputeExpectation(instance, model, u,
-                                         config.Sessions(p), config.Attrs(p),
-                                         params)
-                    : ComputeExpectation(instance, model, u,
-                                         config.Sessions(p), params);
-            if (!e.usable) continue;
-            if (best == nullptr || e.mean_rtt < best->mean_rtt) {
-              scratch = e;
-              best = &scratch;
-            }
-          }
-          if (best == nullptr || best->mean_rtt >= any) continue;  // anycast
-          const double w = instance.ug_weight[u];
-          terms[i].upper = w * std::max(0.0, any - best->lower_rtt);
-          terms[i].mean = w * std::max(0.0, any - best->mean_rtt);
-          terms[i].estimated = w * std::max(0.0, any - best->estimated_rtt);
-          terms[i].lower = w * std::max(0.0, any - best->upper_rtt);
-        }
-      });
-  for (const Term& t : terms) {
-    pred.upper_ms += t.upper;
-    pred.mean_ms += t.mean;
-    pred.estimated_ms += t.estimated;
-    pred.lower_ms += t.lower;
+  for (std::uint32_t u = 0; u < instance.UgCount(); ++u) {
+    const double any = instance.anycast_rtt_ms[u];
+    const PrefixExpectation* best = nullptr;
+    PrefixExpectation scratch;
+    for (std::size_t p = 0; p < config.PrefixCount(); ++p) {
+      const PrefixExpectation e =
+          attributed ? ComputeExpectation(instance, model, u,
+                                          config.Sessions(p), config.Attrs(p),
+                                          params)
+                     : ComputeExpectation(instance, model, u,
+                                          config.Sessions(p), params);
+      if (!e.usable) continue;
+      if (best == nullptr || e.mean_rtt < best->mean_rtt) {
+        scratch = e;
+        best = &scratch;
+      }
+    }
+    if (best == nullptr || best->mean_rtt >= any) continue;  // anycast
+    const double w = instance.ug_weight[u];
+    pred.upper_ms += w * std::max(0.0, any - best->lower_rtt);
+    pred.mean_ms += w * std::max(0.0, any - best->mean_rtt);
+    pred.estimated_ms += w * std::max(0.0, any - best->estimated_rtt);
+    pred.lower_ms += w * std::max(0.0, any - best->upper_rtt);
   }
   pred.lower_ms /= instance.total_weight;
   pred.mean_ms /= instance.total_weight;
@@ -133,20 +108,14 @@ void GroundTruthEvaluator::SetConfig(const AdvertisementConfig& config) {
   prefix_ingress_.assign(prefix_count_ * ug_count_, -1);
   prefix_day0_rtt_.assign(prefix_count_ * ug_count_, 0.0);
   resolves.Add(prefix_count_);
-  // Prefixes resolve independently (Resolve and the oracle are const and
-  // thread-safe) and each fills a disjoint row of the flat arrays.
-  util::ParallelFor(
-      num_threads_, 0, prefix_count_, /*grain=*/1,
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t p = chunk_begin; p < chunk_end; ++p) {
-          // NeighborAttrs() is empty for all-default prefixes, so legacy
-          // configs resolve through the exact legacy path.
-          FlattenResolved(
-              resolver_->Resolve(config.Sessions(p), config.NeighborAttrs(p)),
-              *oracle_, p * ug_count_, prefix_ingress_.data(),
-              prefix_day0_rtt_.data());
-        }
-      });
+  for (std::size_t p = 0; p < prefix_count_; ++p) {
+    // NeighborAttrs() is empty for all-default prefixes, so legacy configs
+    // resolve through the exact legacy path.
+    FlattenResolved(
+        resolver_->Resolve(config.Sessions(p), config.NeighborAttrs(p)),
+        *oracle_, p * ug_count_, prefix_ingress_.data(),
+        prefix_day0_rtt_.data());
+  }
 }
 
 double GroundTruthEvaluator::RttOf(std::uint32_t u, int prefix,
@@ -170,37 +139,19 @@ double GroundTruthEvaluator::MeanImprovementMs(int day) const {
       obs::Metrics().GetCounter("evaluator.gt.passes");
   passes.Add();
   const obs::TraceSpan span{"evaluator.gt.MeanImprovementMs"};
-  // Per-UG terms are staged and reduced in UG order (bit-identical to the
-  // serial loop); all shared state (resolved ingresses, the oracle) is
-  // read-only here.
-  const auto& ugs = deployment_->ugs();
-  struct Term {
-    double acc = 0.0;
-    double w = 0.0;
-  };
-  std::vector<Term> terms(ugs.size());
-  util::ParallelFor(
-      num_threads_, 0, ugs.size(), /*grain=*/32,
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          const auto& ug = ugs[i];
-          const std::uint32_t u = ug.id.value();
-          const double any = RttOf(u, -1, day);
-          double best = any;
-          for (std::size_t p = 0; p < prefix_count_; ++p) {
-            best = std::min(best, RttOf(u, static_cast<int>(p), day));
-          }
-          if (std::isfinite(any)) {
-            terms[i].acc = ug.traffic_weight * (any - best);
-            terms[i].w = ug.traffic_weight;
-          }
-        }
-      });
   double acc = 0.0;
   double wsum = 0.0;
-  for (const Term& t : terms) {
-    acc += t.acc;
-    wsum += t.w;
+  for (const auto& ug : deployment_->ugs()) {
+    const std::uint32_t u = ug.id.value();
+    const double any = RttOf(u, -1, day);
+    double best = any;
+    for (std::size_t p = 0; p < prefix_count_; ++p) {
+      best = std::min(best, RttOf(u, static_cast<int>(p), day));
+    }
+    if (std::isfinite(any)) {
+      acc += ug.traffic_weight * (any - best);
+      wsum += ug.traffic_weight;
+    }
   }
   return wsum == 0.0 ? 0.0 : acc / wsum;
 }
@@ -210,35 +161,20 @@ double GroundTruthEvaluator::PositiveMeanImprovementMs(int day) const {
       obs::Metrics().GetCounter("evaluator.gt.passes");
   passes.Add();
   const obs::TraceSpan span{"evaluator.gt.PositiveMeanImprovementMs"};
-  const auto& ugs = deployment_->ugs();
-  struct Term {
-    double acc = 0.0;
-    double w = 0.0;
-  };
-  std::vector<Term> terms(ugs.size());
-  util::ParallelFor(
-      num_threads_, 0, ugs.size(), /*grain=*/32,
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          const auto& ug = ugs[i];
-          const std::uint32_t u = ug.id.value();
-          const double any = RttOf(u, -1, day);
-          double best = any;
-          for (std::size_t p = 0; p < prefix_count_; ++p) {
-            best = std::min(best, RttOf(u, static_cast<int>(p), day));
-          }
-          const double imp = any - best;
-          if (std::isfinite(any) && imp > 1e-9) {
-            terms[i].acc = ug.traffic_weight * imp;
-            terms[i].w = ug.traffic_weight;
-          }
-        }
-      });
   double acc = 0.0;
   double wsum = 0.0;
-  for (const Term& t : terms) {
-    acc += t.acc;
-    wsum += t.w;
+  for (const auto& ug : deployment_->ugs()) {
+    const std::uint32_t u = ug.id.value();
+    const double any = RttOf(u, -1, day);
+    double best = any;
+    for (std::size_t p = 0; p < prefix_count_; ++p) {
+      best = std::min(best, RttOf(u, static_cast<int>(p), day));
+    }
+    const double imp = any - best;
+    if (std::isfinite(any) && imp > 1e-9) {
+      acc += ug.traffic_weight * imp;
+      wsum += ug.traffic_weight;
+    }
   }
   return wsum == 0.0 ? 0.0 : acc / wsum;
 }
@@ -264,31 +200,17 @@ double GroundTruthEvaluator::MeanImprovementOverUgsMs(
 std::vector<std::uint32_t> GroundTruthEvaluator::BenefitingUgs(
     const cloudsim::PolicyCatalog& catalog, double threshold_ms,
     int day) const {
-  const auto& ugs = deployment_->ugs();
-  // Per-UG membership flags are staged (each iteration writes only its own
-  // slot) and collected serially in UG order, so the set is identical to the
-  // serial scan at any thread count.
-  std::vector<std::uint8_t> benefits(ugs.size(), 0);
-  util::ParallelFor(
-      num_threads_, 0, ugs.size(), /*grain=*/32,
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          const auto& ug = ugs[i];
-          // Both sides of the headroom comparison use the same day's ground
-          // truth so the set agrees with the improvement metrics for that day.
-          const double any = RttOf(ug.id.value(), -1, day);
-          if (!std::isfinite(any)) continue;
-          double best = any;
-          for (util::PeeringId pid : catalog.CompliantPeerings(ug.id)) {
-            best =
-                std::min(best, oracle_->TrueRttOnDay(ug.id, pid, day).count());
-          }
-          if (any - best > threshold_ms) benefits[i] = 1;
-        }
-      });
   std::vector<std::uint32_t> out;
-  for (std::size_t i = 0; i < ugs.size(); ++i) {
-    if (benefits[i]) out.push_back(ugs[i].id.value());
+  for (const auto& ug : deployment_->ugs()) {
+    // Both sides of the headroom comparison use the same day's ground truth
+    // so the set agrees with the improvement metrics for that day.
+    const double any = RttOf(ug.id.value(), -1, day);
+    if (!std::isfinite(any)) continue;
+    double best = any;
+    for (util::PeeringId pid : catalog.CompliantPeerings(ug.id)) {
+      best = std::min(best, oracle_->TrueRttOnDay(ug.id, pid, day).count());
+    }
+    if (any - best > threshold_ms) out.push_back(ug.id.value());
   }
   return out;
 }
@@ -296,22 +218,17 @@ std::vector<std::uint32_t> GroundTruthEvaluator::BenefitingUgs(
 std::vector<int> GroundTruthEvaluator::Choices(int day) const {
   const auto& ugs = deployment_->ugs();
   std::vector<int> choices(ugs.size(), -1);
-  // Each iteration writes only its own choices[u] slot.
-  util::ParallelFor(
-      num_threads_, 0, ugs.size(), /*grain=*/32,
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          const std::uint32_t u = ugs[i].id.value();
-          double best = RttOf(u, -1, day);
-          for (std::size_t p = 0; p < prefix_count_; ++p) {
-            const double rtt = RttOf(u, static_cast<int>(p), day);
-            if (rtt < best) {
-              best = rtt;
-              choices[u] = static_cast<int>(p);
-            }
-          }
-        }
-      });
+  for (const auto& ug : ugs) {
+    const std::uint32_t u = ug.id.value();
+    double best = RttOf(u, -1, day);
+    for (std::size_t p = 0; p < prefix_count_; ++p) {
+      const double rtt = RttOf(u, static_cast<int>(p), day);
+      if (rtt < best) {
+        best = rtt;
+        choices[u] = static_cast<int>(p);
+      }
+    }
+  }
   return choices;
 }
 
@@ -333,36 +250,17 @@ double GroundTruthEvaluator::MeanImprovementStaticMs(
 
 double GroundTruthEvaluator::PossibleMeanImprovementMs(
     const cloudsim::PolicyCatalog& catalog, int day) const {
-  const auto& ugs = deployment_->ugs();
-  // Per-UG terms are staged and reduced in UG order (bit-identical to the
-  // serial loop at any thread count).
-  struct Term {
-    double acc = 0.0;
-    double w = 0.0;
-  };
-  std::vector<Term> terms(ugs.size());
-  util::ParallelFor(
-      num_threads_, 0, ugs.size(), /*grain=*/32,
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          const auto& ug = ugs[i];
-          const std::uint32_t u = ug.id.value();
-          const double any = RttOf(u, -1, day);
-          if (!std::isfinite(any)) continue;
-          double best = any;
-          for (util::PeeringId pid : catalog.CompliantPeerings(ug.id)) {
-            best =
-                std::min(best, oracle_->TrueRttOnDay(ug.id, pid, day).count());
-          }
-          terms[i].acc = ug.traffic_weight * (any - best);
-          terms[i].w = ug.traffic_weight;
-        }
-      });
   double acc = 0.0;
   double wsum = 0.0;
-  for (const Term& t : terms) {
-    acc += t.acc;
-    wsum += t.w;
+  for (const auto& ug : deployment_->ugs()) {
+    const double any = RttOf(ug.id.value(), -1, day);
+    if (!std::isfinite(any)) continue;
+    double best = any;
+    for (util::PeeringId pid : catalog.CompliantPeerings(ug.id)) {
+      best = std::min(best, oracle_->TrueRttOnDay(ug.id, pid, day).count());
+    }
+    acc += ug.traffic_weight * (any - best);
+    wsum += ug.traffic_weight;
   }
   return wsum == 0.0 ? 0.0 : acc / wsum;
 }
@@ -371,8 +269,7 @@ double EvaluateDnsSteering(const ProblemInstance& instance,
                            const RoutingModel& model,
                            const AdvertisementConfig& config,
                            const ExpectationParams& params,
-                           const DnsSteeringInput& dns,
-                           std::size_t num_threads) {
+                           const DnsSteeringInput& dns) {
   if (instance.total_weight == 0.0) return 0.0;
   const obs::TraceSpan span{"evaluator.dns.EvaluateDnsSteering"};
   static obs::Counter& dns_passes =
@@ -388,30 +285,22 @@ double EvaluateDnsSteering(const ProblemInstance& instance,
   // (rtt[u * cols + p]) — the resolver aggregation below walks a column
   // slice per UG, and per-row heap allocations dominated the fill at scale.
   // There is no anycast column: a UG falls back to anycast through the
-  // `used` floor in the final loop below. Each (u, p) cell is independent;
-  // the fill is parallelized over UGs.
+  // `used` floor in the final loop below.
   const std::size_t cols = config.PrefixCount();
   std::vector<double> rtt(instance.UgCount() * cols, 0.0);
   const bool attributed = !config.AllAttrsDefault();
-  util::ParallelFor(
-      num_threads, 0, instance.UgCount(), /*grain=*/16,
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          const auto u = static_cast<std::uint32_t>(i);
-          double* row = rtt.data() + i * cols;
-          for (std::size_t p = 0; p < cols; ++p) {
-            const PrefixExpectation e =
-                attributed
-                    ? ComputeExpectation(instance, model, u,
-                                         config.Sessions(p), config.Attrs(p),
-                                         params)
-                    : ComputeExpectation(instance, model, u,
-                                         config.Sessions(p), params);
-            row[p] = e.usable ? e.mean_rtt
-                              : std::numeric_limits<double>::infinity();
-          }
-        }
-      });
+  for (std::uint32_t u = 0; u < instance.UgCount(); ++u) {
+    double* row = rtt.data() + u * cols;
+    for (std::size_t p = 0; p < cols; ++p) {
+      const PrefixExpectation e =
+          attributed ? ComputeExpectation(instance, model, u,
+                                          config.Sessions(p), config.Attrs(p),
+                                          params)
+                     : ComputeExpectation(instance, model, u,
+                                          config.Sessions(p), params);
+      row[p] = e.usable ? e.mean_rtt : std::numeric_limits<double>::infinity();
+    }
+  }
 
   // Per resolver: pick the single prefix (or anycast) with the best aggregate
   // improvement over its client UGs.

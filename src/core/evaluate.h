@@ -28,14 +28,10 @@ namespace painter::core {
 
 // Model-predicted weighted-average improvement over anycast (ms) for each
 // range kind. The Traffic Manager steers per flow across all prefixes with
-// anycast as the floor, so per-UG improvements are >= 0. The per-UG loop is
-// evaluated with up to `num_threads` threads (0 = hardware_concurrency,
-// 1 = serial); per-UG terms are reduced in fixed UG order so the result is
-// bit-identical at any thread count.
+// anycast as the floor, so per-UG improvements are >= 0.
 [[nodiscard]] Orchestrator::Prediction PredictBenefit(
     const ProblemInstance& instance, const RoutingModel& model,
-    const AdvertisementConfig& config, const ExpectationParams& params,
-    std::size_t num_threads = 1);
+    const AdvertisementConfig& config, const ExpectationParams& params);
 
 // Ground-truth evaluation: resolves each prefix once (BGP is static in the
 // simulation) and replays latencies by day.
@@ -46,13 +42,6 @@ class GroundTruthEvaluator {
                        const measure::LatencyOracle& oracle);
 
   void SetConfig(const AdvertisementConfig& config);
-
-  // Worker threads for the prefix resolution in SetConfig and the per-UG
-  // evaluation loops (MeanImprovementMs, PositiveMeanImprovementMs, Choices,
-  // BenefitingUgs, PossibleMeanImprovementMs). 0 = hardware_concurrency();
-  // 1 (the default) keeps the serial path. Per-UG terms are reduced in
-  // fixed UG order, so results are bit-identical at any thread count.
-  void SetNumThreads(std::size_t num_threads) { num_threads_ = num_threads; }
 
   // Weighted-average improvement with per-flow steering (UG takes the best of
   // anycast and every prefix) at `day`.
@@ -93,7 +82,6 @@ class GroundTruthEvaluator {
   const cloudsim::Deployment* deployment_;
   const cloudsim::IngressResolver* resolver_;
   const measure::LatencyOracle* oracle_;
-  std::size_t num_threads_ = 1;
   std::size_t ug_count_ = 0;
 
   // Flat hot-path layout. Resolved ingress per UG (-1 = no route) and the
@@ -117,15 +105,11 @@ struct DnsSteeringInput {
   std::vector<std::uint32_t> resolver_of_ug;  // indexed by UG id
   std::vector<bool> resolver_supports_ecs;    // indexed by resolver id
 };
-// The (UG × prefix) modeled-RTT matrix fill is evaluated with up to
-// `num_threads` threads (0 = hardware_concurrency, 1 = serial); each (u, p)
-// cell is independent, so results are identical at any thread count.
 [[nodiscard]] double EvaluateDnsSteering(const ProblemInstance& instance,
                                          const RoutingModel& model,
                                          const AdvertisementConfig& config,
                                          const ExpectationParams& params,
-                                         const DnsSteeringInput& dns,
-                                         std::size_t num_threads = 1);
+                                         const DnsSteeringInput& dns);
 
 // Truncates `config` to its first `budget` prefixes (greedy order makes the
 // truncation the budget-constrained solution).

@@ -4,7 +4,6 @@
 #include "core/evaluate.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 #include <algorithm>
 #include <cmath>
@@ -18,8 +17,8 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Orchestrator telemetry (README "Observability"). Counter values are
-// workload-determined — identical at any thread count, since the greedy
-// schedule itself is (see the fixed-order reduction notes below).
+// workload-determined: a pure function of the instance, the model and the
+// configuration, like the greedy schedule itself.
 struct OrchestratorMetrics {
   obs::Counter& celf_evals =
       obs::Metrics().GetCounter("orchestrator.celf.evaluations");
@@ -271,17 +270,11 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
   // ComputeExpectationFromCandidates would derive for that option. The model
   // is fixed for the whole greedy pass, so fill once per call.
   std::vector<double> eff_rtt(flat_.EntryCount());
-  util::ParallelFor(
-      config_.num_threads, 0, inst.peering_count, /*grain=*/8,
-      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t g = chunk_begin; g < chunk_end; ++g) {
-          for (std::size_t i = flat_.offset[g]; i < flat_.offset[g + 1]; ++i) {
-            const IngressOption* opt = flat_.option[i];
-            eff_rtt[i] = model_.MeasuredRtt(flat_.ug[i], opt->peering)
-                             .value_or(opt->rtt_ms);
-          }
-        }
-      });
+  for (std::size_t i = 0; i < eff_rtt.size(); ++i) {
+    const IngressOption* opt = flat_.option[i];
+    eff_rtt[i] =
+        model_.MeasuredRtt(flat_.ug[i], opt->peering).value_or(opt->rtt_ms);
+  }
 
   // Cross-round seed-marginal cache. A peering's *seed* marginal (evaluated
   // against an empty in-progress prefix) depends only on base_best over its
@@ -348,13 +341,12 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
   // surviving set follows from the kept aggregates in O(1). Sums stay in
   // candidate order with opt last, so every branch is the reference's mean
   // bit for bit. The naive engine runs the reference itself.
+  std::vector<const IngressOption*> trial;  // probe scratch, reused
+  UgPrefixState grown;
   auto expected_with = [&](std::uint32_t u, const IngressOption* opt,
                            double rtt) {
     const UgPrefixState& s = state[u];
     if (!incremental) {
-      // Scratch reused across calls; thread_local so the concurrent seeding
-      // scan below can evaluate marginals on pool workers without sharing.
-      thread_local std::vector<const IngressOption*> trial;
       trial.clear();
       for (const UgPrefixState::Cand& c : s.cands) trial.push_back(c.opt);
       trial.push_back(opt);
@@ -366,8 +358,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
     // The walk: re-derive the grown list's surviving set from the stored
     // entries — no hash lookups, no k² dominance searches.
     const auto walk = [&] {
-      metrics.celf_expectation_fallbacks.Add();  // sharded: worker-safe
-      thread_local UgPrefixState grown;
+      metrics.celf_expectation_fallbacks.Add();
       grown.cands.assign(s.cands.begin(), s.cands.end());
       grown.Append(model_, u, opt, rtt, params.d_reuse_km);
       return grown.Mean();
@@ -412,12 +403,13 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
   // — in the legacy action space that is every call, so it stays
   // bit-identical. Otherwise the attributed tiered evaluation
   // (routing_model.h) runs on the rebuilt AdvertisedOption list.
+  std::vector<AdvertisedOption> atrial;  // probe scratch, reused
   auto expected_with_attr = [&](std::uint32_t u, const IngressOption* opt,
                                 double rtt, const SessionAttr& attr) {
     if (!wide || (attr.IsDefault() && cand_attributed[u] == 0)) {
       return expected_with(u, opt, rtt);
     }
-    metrics.celf_expectation_fallbacks.Add();  // sharded: worker-safe
+    metrics.celf_expectation_fallbacks.Add();
     const auto as_advertised = [](const IngressOption* o,
                                   const SessionAttr& a) {
       return AdvertisedOption{
@@ -426,7 +418,6 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
           .lower_pref = a.community == bgpsim::Community::kLowerPref,
           .no_export = a.community == bgpsim::Community::kNoExportUp};
     };
-    thread_local std::vector<AdvertisedOption> atrial;
     atrial.clear();
     for (std::size_t k = 0; k < state[u].cands.size(); ++k) {
       atrial.push_back(as_advertised(state[u].cands[k].opt, cand_attrs[u][k]));
@@ -440,7 +431,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
   // Eq. 1 marginal benefit of adding `gid` under `attr` to the in-progress
   // prefix.
   auto marginal_of = [&](util::PeeringId gid, const SessionAttr& attr) {
-    metrics.celf_evals.Add();  // sharded: safe from the concurrent scan
+    metrics.celf_evals.Add();
     const bool nx = attr.community == bgpsim::Community::kNoExportUp;
     double delta = 0.0;
     const std::size_t lo = flat_.offset[gid.value()];
@@ -493,13 +484,10 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
     std::priority_queue<Scored> heap;
     std::uint64_t round = 0;
     {
-      // Seed the CELF heap. Each peering's marginal touches only read-only
-      // shared state (base_best / cur_e / state / the routing model), so the
-      // scan is embarrassingly parallel; the heap is then built serially in
-      // peering order, making the result bit-identical to the serial scan.
-      // With the incremental engine, only dirty peerings are re-evaluated —
-      // the rest reuse the cached marginal from the previous round, which a
-      // fresh evaluation would reproduce bit-for-bit.
+      // Seed the CELF heap in peering order. With the incremental engine,
+      // only dirty peerings are re-evaluated — the rest reuse the cached
+      // marginal from the previous round, which a fresh evaluation would
+      // reproduce bit-for-bit.
       if (incremental) {
         std::uint64_t hits = 0;
         std::uint64_t invalidations = 0;
@@ -515,44 +503,40 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
         metrics.celf_cache_hits.Add(hits);
         metrics.celf_cache_invalidations.Add(invalidations);
       }
-      util::ParallelFor(
-          config_.num_threads, 0, inst.peering_count, /*grain=*/8,
-          [&](std::size_t chunk_begin, std::size_t chunk_end) {
-            for (std::size_t g = chunk_begin; g < chunk_end; ++g) {
-              if (flat_.offset[g + 1] == flat_.offset[g]) continue;
-              // Down sessions (SetPeeringAvailable) are never evaluated or
-              // advertised — in the cached AND the audit pass alike, so the
-              // two see the same world.
-              if (!peering_up_[g]) continue;
-              if (incremental && !seed_dirty[g]) continue;  // cache hit
-              const util::PeeringId gid{static_cast<std::uint32_t>(g)};
-              // Catchment-predicted pruning: the cached value upper-bounds
-              // the fresh one (see seed_evaluated above), so ≤ 0 means the
-              // peering's catchment holds no improvable UG — skip.
-              if (pruning && seed_evaluated[g] && seed_delta[g] <= 0.0) {
-                metrics.celf_pruned_seed_evals.Add();
-                if (config_.catchment_audit) {
-                  metrics.celf_pruned_audit_checks.Add();
-                  config_.catchment_audit(gid, marginal_of(gid, SessionAttr{}));
-                }
-              } else {
-                seed_delta[g] = marginal_of(gid, SessionAttr{});
-              }
-              if (aspace.enable_no_export) {
-                if (pruning && seed_evaluated[g] && seed_delta_nx[g] <= 0.0) {
-                  metrics.celf_pruned_seed_evals.Add();
-                  if (config_.catchment_audit) {
-                    metrics.celf_pruned_audit_checks.Add();
-                    config_.catchment_audit(
-                        gid, marginal_of(gid, variants[nx_variant]));
-                  }
-                } else {
-                  seed_delta_nx[g] = marginal_of(gid, variants[nx_variant]);
-                }
-              }
-              seed_evaluated[g] = 1;
+      for (std::size_t g = 0; g < inst.peering_count; ++g) {
+        if (flat_.offset[g + 1] == flat_.offset[g]) continue;
+        // Down sessions (SetPeeringAvailable) are never evaluated or
+        // advertised — in the cached AND the audit pass alike, so the two
+        // see the same world.
+        if (!peering_up_[g]) continue;
+        if (incremental && !seed_dirty[g]) continue;  // cache hit
+        const util::PeeringId gid{static_cast<std::uint32_t>(g)};
+        // Catchment-predicted pruning: the cached value upper-bounds the
+        // fresh one (see seed_evaluated above), so ≤ 0 means the peering's
+        // catchment holds no improvable UG — skip.
+        if (pruning && seed_evaluated[g] && seed_delta[g] <= 0.0) {
+          metrics.celf_pruned_seed_evals.Add();
+          if (config_.catchment_audit) {
+            metrics.celf_pruned_audit_checks.Add();
+            config_.catchment_audit(gid, marginal_of(gid, SessionAttr{}));
+          }
+        } else {
+          seed_delta[g] = marginal_of(gid, SessionAttr{});
+        }
+        if (aspace.enable_no_export) {
+          if (pruning && seed_evaluated[g] && seed_delta_nx[g] <= 0.0) {
+            metrics.celf_pruned_seed_evals.Add();
+            if (config_.catchment_audit) {
+              metrics.celf_pruned_audit_checks.Add();
+              config_.catchment_audit(
+                  gid, marginal_of(gid, variants[nx_variant]));
             }
-          });
+          } else {
+            seed_delta_nx[g] = marginal_of(gid, variants[nx_variant]);
+          }
+        }
+        seed_evaluated[g] = 1;
+      }
       std::fill(seed_dirty.begin(), seed_dirty.end(),
                 static_cast<std::uint8_t>(0));
       if (cross && p == 0) {
@@ -691,8 +675,7 @@ bool LearningShouldStop(const std::vector<double>& realized, double stop_frac,
 
 Orchestrator::Prediction Orchestrator::Predict(
     const AdvertisementConfig& config) const {
-  return PredictBenefit(*instance_, model_, config, config_.Expectation(),
-                        config_.num_threads);
+  return PredictBenefit(*instance_, model_, config, config_.Expectation());
 }
 
 void Orchestrator::Absorb(

@@ -64,20 +64,13 @@ struct OrchestratorConfig {
   double learning_abs_epsilon_ms = 1e-3;
   std::size_t learning_patience = 2;
 
-  // Worker threads for the embarrassingly parallel evaluation loops (the
-  // CELF seeding scan of ComputeConfig and the per-UG loop of Predict).
-  // 0 = hardware_concurrency(); 1 forces the serial code path. Results are
-  // bit-identical at any value: the parallel paths compute per-index terms
-  // independently and reduce them serially in fixed index order.
-  std::size_t num_threads = 0;
-
   // Incremental CELF engine (DESIGN.md "Incremental CELF evaluation"):
   // per-peering seed marginals are cached across prefix rounds and
   // invalidated through the dirty-UG rule, and grown-by-one candidate lists
   // are evaluated from a per-UG surviving set instead of re-walking the
-  // list. Bit-identical to the from-scratch engine at any thread count (the
-  // property and golden-schedule tests prove it); false forces the naive
-  // path for testing and benchmarking.
+  // list. Bit-identical to the from-scratch engine (the property and
+  // golden-schedule tests prove it); false forces the naive path for
+  // testing and benchmarking.
   bool incremental_celf = true;
 
   // Advertisement variants ComputeConfig may pick (default: legacy binary).
@@ -93,9 +86,9 @@ struct OrchestratorConfig {
 
   // Test/audit hook: when set, every pruned seed evaluation ALSO runs the
   // skipped from-scratch marginal and reports it here so tests can assert it
-  // is ≤ 0 (zero false negatives). Called concurrently from the seeding
-  // scan's worker threads — the hook must be thread-safe. The extra audit
-  // evaluations count toward orchestrator.celf.evaluations.
+  // is ≤ 0 (zero false negatives). Called from the seeding scan, in peering
+  // order. The extra audit evaluations count toward
+  // orchestrator.celf.evaluations.
   std::function<void(util::PeeringId, double fresh_marginal)> catchment_audit;
 
   // Cross-CALL seed cache (DESIGN.md §15): carry the round-0 seed marginals

@@ -37,11 +37,11 @@ namespace painter::core {
 
 // Thread-safety contract: the const methods (IsDominated, Prefers, HasWins,
 // HasPreferences, MeasuredRtt, PreferenceCount) and the ComputeExpectation*
-// helpers below only read shared state, so any number of threads may call
-// them concurrently — the orchestrator's parallel evaluation loops rely on
-// this. The Observe* mutators require exclusive access (they run in the
-// serial Absorb phase of the learning loop, never concurrently with
-// evaluations). All evaluation scratch is thread_local.
+// helpers below only read shared state. The helpers reuse thread_local
+// scratch, so they stay safe to call from any thread without a lock even
+// though the library itself calls them from one. The Observe* mutators
+// require exclusive access (they run in the Absorb phase of the learning
+// loop, never during an evaluation).
 class RoutingModel {
  public:
   explicit RoutingModel(std::size_t ug_count);

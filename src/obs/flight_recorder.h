@@ -27,9 +27,8 @@
 // Determinism: every producer in this repo records from the single-threaded
 // DES loop with sim-time timestamps and seed-derived values, so with the
 // same seed the journal — and therefore the post-mortem JSON — is
-// byte-identical across reruns and worker-thread counts. (The recorder
-// still takes a mutex when enabled, so an off-loop producer is safe, merely
-// unordered.)
+// byte-identical across reruns. (The recorder still takes a mutex when
+// enabled, so an off-loop producer is safe, merely unordered.)
 #pragma once
 
 #include <cstdint>

@@ -130,8 +130,8 @@ Histogram& MetricsRegistry::GetHistogram(std::string_view name,
   auto [it, inserted] = histogram_ids_.emplace(
       std::string(name), static_cast<std::uint32_t>(histograms_.size()));
   if (inserted) {
-    histograms_.push_back(HistogramInfo{std::string(name), spec, nullptr});
-    histograms_.back().handle.reset(new Histogram(this, it->second));
+    histograms_.push_back(HistogramInfo{std::string(name), nullptr});
+    histograms_.back().handle.reset(new Histogram(this, it->second, spec));
   }
   return *histograms_[it->second].handle;
 }
@@ -169,16 +169,12 @@ double Gauge::Value() const {
 }
 
 void Histogram::Record(double v) {
-  const HistogramSpec spec = [&] {
-    std::lock_guard<std::mutex> lock(reg_->mu_);
-    return reg_->histograms_[id_].spec;
-  }();
   MetricsRegistry::Shard& s = reg_->LocalShard();
   std::lock_guard<std::mutex> lock(s.mu);
   if (id_ >= s.hists.size()) s.hists.resize(id_ + 1);
   auto& h = s.hists[id_];
-  if (h.buckets.empty()) h.buckets.assign(spec.buckets, 0);
-  ++h.buckets[BucketOf(v, spec)];
+  if (h.buckets.empty()) h.buckets.assign(spec_.buckets, 0);
+  ++h.buckets[BucketOf(v, spec_)];
   if (h.count == 0 || v < h.min) h.min = v;
   if (h.count == 0 || v > h.max) h.max = v;
   ++h.count;
@@ -197,7 +193,7 @@ std::uint64_t Histogram::Count() const {
 
 std::vector<std::uint64_t> Histogram::BucketCounts() const {
   std::lock_guard<std::mutex> lock(reg_->mu_);
-  std::vector<std::uint64_t> out(reg_->histograms_[id_].spec.buckets, 0);
+  std::vector<std::uint64_t> out(spec_.buckets, 0);
   for (const auto& shard : reg_->shards_) {
     std::lock_guard<std::mutex> slock(shard->mu);
     if (id_ >= shard->hists.size()) continue;
@@ -247,7 +243,7 @@ void MetricsRegistry::WriteJson(std::ostream& os) const {
   w.Key("histograms");
   w.BeginObject();
   for (const auto& [name, id] : histogram_ids_) {
-    const HistogramSpec& spec = histograms_[id].spec;
+    const HistogramSpec& spec = histograms_[id].handle->spec_;
     // Merge this histogram across shards in registration order.
     std::vector<std::uint64_t> buckets(spec.buckets, 0);
     std::uint64_t count = 0;

@@ -1,12 +1,11 @@
 // Metrics registry: named counters, gauges, and fixed-bucket exponential
 // histograms, exported as JSON.
 //
-// Thread-safety follows the same discipline as util::ParallelFor's
-// fixed-order reduction (DESIGN.md's determinism rule): writers touch only a
+// Thread-safety (DESIGN.md's determinism rule): writers touch only a
 // per-thread shard (no contention on the hot path), and Collect() merges
 // shards in their fixed registration order. Counter and histogram-bucket
 // merges are integer sums — order-independent, hence bit-identical across
-// runs with the same workload regardless of which worker incremented what.
+// runs with the same workload regardless of which thread incremented what.
 // Histogram value sums are doubles; they are merged in shard order, which is
 // deterministic within a run, and are anyway only used for wall-clock
 // measurements whose *values* differ run to run (those fields are emitted
@@ -84,6 +83,9 @@ struct HistogramSpec {
   bool wall_clock = false;
 };
 
+// Record() takes one uncontended lock, of the calling thread's own shard:
+// the spec is fixed at first registration and copied into the handle, so
+// no process-wide lock after the first call on a thread.
 class Histogram {
  public:
   void Record(double v);
@@ -94,9 +96,11 @@ class Histogram {
 
  private:
   friend class MetricsRegistry;
-  Histogram(MetricsRegistry* reg, std::uint32_t id) : reg_(reg), id_(id) {}
+  Histogram(MetricsRegistry* reg, std::uint32_t id, const HistogramSpec& spec)
+      : reg_(reg), id_(id), spec_(spec) {}
   MetricsRegistry* reg_;
   std::uint32_t id_;
+  HistogramSpec spec_;
 };
 
 class MetricsRegistry {
@@ -153,8 +157,7 @@ class MetricsRegistry {
   };
   struct HistogramInfo {
     std::string name;
-    HistogramSpec spec;
-    std::unique_ptr<Histogram> handle;
+    std::unique_ptr<Histogram> handle;  // carries the spec
   };
 
   Shard& LocalShard();

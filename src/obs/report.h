@@ -10,7 +10,7 @@
 //     "schema": "painter.bench.v1",
 //     "name": "orchestrator",
 //     "seed": 900,
-//     "config": {"stubs": 600, "threads": 8, ...},       // insertion order
+//     "config": {"stubs": 600, "budget": 8, ...},        // insertion order
 //     "phases": [{"name": "compute", "wall_ms": 12.3}, ...],
 //     "values": {"speedup": 3.1, ...},                   // key results
 //     "metrics": { ... MetricsRegistry::WriteJson ... }  // optional

@@ -30,11 +30,11 @@
 // arrays. Series registered with wall_clock=true carry `wall_`-prefixed
 // sample keys so obs::StripVolatile empties them when diffing runs; all
 // other fields are pure functions of sim time and byte-identical across
-// reruns and thread counts.
+// reruns.
 //
 // Thread-safety: none. Sampling, appends, and export all happen on the
-// simulator thread (the DES loop is single-threaded); hot parallel loops
-// feed counters, and counters are what samplers read.
+// simulator thread (the DES loop is single-threaded); hot loops feed
+// counters, and counters are what samplers read.
 #pragma once
 
 #include <cstdint>

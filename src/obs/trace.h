@@ -18,7 +18,7 @@
 //
 // Determinism: spans are emitted in completion order under a lock. All
 // instrumentation sites in this repo are on the orchestration thread (hot
-// parallel loops carry counters, not spans), so with a fixed seed the event
+// loops carry counters, not spans), so with a fixed seed the event
 // sequence — minus the `ts`/`dur` wall-clock fields — is reproducible;
 // obs::StripVolatile (report.h) removes those fields for diffing.
 #pragma once

@@ -83,12 +83,11 @@ UnifiedTimelineResult RunUnifiedTimeline(const UnifiedTimelineConfig& config) {
   const core::ProblemInstance instance = core::BuildMeasuredInstance(
       internet, deployment, catalog, resolver, oracle, build_rng);
 
-  // --- Workload trace (thread-count-invariant by contract).
+  // --- Workload trace.
   workload::TraceConfig tc;
   tc.seed = config.seed;
   tc.duration_s = config.trace_duration_s;
   tc.mean_flows_per_s = config.mean_flows_per_s;
-  tc.num_threads = config.num_threads;
   const std::vector<workload::UgProfile> profiles =
       workload::UgProfilesFromDeployment(internet, deployment);
   const workload::Trace trace = workload::GenerateTrace(tc, profiles);
@@ -161,7 +160,6 @@ UnifiedTimelineResult RunUnifiedTimeline(const UnifiedTimelineConfig& config) {
   orch_cfg.prefix_budget = config.prefix_budget;
   orch_cfg.max_learning_iterations = std::max<std::size_t>(config.max_rounds,
                                                            2);
-  orch_cfg.num_threads = config.num_threads;
   core::Orchestrator orchestrator{instance, orch_cfg};
   core::SimEnvironment env{resolver, oracle,
                            util::Rng{util::MixSeed(config.seed, 0xE4Fu)}};

@@ -17,11 +17,11 @@
 // the closed-form evaluation reports.
 //
 // Determinism: the result is a pure function of UnifiedTimelineConfig. Trace
-// generation and the orchestrator are thread-count-invariant by contract,
-// the timeline itself draws all randomness from seeded Rngs before or in
+// generation and the orchestrator are deterministic by contract, the
+// timeline itself draws all randomness from seeded Rngs before or in
 // deterministic event order, and CanonicalSummary serializes with
 // round-trip-exact doubles — so summaries are byte-identical across reruns
-// and across num_threads 1/2/4 (tests/timeline_test.cc pins this).
+// (tests/timeline_test.cc pins this).
 #pragma once
 
 #include <cstdint>
@@ -43,9 +43,6 @@ namespace painter::timeline {
 
 struct UnifiedTimelineConfig {
   std::uint64_t seed = 7;
-  // Worker threads for trace generation and the orchestrator's parallel
-  // loops. 0 = hardware concurrency. Results are identical at any value.
-  std::size_t num_threads = 1;
   // 0 = the classic single-simulator timeline (byte-identical to before the
   // sharded engine existed). >= 1 = the sharded timeline (DESIGN.md §13):
   // the simulator above becomes the control shard and the workload replays

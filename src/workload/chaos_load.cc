@@ -30,7 +30,6 @@ ChaosLoadResult RunChaosUnderLoad(std::uint64_t seed,
   tc.seed = util::MixSeed(seed, 0x712ACEu);
   tc.duration_s = spec.run_for_s;
   tc.mean_flows_per_s = config.mean_flows_per_s;
-  tc.num_threads = config.num_threads;
   // Flow lifetimes comparable to the fault windows, so outages hit a busy
   // table and expiry churns during the run.
   tc.size_min_bytes = 5.0e3;

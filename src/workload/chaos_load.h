@@ -34,10 +34,6 @@ struct ChaosLoadConfig {
   // Small PoP capacities so the load-aware threshold actually binds.
   double pop_capacity_bps = 2.0e6;
   double utilization_threshold = 0.85;
-  // Worker threads for trace generation only (thread-count-invariant by
-  // contract); the DES itself is single-threaded. Results are identical at
-  // any value — the under-load byte-identity test pins this.
-  std::size_t num_threads = 1;
   // 0 = the serial WorkloadEngine on the scenario simulator (the classic
   // path, byte-identical to before the sharded timeline existed). >= 1 =
   // the sharded replay (DESIGN.md §13) with that many shard simulators,

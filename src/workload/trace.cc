@@ -11,7 +11,6 @@
 #include "obs/metrics.h"
 #include "util/hashmix.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace painter::workload {
 namespace {
@@ -45,9 +44,9 @@ std::uint64_t ReadU64(std::istream& is) {
   return v;
 }
 
-// Arrivals for one UG: thinning over the diurnal envelope. The per-UG Rng is
-// hash-seeded from (trace seed, ug id), so UGs are independent streams and
-// the thread decomposition cannot perturb any of them.
+// Arrivals for one UG, appended to `out`: thinning over the diurnal
+// envelope. The per-UG Rng is hash-seeded from (trace seed, ug id), so UGs
+// are independent streams.
 void GenerateForUg(const TraceConfig& config, const UgProfile& profile,
                    double base_rate, std::vector<FlowEvent>& out) {
   if (base_rate <= 0.0) return;
@@ -99,32 +98,14 @@ Trace GenerateTrace(const TraceConfig& config,
   for (const UgProfile& p : profiles) total_weight += std::max(p.weight, 0.0);
   if (total_weight <= 0.0 || config.mean_flows_per_s <= 0.0) return trace;
 
-  // Per-UG buffers: the decomposition into chunks cannot affect the content
-  // of any buffer, only which thread fills it.
-  std::vector<std::vector<FlowEvent>> per_ug(profiles.size());
-  const std::size_t threads = util::EffectiveThreads(config.num_threads);
-  util::ParallelFor(threads, 0, profiles.size(), /*grain=*/8,
-                    [&](std::size_t begin, std::size_t end) {
-                      for (std::size_t i = begin; i < end; ++i) {
-                        const double base_rate =
-                            config.mean_flows_per_s *
-                            std::max(profiles[i].weight, 0.0) / total_weight;
-                        GenerateForUg(config, profiles[i], base_rate,
-                                      per_ug[i]);
-                      }
-                    });
-
-  std::size_t total = 0;
-  for (const auto& v : per_ug) total += v.size();
-  trace.events.reserve(total);
-  for (auto& v : per_ug) {
-    trace.events.insert(trace.events.end(), v.begin(), v.end());
-    v.clear();
-    v.shrink_to_fit();
+  for (const UgProfile& p : profiles) {
+    const double base_rate =
+        config.mean_flows_per_s * std::max(p.weight, 0.0) / total_weight;
+    GenerateForUg(config, p, base_rate, trace.events);
   }
   // Canonical order: (start_us, ug, seq) — exactly FlowEvent's default
-  // comparison. (ug, seq) is unique, so the order is total and the merged
-  // stream is independent of the per-UG concatenation order above.
+  // comparison. (ug, seq) is unique, so the order is total and the sorted
+  // stream is independent of the order the UGs were generated in.
   std::sort(trace.events.begin(), trace.events.end());
 
   obs::Metrics().GetCounter("workload.trace.events").Add(trace.events.size());

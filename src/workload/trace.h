@@ -9,11 +9,10 @@
 // afternoon), with bounded-Pareto flow sizes (heavy tail, finite cap).
 //
 // Determinism contract: a trace is a pure function of (config, profiles).
-// Every UG draws from its own hash-seeded Rng stream, generation
-// parallelises over UGs with per-UG output buffers, and the merged stream is
-// canonically sorted by (start_us, ug, seq) — so the same seed produces a
-// byte-identical trace at any thread count, and SerializeTrace/LoadTrace
-// round-trips it for replay without regeneration.
+// Every UG draws from its own hash-seeded Rng stream and the merged stream
+// is canonically sorted by (start_us, ug, seq) — so the same seed produces a
+// byte-identical trace, and SerializeTrace/LoadTrace round-trips it for
+// replay without regeneration.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +58,6 @@ struct TraceConfig {
   double size_min_bytes = 2.0e3;
   double size_max_bytes = 5.0e8;
   double size_alpha = 1.3;
-  std::size_t num_threads = 1;      // 0 = hardware concurrency
 };
 
 struct Trace {
@@ -68,8 +66,8 @@ struct Trace {
   std::vector<FlowEvent> events;  // sorted by (start_us, ug, seq)
 };
 
-// Generates the trace; byte-identical for the same (config, profiles) at any
-// num_threads (see determinism contract above).
+// Generates the trace; byte-identical for the same (config, profiles) (see
+// determinism contract above).
 [[nodiscard]] Trace GenerateTrace(const TraceConfig& config,
                                   std::span<const UgProfile> profiles);
 

@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -102,13 +101,11 @@ TEST(CatchmentPruning, AuditedSkipsAreFromScratchZero) {
   // zero-false-negative audit the acceptance bar names.
   const test::World& w = test::SharedWorld();
   const auto inst = test::MakeInstance(w);
-  std::mutex mu;
   std::vector<double> audited;
   OrchestratorConfig cfg;
   cfg.prefix_budget = 8;
   cfg.catchment_pruning = true;
   cfg.catchment_audit = [&](util::PeeringId, double fresh) {
-    const std::lock_guard<std::mutex> lock{mu};
     audited.push_back(fresh);
   };
   const Orchestrator orch{inst, cfg};

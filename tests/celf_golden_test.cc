@@ -5,7 +5,7 @@
 // re-walks its candidate list) on the fixture worlds. The incremental engine
 // — cross-round seed-marginal caching with dirty-UG invalidation, running
 // per-UG aggregates, flat hot-path layouts — is required to reproduce them
-// byte-for-byte at any thread count, in both engine modes. A mismatch here
+// byte-for-byte, in both engine modes. A mismatch here
 // means the "bit-identical" contract of OrchestratorConfig::incremental_celf
 // broke, even if the result is still a valid greedy schedule.
 #include <gtest/gtest.h>
@@ -22,11 +22,10 @@ namespace {
 using Schedule = std::vector<std::vector<std::uint32_t>>;
 
 Schedule ComputeSchedule(const ProblemInstance& inst, std::size_t budget,
-                         std::size_t threads, bool incremental, bool pruning,
+                         bool incremental, bool pruning,
                          bool explicit_legacy_space) {
   OrchestratorConfig cfg;
   cfg.prefix_budget = budget;
-  cfg.num_threads = threads;
   cfg.incremental_celf = incremental;
   cfg.catchment_pruning = pruning;
   if (explicit_legacy_space) {
@@ -52,21 +51,18 @@ void ExpectGolden(const ProblemInstance& inst, std::size_t budget,
   // Catchment pruning (and an explicitly spelled-out legacy action space)
   // must be schedule-preserving: every combination reproduces the golden
   // pick sequence byte for byte.
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    for (const bool incremental : {true, false}) {
-      for (const bool pruning : {true, false}) {
-        const Schedule got = ComputeSchedule(inst, budget, threads,
-                                             incremental, pruning,
-                                             /*explicit_legacy_space=*/false);
-        EXPECT_EQ(got, golden) << "threads=" << threads
-                               << " incremental=" << incremental
-                               << " pruning=" << pruning;
-      }
+  for (const bool incremental : {true, false}) {
+    for (const bool pruning : {true, false}) {
+      const Schedule got =
+          ComputeSchedule(inst, budget, incremental, pruning,
+                          /*explicit_legacy_space=*/false);
+      EXPECT_EQ(got, golden) << "incremental=" << incremental
+                             << " pruning=" << pruning;
     }
   }
   const Schedule explicit_space =
-      ComputeSchedule(inst, budget, /*threads=*/1, /*incremental=*/true,
-                      /*pruning=*/true, /*explicit_legacy_space=*/true);
+      ComputeSchedule(inst, budget, /*incremental=*/true, /*pruning=*/true,
+                      /*explicit_legacy_space=*/true);
   EXPECT_EQ(explicit_space, golden) << "explicit legacy action space";
 }
 

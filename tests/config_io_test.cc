@@ -134,6 +134,27 @@ TEST(ConfigIo, AllDefaultAttrsStillWriteV1) {
             "prefix 0: 3 17\n");
 }
 
+TEST(ConfigIo, RejectsIdsThatDoNotFitAPeeringId) {
+  // Without a deployment to check against, ids at or past the invalid
+  // sentinel must still fail on their own line instead of wrapping to 32
+  // bits (4294967296 -> 0, 4294967299 -> 3) or becoming the sentinel.
+  for (const char* id : {"4294967295", "4294967296", "4294967299"}) {
+    for (const char* header : {"# painter-advertisement-config v1",
+                               "# painter-advertisement-config v2"}) {
+      ParseError err;
+      const std::string text =
+          std::string{header} + "\nprefix 0: 3\nprefix 1: 5 " + id + "\n";
+      EXPECT_FALSE(ConfigFromString(text, nullptr, &err).has_value()) << id;
+      EXPECT_EQ(err.line, 3u) << id;
+      EXPECT_NE(err.message.find("out of range"), std::string::npos) << id;
+    }
+  }
+  const auto max_valid = ConfigFromString(
+      "# painter-advertisement-config v1\nprefix 0: 4294967294\n");
+  ASSERT_TRUE(max_valid.has_value());
+  EXPECT_TRUE(max_valid->Sessions(0).at(0).valid());
+}
+
 TEST(ConfigIo, V1RejectsAttributeSuffixes) {
   ParseError err;
   const std::string text =

@@ -269,7 +269,6 @@ class LearningTimelineRearmTest : public ::testing::Test {
     env_.emplace(*w.resolver, *w.oracle, util::Rng{77});
     core::OrchestratorConfig ocfg;
     ocfg.prefix_budget = 4;
-    ocfg.num_threads = 1;
     ocfg.max_learning_iterations = 16;
     orch_.emplace(inst_, ocfg);
   }
@@ -356,7 +355,6 @@ class ControlPlaneTest : public ::testing::Test {
   core::OrchestratorConfig OrchCfg(bool audit) const {
     core::OrchestratorConfig cfg;
     cfg.prefix_budget = 4;
-    cfg.num_threads = 1;
     cfg.max_learning_iterations = 16;
     cfg.cross_call_seed_cache = true;
     cfg.seed_cache_audit = audit;

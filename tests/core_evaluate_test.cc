@@ -165,53 +165,6 @@ TEST_F(EvaluateTest, BenefitingUgsDefaultsToDayZero) {
             eval_->BenefitingUgs(*w_.catalog, 1.0, 0));
 }
 
-TEST_F(EvaluateTest, GroundTruthParallelBitIdenticalToSerial) {
-  const auto cfg = Painter(5);
-  eval_->SetConfig(cfg);
-  const int day = 3;
-  const double mean = eval_->MeanImprovementMs(day);
-  const double positive = eval_->PositiveMeanImprovementMs(day);
-  const auto choices = eval_->Choices(day);
-  const auto benefiting = eval_->BenefitingUgs(*w_.catalog, 1.0, day);
-  const double possible = eval_->PossibleMeanImprovementMs(*w_.catalog, day);
-  for (const std::size_t t : {2ul, 8ul}) {
-    eval_->SetNumThreads(t);
-    EXPECT_EQ(eval_->MeanImprovementMs(day), mean) << t << " threads";
-    EXPECT_EQ(eval_->PositiveMeanImprovementMs(day), positive);
-    EXPECT_EQ(eval_->Choices(day), choices);
-    EXPECT_EQ(eval_->BenefitingUgs(*w_.catalog, 1.0, day), benefiting);
-    EXPECT_EQ(eval_->PossibleMeanImprovementMs(*w_.catalog, day), possible);
-    // The parallel prefix resolution of SetConfig must land each prefix's
-    // ingresses in the same rows the serial fill produces.
-    eval_->SetConfig(cfg);
-    EXPECT_EQ(eval_->MeanImprovementMs(day), mean) << t << " threads";
-    EXPECT_EQ(eval_->Choices(day), choices);
-  }
-  eval_->SetNumThreads(1);
-  eval_->SetConfig(cfg);
-}
-
-TEST_F(EvaluateTest, PredictAndDnsSteeringParallelBitIdenticalToSerial) {
-  const auto cfg = Painter(5);
-  const RoutingModel model{inst_.UgCount()};
-  DnsSteeringInput dns;
-  dns.resolver_supports_ecs = {false, true, false, false};
-  dns.resolver_of_ug.resize(inst_.UgCount());
-  for (std::uint32_t u = 0; u < inst_.UgCount(); ++u) {
-    dns.resolver_of_ug[u] = u % dns.resolver_supports_ecs.size();
-  }
-  const auto pred = PredictBenefit(inst_, model, cfg, {}, 1);
-  const double steered = EvaluateDnsSteering(inst_, model, cfg, {}, dns, 1);
-  for (const std::size_t t : {2ul, 8ul}) {
-    const auto p = PredictBenefit(inst_, model, cfg, {}, t);
-    EXPECT_EQ(p.lower_ms, pred.lower_ms) << t << " threads";
-    EXPECT_EQ(p.mean_ms, pred.mean_ms);
-    EXPECT_EQ(p.estimated_ms, pred.estimated_ms);
-    EXPECT_EQ(p.upper_ms, pred.upper_ms);
-    EXPECT_EQ(EvaluateDnsSteering(inst_, model, cfg, {}, dns, t), steered);
-  }
-}
-
 TEST_F(EvaluateTest, TruncateMonotoneInModel) {
   const auto cfg = Painter(8);
   const RoutingModel model{inst_.UgCount()};

@@ -154,64 +154,6 @@ TEST_F(OrchestratorTest, ZeroBudgetYieldsEmptyConfig) {
   EXPECT_DOUBLE_EQ(orch.Predict(cfg).mean_ms, 0.0);
 }
 
-TEST_F(OrchestratorTest, ComputeConfigIdenticalAcrossThreadCounts) {
-  // The parallel CELF seeding must be byte-identical to the serial path:
-  // per-peering marginals are computed independently and committed to the
-  // heap serially in peering order.
-  auto run = [&](std::size_t threads) {
-    auto c = Cfg(6);
-    c.num_threads = threads;
-    Orchestrator orch{inst_, c};
-    return orch.ComputeConfig();
-  };
-  const auto ref = run(1);
-  ASSERT_GT(ref.PrefixCount(), 0u);
-  for (const std::size_t t : {2ul, 8ul}) {
-    const auto got = run(t);
-    ASSERT_EQ(got.PrefixCount(), ref.PrefixCount()) << t << " threads";
-    for (std::size_t p = 0; p < ref.PrefixCount(); ++p) {
-      EXPECT_EQ(got.Sessions(p), ref.Sessions(p))
-          << "prefix " << p << " at " << t << " threads";
-    }
-  }
-}
-
-TEST_F(OrchestratorTest, PredictBitIdenticalAcrossThreadCounts) {
-  auto base = Cfg(5);
-  base.num_threads = 1;
-  Orchestrator serial{inst_, base};
-  const auto cfg = serial.ComputeConfig();
-  const auto ref = serial.Predict(cfg);
-  for (const std::size_t t : {2ul, 8ul}) {
-    auto c = Cfg(5);
-    c.num_threads = t;
-    Orchestrator orch{inst_, c};
-    const auto got = orch.Predict(cfg);
-    EXPECT_EQ(got.lower_ms, ref.lower_ms) << t << " threads";
-    EXPECT_EQ(got.mean_ms, ref.mean_ms) << t << " threads";
-    EXPECT_EQ(got.estimated_ms, ref.estimated_ms) << t << " threads";
-    EXPECT_EQ(got.upper_ms, ref.upper_ms) << t << " threads";
-  }
-}
-
-TEST_F(OrchestratorTest, LearnIdenticalAcrossThreadCounts) {
-  auto run = [&](std::size_t threads) {
-    auto c = Cfg(4);
-    c.num_threads = threads;
-    Orchestrator orch{inst_, c};
-    SimEnvironment env{*w_.resolver, *w_.oracle, util::Rng{9}};
-    return orch.Learn(env);
-  };
-  const auto ref = run(1);
-  const auto got = run(8);
-  ASSERT_EQ(got.size(), ref.size());
-  for (std::size_t i = 0; i < ref.size(); ++i) {
-    EXPECT_EQ(got[i].realized_ms, ref[i].realized_ms) << "iteration " << i;
-    EXPECT_EQ(got[i].predicted.mean_ms, ref[i].predicted.mean_ms);
-    EXPECT_EQ(got[i].prefixes_used, ref[i].prefixes_used);
-  }
-}
-
 TEST(LearningTerminationTest, NegativeButImprovingDoesNotStop) {
   // Regression: with `best` initialized to 0 and a multiplicative-only
   // margin, an all-negative benefit sequence never advanced the best marker
@@ -341,7 +283,6 @@ TEST(SurvivingSetProbeTest, PreferenceCycleMakesUgUnusable) {
   };
   OrchestratorConfig cfg;
   cfg.prefix_budget = 2;
-  cfg.num_threads = 1;
   Orchestrator fast{inst, cfg};
   learn_cycle(fast.mutable_model());
   cfg.incremental_celf = false;
@@ -389,7 +330,6 @@ TEST(SurvivingSetProbeTest, WindowShiftDropsPartOfSurvivingSet) {
   OrchestratorConfig cfg;
   cfg.prefix_budget = 1;
   cfg.d_reuse_km = 1000.0;
-  cfg.num_threads = 1;
   Orchestrator fast{inst, cfg};
   cfg.incremental_celf = false;
   Orchestrator naive{inst, cfg};

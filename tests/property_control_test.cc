@@ -5,8 +5,7 @@
 //    audited inside ComputeConfig against a from-scratch pass on the same
 //    model state, reports zero mismatches;
 //  - determinism: the whole service run (round records, committed schedule,
-//    reaction latencies) is byte-identical across reruns and across
-//    orchestrator thread counts 1/2/4;
+//    reaction latencies) is byte-identical across reruns;
 //  - hysteresis: committed rounds never exceed max_commits_per_window inside
 //    any commit_window_s-long interval of the run.
 #include <gtest/gtest.h>
@@ -40,16 +39,14 @@ struct ScenarioResult {
 };
 
 // One full control-plane run: world and churn script derived from `seed`,
-// orchestrator at `threads` workers with the cross-call cache on and
-// optionally byte-audited. Pure function of (seed, threads, audit).
-ScenarioResult RunScenario(std::uint64_t seed, std::size_t threads,
-                           bool audit) {
+// orchestrator with the cross-call cache on and optionally byte-audited.
+// Pure function of (seed, audit).
+ScenarioResult RunScenario(std::uint64_t seed, bool audit) {
   const test::World& w = test::SharedWorld(seed, 60, 5);
   core::ProblemInstance inst = test::MakeInstance(w, seed + 100);
 
   core::OrchestratorConfig ocfg;
   ocfg.prefix_budget = 4;
-  ocfg.num_threads = threads;
   ocfg.max_learning_iterations = 16;
   ocfg.cross_call_seed_cache = true;
   ocfg.seed_cache_audit = audit;
@@ -117,7 +114,7 @@ TEST(PropertyControlTest, IncrementalMatchesFullAndHysteresisHolds) {
   constexpr std::size_t kMaxPerWindow = 3;  // mirrors RunScenario's config
   const netsim::SimTime window_us = netsim::UsFromSeconds(30.0);
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    const ScenarioResult r = RunScenario(seed, 1, /*audit=*/true);
+    const ScenarioResult r = RunScenario(seed, /*audit=*/true);
     EXPECT_GE(r.stats.rounds_run, 1u) << "seed " << seed;
     EXPECT_GE(r.stats.commits_applied, 1u) << "seed " << seed;
 
@@ -152,26 +149,16 @@ TEST(PropertyControlTest, IncrementalMatchesFullAndHysteresisHolds) {
 
 TEST(PropertyControlTest, ReRunByteIdentical) {
   for (const std::uint64_t seed : {3u, 7u, 13u}) {
-    const ScenarioResult a = RunScenario(seed, 1, false);
-    const ScenarioResult b = RunScenario(seed, 1, false);
+    const ScenarioResult a = RunScenario(seed, false);
+    const ScenarioResult b = RunScenario(seed, false);
     EXPECT_EQ(a.canonical, b.canonical) << "seed " << seed;
-  }
-}
-
-TEST(PropertyControlTest, ThreadCountInvariant) {
-  for (const std::uint64_t seed : {2u, 11u}) {
-    const ScenarioResult t1 = RunScenario(seed, 1, false);
-    const ScenarioResult t2 = RunScenario(seed, 2, false);
-    const ScenarioResult t4 = RunScenario(seed, 4, false);
-    EXPECT_EQ(t1.canonical, t2.canonical) << "seed " << seed;
-    EXPECT_EQ(t1.canonical, t4.canonical) << "seed " << seed;
   }
 }
 
 TEST(PropertyControlTest, AuditModeDoesNotChangeTheSchedule) {
   for (const std::uint64_t seed : {5u, 17u}) {
-    const ScenarioResult plain = RunScenario(seed, 1, false);
-    const ScenarioResult audited = RunScenario(seed, 1, true);
+    const ScenarioResult plain = RunScenario(seed, false);
+    const ScenarioResult audited = RunScenario(seed, true);
     EXPECT_EQ(plain.canonical, audited.canonical) << "seed " << seed;
   }
 }

@@ -9,9 +9,9 @@
 //    is admitted in that tick (the old `trunc(Now()*1e6)` read 999999 for a
 //    1.0 s boundary reached through ten 0.1 s steps, admitting one tick
 //    late);
-//  - same-seed byte identity of the unified timeline across thread counts
-//    and reruns, plus Learn() == LearningTimeline report equivalence and
-//    TTL refresh staleness convergence.
+//  - same-seed byte identity of the unified timeline across reruns, plus
+//    Learn() == LearningTimeline report equivalence and TTL refresh
+//    staleness convergence.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -244,10 +244,9 @@ TEST(LearningTimelineTest, EventDrivenRoundsMatchLearnBitForBit) {
   }
 }
 
-timeline::UnifiedTimelineConfig TinyTimelineConfig(std::size_t threads) {
+timeline::UnifiedTimelineConfig TinyTimelineConfig() {
   timeline::UnifiedTimelineConfig cfg;
   cfg.seed = 13;
-  cfg.num_threads = threads;
   cfg.stubs = 60;
   cfg.pops = 4;
   cfg.transits = 10;
@@ -262,8 +261,8 @@ timeline::UnifiedTimelineConfig TinyTimelineConfig(std::size_t threads) {
   return cfg;
 }
 
-TEST(UnifiedTimelineTest, SameSeedByteIdenticalAcrossThreadsAndReruns) {
-  const auto base = timeline::RunUnifiedTimeline(TinyTimelineConfig(1));
+TEST(UnifiedTimelineTest, SameSeedByteIdenticalAcrossReruns) {
+  const auto base = timeline::RunUnifiedTimeline(TinyTimelineConfig());
   const std::string summary1 = timeline::CanonicalSummary(base);
   ASSERT_FALSE(summary1.empty());
 
@@ -274,16 +273,9 @@ TEST(UnifiedTimelineTest, SameSeedByteIdenticalAcrossThreadsAndReruns) {
   EXPECT_GT(base.workload.arrivals, 0u);
   EXPECT_GT(base.ttl.refreshes, 0u);
 
-  const std::string rerun =
-      timeline::CanonicalSummary(timeline::RunUnifiedTimeline(
-          TinyTimelineConfig(1)));
+  const std::string rerun = timeline::CanonicalSummary(
+      timeline::RunUnifiedTimeline(TinyTimelineConfig()));
   EXPECT_EQ(summary1, rerun);
-
-  for (const std::size_t threads : {2ul, 4ul}) {
-    const std::string other = timeline::CanonicalSummary(
-        timeline::RunUnifiedTimeline(TinyTimelineConfig(threads)));
-    EXPECT_EQ(summary1, other) << "threads=" << threads;
-  }
 }
 
 }  // namespace

@@ -3,22 +3,23 @@
 #
 # Configures a dedicated build tree with -fsanitize=address,undefined and
 # runs the tests selected by ctest label (see tests/CMakeLists.txt for the
-# tier/label scheme). The default selection is the memory/thread-heavy
-# `sanitize` set plus every `property` suite, the `shard` epoch-barrier
-# suite, the `actionspace` advertisement/catchment suites, and the
-# `control` always-on-control-plane suites (minus `slow`), which covers the
-# observability registry, the thread pool, the parallel orchestrator paths,
-# the faultsim chaos properties, the sharded-replay bit-identity suites,
-# and the DeltaBus/service reaction loop. Any heap error, leak, or UB
+# tier/label scheme). The default selection is the memory-heavy `sanitize`
+# set plus every `property` suite, the `shard` epoch-barrier suite, the
+# `actionspace` advertisement/catchment suites, the `control`
+# always-on-control-plane suites and the `fuzz` parser fuzzers (minus
+# `slow`), which covers the observability registry, the orchestrator and
+# evaluator paths, the faultsim chaos properties, the sharded-replay
+# bit-identity suites, the DeltaBus/service reaction loop, and the
+# config_io and trace-loader mutation fuzzers. Any heap error, leak, or UB
 # report fails the job.
 #
 # Usage: tools/asan_check.sh [build-dir] [label-regex]
-#        (defaults: build-asan, 'sanitize|property|shard|actionspace|control')
+#   (defaults: build-asan, 'sanitize|property|shard|actionspace|control|fuzz')
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BUILD_DIR="${1:-build-asan}"
-LABELS="${2:-sanitize|property|shard|actionspace|control}"
+LABELS="${2:-sanitize|property|shard|actionspace|control|fuzz}"
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

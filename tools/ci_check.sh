@@ -35,21 +35,25 @@
 #                 bench/control_loop, whose own gates require every scripted
 #                 fault answered within the reaction SLO, zero audit
 #                 mismatches, and the equal-reactivity recompute savings.
-#   8. golden   — reruns bench/fig6c_learning, control_loop, ablations,
-#                 unified_timeline and fig10_failover at their defaults, plus
+#   8. golden   — reruns every deterministic bench (all but
+#                 workload_throughput, which prints timings, and
+#                 micro_orchestrator) at its defaults, plus
 #                 unified_timeline --shards 4 and chaos_runner --under_load
 #                 --shards 4 (the sharded replay), and diffs each stdout
 #                 against bench/results/golden/<name>.stdout. Their stdout
 #                 carries no timings, so any byte that moves is a change in
-#                 what the learning loop, the control plane, the TM-Edge
-#                 probe loop or the replay computed; a change that means to
-#                 move one re-pins the file and says why.
+#                 what the planner, the evaluators, the control plane, the
+#                 TM-Edge probe loop or the replay computed; a change that
+#                 means to move one re-pins the file and says why.
 #   9. ASan+UBSan, then TSan — dedicated sanitizer build trees running the
 #                 `sanitize` + `property` + `shard` + `actionspace` +
-#                 `control` label selection
-#                 (tools/asan_check.sh and tools/tsan_check.sh), which
-#                 includes the faultsim chaos batch at multiple thread counts
-#                 and the sharded-replay suites.
+#                 `control` label selection (tools/asan_check.sh and
+#                 tools/tsan_check.sh); ASan+UBSan also runs the `fuzz`
+#                 label, the seeded mutation fuzzer of the config_io
+#                 parser. The selection includes the faultsim chaos
+#                 properties, the sharded-replay suites and the metrics
+#                 registry's per-thread shards (obs_test's threads, the
+#                 one multi-threaded subject TSan has left).
 #
 # Any stage failing aborts the pipeline with that stage's exit status.
 #
@@ -93,20 +97,37 @@ ctest --test-dir "$BUILD_DIR" -L control --output-on-failure
 cmake --build "$BUILD_DIR" -j --target control_loop >/dev/null
 "$BUILD_DIR"/bench/control_loop --smoke >/dev/null
 
-echo "=== ci 8/10: golden stdout of the learning, control, TM and replay benches ==="
+echo "=== ci 8/10: golden stdout of every deterministic bench ==="
 # "<golden name>=<bench> [args...]"; a bare bench name runs it at its
 # defaults and is its own golden name.
 GOLDEN_RUNS=(
+  fig3_dns_ttl
+  fig5_deployment
+  fig6a_benefit_budget
+  fig6b_prototype
   fig6c_learning
-  control_loop
-  ablations
-  unified_timeline
+  fig7_persistence
+  fig8_deployability
+  fig9a_granularity
+  fig9b_dns_steering
   fig10_failover
+  fig11_resilience
+  fig12_geolocation
+  fig14_ranges
+  fig15_scaling
+  table_impact
+  ablations
+  control_loop
+  chaos_runner
+  unified_timeline
   "unified_timeline.shards4=unified_timeline --shards 4"
   "chaos_runner.under_load.shards4=chaos_runner --under_load --shards 4"
 )
-cmake --build "$BUILD_DIR" -j --target fig6c_learning control_loop ablations \
-    unified_timeline fig10_failover chaos_runner >/dev/null
+mapfile -t GOLDEN_BENCHES < <(for run in "${GOLDEN_RUNS[@]}"; do
+  read -ra cmd <<<"${run#*=}"
+  echo "${cmd[0]}"
+done | sort -u)
+cmake --build "$BUILD_DIR" -j --target "${GOLDEN_BENCHES[@]}" >/dev/null
 bench_bin="$(cd "$BUILD_DIR/bench" && pwd)"
 golden_out="$(mktemp -d)"
 trap 'rm -rf "$golden_out"' EXIT
@@ -121,7 +142,7 @@ for run in "${GOLDEN_RUNS[@]}"; do
   diff -u "bench/results/golden/$name.stdout" "$golden_out/$name.stdout"
 done
 
-echo "=== ci 9/10: ASan+UBSan (sanitize|property|shard|actionspace|control labels) ==="
+echo "=== ci 9/10: ASan+UBSan (sanitize|property|shard|actionspace|control|fuzz labels) ==="
 tools/asan_check.sh
 
 echo "=== ci 10/10: TSan (sanitize|property|shard|actionspace|control labels) ==="

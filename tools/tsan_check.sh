@@ -1,16 +1,19 @@
 #!/usr/bin/env bash
-# ThreadSanitizer job for the parallel evaluation paths.
+# ThreadSanitizer job.
+#
+# The library plans, evaluates and replays on the calling thread. What
+# still runs on more than one thread is obs::MetricsRegistry: obs_test's
+# CounterMergesAcrossThreads and HistogramMergesAcrossThreads record into
+# its per-thread shards from std::threads while the merge reads them. The
+# trace sink and the flight recorder keep their mutexes for callers off the
+# simulator thread.
 #
 # Configures a dedicated build tree with -fsanitize=thread and runs the
 # tests selected by ctest label (see tests/CMakeLists.txt for the tier/label
-# scheme). The default selection is the memory/thread-heavy `sanitize` set
-# plus every `property` suite, the `shard` epoch-barrier suite, the
-# `actionspace` advertisement/catchment suites, and the `control` always-on
-# control-plane suites (whose services drive the multi-threaded
-# orchestrator from DES callbacks) (minus `slow`) — this includes the
-# thread-pool suites, the orchestrator's parallel CELF scans, and the
-# faultsim chaos batch that re-runs the same seeds at 1/2/4 worker threads.
-# Any data race fails the job.
+# scheme): the `sanitize` set (obs_test among it) plus every `property`
+# suite, the `shard` epoch-barrier suite, the `actionspace`
+# advertisement/catchment suites, and the `control` always-on control-plane
+# suites (minus `slow`). Any data race fails the job.
 #
 # Usage: tools/tsan_check.sh [build-dir] [label-regex]
 #        (defaults: build-tsan, 'sanitize|property|shard|actionspace|control')
@@ -32,4 +35,4 @@ mapfile -t TARGETS < <(ctest --test-dir "$BUILD_DIR" -N -L "$LABELS" -LE slow |
 cmake --build "$BUILD_DIR" -j --target "${TARGETS[@]}"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L "$LABELS" -LE slow
-echo "TSan check passed: no data races in the parallel evaluation paths."
+echo "TSan check passed: no data races."
