@@ -9,6 +9,7 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <stdexcept>
 #include <string>
 
 namespace painter::core {
@@ -33,6 +34,12 @@ struct OrchestratorMetrics {
       obs::Metrics().GetCounter("orchestrator.celf.cache_invalidations");
   obs::Counter& celf_expectation_fallbacks =
       obs::Metrics().GetCounter("orchestrator.celf.expectation_fallbacks");
+  // Eq. 2 probes the marginals covered, and those the base_best gate
+  // answered without a probe (their Eq. 1 term is exactly zero).
+  obs::Counter& celf_probes =
+      obs::Metrics().GetCounter("orchestrator.celf.probes");
+  obs::Counter& celf_gated_probes =
+      obs::Metrics().GetCounter("orchestrator.celf.gated_probes");
   obs::Counter& celf_commits =
       obs::Metrics().GetCounter("orchestrator.celf.commits");
   // Catchment-predicted pruning (closed `celf.pruned.*` namespace, enforced
@@ -153,7 +160,14 @@ Orchestrator::Orchestrator(const ProblemInstance& instance,
       // world before anything can be served from the cross-call cache.
       ug_dirty_(instance.UgCount(), 1),
       peering_dirty_ext_(instance.peering_count, 1),
-      dirty_ug_count_(instance.UgCount()) {}
+      dirty_ug_count_(instance.UgCount()) {
+  // Session ids must fit the model's 16-bit pair keys, and the probe gate's
+  // exactness argument (ComputeConfigImpl) bounds a mean's length by this.
+  if (instance.peering_count > RoutingModel::kMaxSessions) {
+    throw std::invalid_argument{
+        "Orchestrator: more than 65,536 sessions in the instance"};
+  }
+}
 
 bool Orchestrator::InvalidateUg(std::uint32_t ug) {
   if (ug >= instance_->UgCount()) return false;
@@ -264,6 +278,10 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
   // when the action space is widened — the legacy space never allocates them.
   std::vector<std::vector<SessionAttr>> cand_attrs(wide ? n_ug : 0);
   std::vector<std::uint8_t> cand_attributed(wide ? n_ug : 0, 0);
+  // The incremental engine's probe gate: per UG, the effective RTT an entry
+  // must undercut for its Eq. 1 term to be possibly non-zero on the prefix
+  // under construction (see the prefix-round reset below).
+  std::vector<double> gate(incremental ? n_ug : 0);
 
   // Effective single-candidate RTT per flat-index entry: the measured RTT
   // when the model has one, else the instance estimate — exactly the value
@@ -434,6 +452,8 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
     metrics.celf_evals.Add();
     const bool nx = attr.community == bgpsim::Community::kNoExportUp;
     double delta = 0.0;
+    std::uint64_t probes = 0;
+    std::uint64_t gated = 0;
     const std::size_t lo = flat_.offset[gid.value()];
     const std::size_t hi = flat_.offset[gid.value() + 1];
     for (std::size_t i = lo; i < hi; ++i) {
@@ -441,12 +461,20 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
       // A no-export announcement never reaches out-of-cone UGs: exact zero
       // contribution, skip the probe.
       if (nx && !flat_.option[i]->in_peer_cone) continue;
+      ++probes;
+      // The gate: this term is +0.0, and adding it changes no bit.
+      if (incremental && !(eff_rtt[i] < gate[u])) {
+        ++gated;
+        continue;
+      }
       const double new_e =
           expected_with_attr(u, flat_.option[i], eff_rtt[i], attr);
       const double old_best = std::min(base_best[u], cur_e[u]);
       const double new_best = std::min(base_best[u], new_e);
       delta += inst.ug_weight[u] * (old_best - new_best);
     }
+    metrics.celf_probes.Add(probes);
+    metrics.celf_gated_probes.Add(gated);
     return delta;
   };
 
@@ -458,6 +486,19 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
     for (auto& a : cand_attrs) a.clear();
     std::fill(cand_attributed.begin(), cand_attributed.end(),
               static_cast<std::uint8_t>(0));
+    // Probe gate (DESIGN.md §8): while every candidate u holds on this
+    // prefix has an effective RTT ≥ gate[u], a probe of an option that is
+    // not below gate[u] has an Eq. 1 term of exactly +0.0. Every value such
+    // a probe or cur_e[u] takes is kInf or a left-to-right mean of
+    // n ≤ 65,536 (the session limit) of those RTTs, which rounding keeps
+    // ≥ gate·(1 − n·2⁻⁵³) ≥ base_best[u]; without the 2⁻³² slack,
+    // fl(m + m + m) / 3 can read below m. Both mins then return
+    // base_best[u], and dropping w·(+0.0) from a sum that starts at +0.0
+    // changes no bit. Assumes finite weights and finite non-negative RTTs,
+    // as every instance builder makes them. A commit below the gate opens u.
+    for (std::size_t u = 0; u < gate.size(); ++u) {
+      gate[u] = base_best[u] + std::abs(base_best[u]) * 0x1p-32;
+    }
 
     // Inner loop of Algorithm 1: add peerings while one yields positive
     // marginal benefit (Eq. 1 over modelled expectations).
@@ -615,6 +656,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
         if (nx && !opt->in_peer_cone) continue;
         cur_e[u] = expected_with_attr(u, opt, eff_rtt[i], attr);
         state[u].Append(model_, u, opt, eff_rtt[i], params.d_reuse_km);
+        if (incremental && eff_rtt[i] < gate[u]) gate[u] = kInf;
         if (wide) {
           cand_attrs[u].push_back(attr);
           if (!attr.IsDefault()) cand_attributed[u] = 1;

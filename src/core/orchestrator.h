@@ -164,6 +164,8 @@ class AdvertisementEnvironment {
 
 class Orchestrator {
  public:
+  // Throws std::invalid_argument for an instance with more than
+  // RoutingModel::kMaxSessions (65,536) sessions.
   Orchestrator(const ProblemInstance& instance, OrchestratorConfig config);
 
   // One greedy pass (the body of Algorithm 1's learning iteration) under the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 
@@ -17,10 +18,17 @@ bool RoutingModel::ObservePreference(
   static obs::Counter& learned =
       obs::Metrics().GetCounter("model.preferences_learned");
   auto& set = prefers_.at(ug);
+  const auto storable = [](util::PeeringId id) {
+    return id.value() < kMaxSessions;
+  };
+  if (!storable(chosen) || !std::ranges::all_of(candidates, storable)) {
+    throw std::out_of_range{
+        "RoutingModel: ingress id does not fit a 16-bit pair key"};
+  }
   bool changed = false;
   for (util::PeeringId other : candidates) {
     if (other == chosen) continue;
-    const std::uint64_t key = PairKey(chosen, other);
+    const std::uint32_t key = PairKey(chosen, other);
     const auto it = std::lower_bound(set.begin(), set.end(), key);
     if (it == set.end() || *it != key) {
       set.insert(it, key);
@@ -29,7 +37,7 @@ bool RoutingModel::ObservePreference(
       changed = true;
     }
     // Observations are ground truth; retract any stale opposite belief.
-    const std::uint64_t opposite = PairKey(other, chosen);
+    const std::uint32_t opposite = PairKey(other, chosen);
     const auto oit = std::lower_bound(set.begin(), set.end(), opposite);
     if (oit != set.end() && *oit == opposite) {
       set.erase(oit);

@@ -44,6 +44,11 @@ namespace painter::core {
 // loop, never during an evaluation).
 class RoutingModel {
  public:
+  // Ingress ids the model can learn preferences over are < kMaxSessions: a
+  // learned pair packs (winner, loser) into one 32-bit key. The orchestrator
+  // rejects instances with more sessions than this.
+  static constexpr std::uint32_t kMaxSessions = 1u << 16;
+
   explicit RoutingModel(std::size_t ug_count);
 
   // Records an observed routing choice: `ug` entered via `chosen` while all
@@ -51,7 +56,8 @@ class RoutingModel {
   // available. Every non-chosen candidate becomes dominated by `chosen`.
   // Returns true when any pair was learned or retracted — i.e. the UG's
   // expectations may now evaluate differently (the orchestrator's cross-call
-  // seed cache keys its dirtiness off this).
+  // seed cache keys its dirtiness off this). Throws std::out_of_range, before
+  // changing anything, when `chosen` or a candidate is ≥ kMaxSessions.
   bool ObservePreference(std::uint32_t ug, util::PeeringId chosen,
                          std::span<const util::PeeringId> candidates);
 
@@ -71,21 +77,24 @@ class RoutingModel {
   // one binary search. The orchestrator's incremental engine checks a new
   // option against each candidate of the prefix under construction in both
   // directions, which is O(k log P) per probe where IsDominated over the
-  // whole list is O(k² log P).
+  // whole list is O(k² log P). False for an id ≥ kMaxSessions.
   [[nodiscard]] bool Prefers(std::uint32_t ug, util::PeeringId winner,
                              util::PeeringId loser) const {
+    if ((winner.value() | loser.value()) >= kMaxSessions) return false;
     const auto& set = prefers_[ug];
     return std::binary_search(set.begin(), set.end(), PairKey(winner, loser));
   }
 
   // True if `ug` is known to prefer `winner` over some ingress. Pair keys
   // sort by winner first, so this is one lower_bound; the orchestrator uses
-  // it to skip the Prefers searches of ingresses that never won.
+  // it to skip the Prefers searches of ingresses that never won. False for
+  // an id ≥ kMaxSessions.
   [[nodiscard]] bool HasWins(std::uint32_t ug, util::PeeringId winner) const {
+    if (winner.value() >= kMaxSessions) return false;
     const auto& set = prefers_[ug];
     const auto it = std::lower_bound(set.begin(), set.end(),
                                      PairKey(winner, util::PeeringId{0}));
-    return it != set.end() && (*it >> 32) == winner.value();
+    return it != set.end() && (*it >> 16) == winner.value();
   }
 
   // True once any pairwise preference has been observed for `ug`. The
@@ -106,15 +115,17 @@ class RoutingModel {
   }
 
  private:
-  static std::uint64_t PairKey(util::PeeringId winner, util::PeeringId loser) {
-    return (static_cast<std::uint64_t>(winner.value()) << 32) | loser.value();
+  // Both ids < kMaxSessions.
+  static std::uint32_t PairKey(util::PeeringId winner, util::PeeringId loser) {
+    return (winner.value() << 16) | loser.value();
   }
 
-  // ug -> sorted flat list of (winner << 32 | loser) pair keys. A sorted
+  // ug -> sorted flat list of (winner << 16 | loser) pair keys. A sorted
   // vector beats a hash set here: the dominance probe (Prefers, hot in the
   // greedy loop's Eq. 2 probes) is a binary search over a contiguous array,
-  // and mutation happens only in the serial Absorb phase.
-  std::vector<std::vector<std::uint64_t>> prefers_;
+  // and mutation happens only in the serial Absorb phase. Four bytes a pair:
+  // the learning loops hold hundreds of thousands of them.
+  std::vector<std::vector<std::uint32_t>> prefers_;
   // ug -> ingress -> measured RTT.
   std::vector<std::unordered_map<std::uint32_t, double>> measured_;
   std::size_t preference_count_ = 0;

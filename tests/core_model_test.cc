@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+#include <stdexcept>
+#include <utility>
+
 #include "core/problem.h"
 #include "core/routing_model.h"
 #include "tests/world_fixture.h"
@@ -196,6 +201,69 @@ TEST(RoutingModelTest, PrefersAndHasWinsAreDirected) {
   EXPECT_FALSE(model.Prefers(1, p5, p7));
   EXPECT_TRUE(model.HasWins(1, p7));
   EXPECT_TRUE(model.HasWins(1, p5));
+}
+
+TEST(RoutingModelTest, RejectsIdsBeyondSixteenBits) {
+  RoutingModel model{1};
+  const util::PeeringId top{RoutingModel::kMaxSessions - 1};
+  const util::PeeringId over{RoutingModel::kMaxSessions};  // 65,536
+  const util::PeeringId low{0};
+  const util::PeeringId with_over[] = {low, over};
+  EXPECT_THROW(model.ObservePreference(0, low, with_over), std::out_of_range);
+  const util::PeeringId legal[] = {low, top};
+  EXPECT_THROW(model.ObservePreference(0, over, legal), std::out_of_range);
+  EXPECT_EQ(model.PreferenceCount(), 0u);  // a rejected call learns nothing
+  EXPECT_FALSE(model.HasPreferences(0));
+
+  // 65,536 would alias (1, 0) and (0, 65,535) in a 16-bit key: neither may
+  // read as learned once (0, 65,535) is.
+  const util::PeeringId pair[] = {low, top};
+  ASSERT_TRUE(model.ObservePreference(0, low, pair));
+  EXPECT_TRUE(model.Prefers(0, low, top));
+  EXPECT_FALSE(model.Prefers(0, over, low));
+  EXPECT_FALSE(model.Prefers(0, low, over));
+  EXPECT_FALSE(model.HasWins(0, over));
+  EXPECT_FALSE(model.HasWins(0, util::PeeringId{1}));
+  EXPECT_TRUE(model.HasWins(0, low));
+}
+
+TEST(RoutingModelTest, PairKeysMatchReferenceSet) {
+  // Random observations over ids that straddle every byte boundary of the
+  // packed key, up to the largest legal id, against a std::set of pairs.
+  const std::uint32_t ids[] = {0, 1, 2, 255, 256, 257, 4095, 4096,
+                               65534, 65535};
+  RoutingModel model{2};
+  std::set<std::pair<std::uint32_t, std::uint32_t>> ref;
+  std::mt19937 rng{19};
+  std::uniform_int_distribution<std::size_t> pick{0, std::size(ids) - 1};
+  for (int round = 0; round < 300; ++round) {
+    std::vector<util::PeeringId> cands;
+    for (int k = 0; k < 4; ++k) {
+      cands.push_back(util::PeeringId{ids[pick(rng)]});
+    }
+    const util::PeeringId chosen = cands[pick(rng) % cands.size()];
+    model.ObservePreference(1, chosen, cands);
+    for (const util::PeeringId other : cands) {
+      if (other == chosen) continue;
+      ref.insert({chosen.value(), other.value()});
+      ref.erase({other.value(), chosen.value()});
+    }
+    if (round % 30 != 29) continue;
+    ASSERT_EQ(model.PreferenceCount(), ref.size()) << "round " << round;
+    for (const std::uint32_t w : ids) {
+      bool wins = false;
+      for (const std::uint32_t l : ids) {
+        const bool want = ref.contains({w, l});
+        wins = wins || want;
+        EXPECT_EQ(model.Prefers(1, util::PeeringId{w}, util::PeeringId{l}),
+                  want)
+            << w << " over " << l << " at round " << round;
+      }
+      EXPECT_EQ(model.HasWins(1, util::PeeringId{w}), wins)
+          << w << " at round " << round;
+    }
+  }
+  EXPECT_FALSE(model.HasPreferences(0));
 }
 
 TEST(BuildInstance, MeasuredInstanceConsistentWithWorld) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/evaluate.h"
 #include "core/orchestrator.h"
 #include "core/sim_environment.h"
@@ -351,6 +353,66 @@ TEST(SurvivingSetProbeTest, WindowShiftDropsPartOfSurvivingSet) {
   ASSERT_TRUE(e.usable);
   EXPECT_EQ(e.candidate_count, 2u);
   EXPECT_EQ(e.mean_rtt, 25.0);
+}
+
+TEST(ProbeGateTest, RoundingResidueBelowBaseBestStillCounts) {
+  // UG0 hears a=0, b=1 and c=2, each at exactly its anycast RTT m, where
+  // fl(fl(m + m) + m) / 3 < m. UG1 hears a and c, UG2 b and c (10 ms each,
+  // anycast 50); UG3 and UG4 (anycast 100) make a and b worth more than c.
+  constexpr double m = 13.7;
+  const util::PeeringId a{0};
+  const util::PeeringId b{1};
+  const util::PeeringId c{2};
+  const ProblemInstance inst = HandInstance(
+      3, {{1.0, m, {Opt(0, m, 100.0), Opt(1, m, 100.0), Opt(2, m, 100.0)}},
+          {1.0, 50.0, {Opt(0, 10.0, 100.0), Opt(2, 10.0, 100.0)}},
+          {1.0, 50.0, {Opt(1, 10.0, 100.0), Opt(2, 10.0, 100.0)}},
+          {1.0, 100.0, {Opt(0, 10.0, 100.0)}},
+          {1.0, 100.0, {Opt(1, 10.0, 100.0)}}});
+  OrchestratorConfig cfg;
+  cfg.prefix_budget = 1;
+  Orchestrator fast{inst, cfg};
+  cfg.incremental_celf = false;
+  Orchestrator naive{inst, cfg};
+  const ExpectationParams params = cfg.Expectation();
+  const util::PeeringId abc[] = {a, b, c};
+  const util::PeeringId ab[] = {a, b};
+  ASSERT_EQ(ComputeExpectation(inst, naive.model(), 0, ab, params).mean_rtt, m);
+  ASSERT_LT(ComputeExpectation(inst, naive.model(), 0, abc, params).mean_rtt,
+            m);
+
+  // Seeds a (130) = b (130) > c (80); a commits, then b (130 again: UG0's
+  // mean stays m). c's fresh marginal is UG0's residue alone (UG1 and UG2
+  // already have 10 ms), a few 1e-15 ms, still positive, so c commits. A
+  // gate with no slack keeps UG0 closed (no candidate below m), skips that
+  // probe, and rejects c.
+  obs::Counter& gated =
+      obs::Metrics().GetCounter("orchestrator.celf.gated_probes");
+  const std::uint64_t gated0 = gated.Value();
+  const CountedConfig got = ComputeCounted(fast);
+  EXPECT_EQ(gated.Value() - gated0, 0u);
+  const CountedConfig ref = ComputeCounted(naive);
+  const std::vector<std::vector<util::PeeringId>> want{{a, b, c}};
+  EXPECT_EQ(Schedule(got.config), want);
+  EXPECT_EQ(Schedule(ref.config), want);
+  EXPECT_EQ(got.evaluations, 5u);
+  EXPECT_EQ(ref.evaluations, 5u);
+  const Orchestrator::Prediction pf = fast.Predict(got.config);
+  const Orchestrator::Prediction pn = naive.Predict(ref.config);
+  EXPECT_EQ(pf.mean_ms, pn.mean_ms);
+  EXPECT_EQ(pf.lower_ms, pn.lower_ms);
+  EXPECT_EQ(pf.upper_ms, pn.upper_ms);
+  EXPECT_EQ(pf.estimated_ms, pn.estimated_ms);
+}
+
+TEST(ProbeGateTest, RejectsMoreSessionsThanPairKeysHold) {
+  const ProblemInstance small = HandInstance(
+      RoutingModel::kMaxSessions, {{1.0, 50.0, {Opt(0, 10.0, 100.0)}}});
+  EXPECT_NO_THROW((Orchestrator{small, OrchestratorConfig{}}));
+  const ProblemInstance big = HandInstance(
+      RoutingModel::kMaxSessions + 1, {{1.0, 50.0, {Opt(0, 10.0, 100.0)}}});
+  EXPECT_THROW((Orchestrator{big, OrchestratorConfig{}}),
+               std::invalid_argument);
 }
 
 TEST(AdvertisementConfigTest, AddAndQuery) {

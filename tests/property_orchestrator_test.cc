@@ -3,6 +3,8 @@
 // benefit, reuse dominating its ablation in the model, and determinism.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/baselines.h"
 #include "core/evaluate.h"
 #include "core/orchestrator.h"
@@ -91,23 +93,66 @@ TEST_P(OrchestratorPropertyTest, Deterministic) {
   }
 }
 
-// The incremental CELF engine (cross-round seed-marginal cache + per-UG
-// surviving-set probes) must produce the exact schedule of a from-scratch
-// recompute. DESIGN.md "Incremental CELF evaluation" argues why; this checks
-// it across seeded worlds.
-TEST_P(OrchestratorPropertyTest, IncrementalMatchesNaiveRecompute) {
-  OrchestratorConfig fast;
-  fast.prefix_budget = 7;
-  fast.incremental_celf = true;
-  OrchestratorConfig slow = fast;
-  slow.incremental_celf = false;
-  Orchestrator a{inst_, fast};
-  Orchestrator b{inst_, slow};
-  const auto ca = a.ComputeConfig();
-  const auto cb = b.ComputeConfig();
-  ASSERT_EQ(ca.PrefixCount(), cb.PrefixCount());
+// The fixture instance with every option and anycast RTT moved onto a grid
+// of five values, so effective RTTs often tie a UG's best expectation and
+// equal-RTT candidates often share a prefix: the inputs on which the
+// incremental engine's probe gate must still be exact. 13.7, 29.9 and 55.3
+// each give fl(fl(m + m) + m) / 3 < m.
+ProblemInstance TieHeavy(ProblemInstance inst) {
+  constexpr double kGrid[] = {9.7, 13.7, 29.9, 55.3, 80.1};
+  const auto snap = [&](double ms) {
+    return kGrid[static_cast<std::size_t>(ms) % std::size(kGrid)];
+  };
+  for (double& ms : inst.anycast_rtt_ms) ms = snap(ms);
+  for (auto& opts : inst.options) {
+    for (IngressOption& o : opts) o.rtt_ms = snap(o.rtt_ms);
+  }
+  return inst;
+}
+
+void ExpectSamePlan(const Orchestrator& fast, const AdvertisementConfig& ca,
+                    const Orchestrator& naive, const AdvertisementConfig& cb,
+                    const std::string& where) {
+  ASSERT_EQ(ca.PrefixCount(), cb.PrefixCount()) << where;
   for (std::size_t p = 0; p < ca.PrefixCount(); ++p) {
-    EXPECT_EQ(ca.Sessions(p), cb.Sessions(p)) << "prefix=" << p;
+    EXPECT_EQ(ca.Sessions(p), cb.Sessions(p)) << where << " prefix=" << p;
+  }
+  const Orchestrator::Prediction pa = fast.Predict(ca);
+  const Orchestrator::Prediction pb = naive.Predict(cb);
+  EXPECT_EQ(pa.lower_ms, pb.lower_ms) << where;
+  EXPECT_EQ(pa.mean_ms, pb.mean_ms) << where;
+  EXPECT_EQ(pa.estimated_ms, pb.estimated_ms) << where;
+  EXPECT_EQ(pa.upper_ms, pb.upper_ms) << where;
+}
+
+// The incremental CELF engine (cross-round seed-marginal cache, per-UG
+// surviving-set probes, the base_best probe gate) must produce the exact
+// schedule of a from-scratch recompute. DESIGN.md "Incremental CELF
+// evaluation" argues why; this checks it across seeded worlds, on the
+// fixture instance and on its tie-heavy twin, where the gate must skip some
+// probes.
+TEST_P(OrchestratorPropertyTest, IncrementalMatchesNaiveRecompute) {
+  obs::Counter& gated =
+      obs::Metrics().GetCounter("orchestrator.celf.gated_probes");
+  const ProblemInstance ties = TieHeavy(inst_);
+  const ProblemInstance* const inputs[] = {&inst_, &ties};
+  for (const ProblemInstance* inst : inputs) {
+    const std::uint64_t gated0 = gated.Value();
+    for (const std::size_t budget : {2u, 4u, 7u}) {
+      OrchestratorConfig fast;
+      fast.prefix_budget = budget;
+      fast.incremental_celf = true;
+      OrchestratorConfig slow = fast;
+      slow.incremental_celf = false;
+      Orchestrator a{*inst, fast};
+      Orchestrator b{*inst, slow};
+      ExpectSamePlan(a, a.ComputeConfig(), b, b.ComputeConfig(),
+                     (inst == &ties ? "ties budget=" : "budget=") +
+                         std::to_string(budget));
+    }
+    if (inst == &ties) {
+      EXPECT_GT(gated.Value() - gated0, 0u);
+    }
   }
 }
 
@@ -115,38 +160,46 @@ TEST_P(OrchestratorPropertyTest, IncrementalMatchesNaiveRecompute) {
 // RTTs — the regime where probes must track dominance as well as D_reuse —
 // checked after every learning iteration, not only the last, at D_reuse
 // values that make the window bite hard (500 km), partly (1500 km) and
-// rarely (3000 km). The incremental calls must walk the candidate list at
-// least once, so the walk is cross-checked too; the hand-made cases in
-// core_orchestrator_test pin which probes answer in O(1).
+// rarely (3000 km), on the fixture instance and its tie-heavy twin. The
+// incremental calls must walk the candidate list at least once, so the walk
+// is cross-checked too; the hand-made cases in core_orchestrator_test pin
+// which probes answer in O(1).
 TEST_P(OrchestratorPropertyTest, IncrementalMatchesNaiveWithLearnedModel) {
   obs::Counter& walks =
       obs::Metrics().GetCounter("orchestrator.celf.expectation_fallbacks");
-  for (const double d_reuse : {500.0, 1500.0, 3000.0}) {
-    OrchestratorConfig cfg;
-    cfg.prefix_budget = 6;
-    cfg.d_reuse_km = d_reuse;
-    Orchestrator learned{inst_, cfg};
-    OrchestratorConfig naive_cfg = cfg;
-    naive_cfg.incremental_celf = false;
-    Orchestrator naive{inst_, naive_cfg};
-    SimEnvironment env{*w_.resolver, *w_.oracle, util::Rng{GetParam() + 9}};
-    std::uint64_t walk_count = 0;
-    for (std::size_t iter = 0; iter < 3; ++iter) {
-      (void)learned.RunLearningIteration(env, iter);
-      naive.mutable_model() = learned.model();
-      const std::uint64_t walks0 = walks.Value();
-      const auto ca = learned.ComputeConfig();
-      walk_count += walks.Value() - walks0;
-      const auto cb = naive.ComputeConfig();
-      ASSERT_EQ(ca.PrefixCount(), cb.PrefixCount())
-          << "d_reuse=" << d_reuse << " iter=" << iter;
-      for (std::size_t p = 0; p < ca.PrefixCount(); ++p) {
-        EXPECT_EQ(ca.Sessions(p), cb.Sessions(p))
-            << "d_reuse=" << d_reuse << " iter=" << iter << " prefix=" << p;
+  obs::Counter& gated =
+      obs::Metrics().GetCounter("orchestrator.celf.gated_probes");
+  const ProblemInstance ties = TieHeavy(inst_);
+  const ProblemInstance* const inputs[] = {&inst_, &ties};
+  for (const ProblemInstance* inst : inputs) {
+    const std::uint64_t gated0 = gated.Value();
+    for (const double d_reuse : {500.0, 1500.0, 3000.0}) {
+      OrchestratorConfig cfg;
+      cfg.prefix_budget = 6;
+      cfg.d_reuse_km = d_reuse;
+      Orchestrator learned{*inst, cfg};
+      OrchestratorConfig naive_cfg = cfg;
+      naive_cfg.incremental_celf = false;
+      Orchestrator naive{*inst, naive_cfg};
+      SimEnvironment env{*w_.resolver, *w_.oracle, util::Rng{GetParam() + 9}};
+      std::uint64_t walk_count = 0;
+      for (std::size_t iter = 0; iter < 3; ++iter) {
+        (void)learned.RunLearningIteration(env, iter);
+        naive.mutable_model() = learned.model();
+        const std::uint64_t walks0 = walks.Value();
+        const auto ca = learned.ComputeConfig();
+        walk_count += walks.Value() - walks0;
+        ExpectSamePlan(learned, ca, naive, naive.ComputeConfig(),
+                       std::string{inst == &ties ? "ties " : ""} +
+                           "d_reuse=" + std::to_string(d_reuse) +
+                           " iter=" + std::to_string(iter));
       }
+      ASSERT_GT(learned.model().PreferenceCount(), 0u);
+      EXPECT_GT(walk_count, 0u) << "d_reuse=" << d_reuse;
     }
-    ASSERT_GT(learned.model().PreferenceCount(), 0u);
-    EXPECT_GT(walk_count, 0u) << "d_reuse=" << d_reuse;
+    if (inst == &ties) {
+      EXPECT_GT(gated.Value() - gated0, 0u);
+    }
   }
 }
 

@@ -30,7 +30,7 @@ cmake -B "$BUILD_DIR" -S . \
 mapfile -t TARGETS < <(ctest --test-dir "$BUILD_DIR" -N -L "$LABELS" -LE slow |
   sed -n 's/^ *Test *#[0-9]*: //p')
 [[ ${#TARGETS[@]} -gt 0 ]] || { echo "no tests match -L '$LABELS'" >&2; exit 1; }
-cmake --build "$BUILD_DIR" -j --target "${TARGETS[@]}"
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}"
 
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L "$LABELS" -LE slow
 echo "ASan+UBSan check passed: no memory errors or undefined behavior."

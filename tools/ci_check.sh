@@ -68,7 +68,7 @@ python3 tools/metrics_lint.py
 
 echo "=== ci 1/10: tier1 correctness gate ==="
 cmake -B "$BUILD_DIR" -S . >/dev/null
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure
 
 echo "=== ci 2/10: property suites ==="
@@ -79,22 +79,22 @@ ctest --test-dir "$BUILD_DIR" -L actionspace --output-on-failure
 
 echo "=== ci 4/10: workload tier + throughput smoke ==="
 ctest --test-dir "$BUILD_DIR" -L workload --output-on-failure
-cmake --build "$BUILD_DIR" -j --target workload_throughput >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target workload_throughput >/dev/null
 "$BUILD_DIR"/bench/workload_throughput --smoke >/dev/null
 
 echo "=== ci 5/10: shard tier + sharded-timeline smoke ==="
 ctest --test-dir "$BUILD_DIR" -L shard --output-on-failure
-cmake --build "$BUILD_DIR" -j --target unified_timeline >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target unified_timeline >/dev/null
 "$BUILD_DIR"/bench/unified_timeline --smoke --shards 2 >/dev/null
 
 echo "=== ci 6/10: timeline tier + unified-timeline smoke ==="
 ctest --test-dir "$BUILD_DIR" -L timeline --output-on-failure
-cmake --build "$BUILD_DIR" -j --target unified_timeline >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target unified_timeline >/dev/null
 "$BUILD_DIR"/bench/unified_timeline --smoke >/dev/null
 
 echo "=== ci 7/10: control tier + control-loop smoke ==="
 ctest --test-dir "$BUILD_DIR" -L control --output-on-failure
-cmake --build "$BUILD_DIR" -j --target control_loop >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target control_loop >/dev/null
 "$BUILD_DIR"/bench/control_loop --smoke >/dev/null
 
 echo "=== ci 8/10: golden stdout of every deterministic bench ==="
@@ -127,7 +127,7 @@ mapfile -t GOLDEN_BENCHES < <(for run in "${GOLDEN_RUNS[@]}"; do
   read -ra cmd <<<"${run#*=}"
   echo "${cmd[0]}"
 done | sort -u)
-cmake --build "$BUILD_DIR" -j --target "${GOLDEN_BENCHES[@]}" >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${GOLDEN_BENCHES[@]}" >/dev/null
 bench_bin="$(cd "$BUILD_DIR/bench" && pwd)"
 golden_out="$(mktemp -d)"
 trap 'rm -rf "$golden_out"' EXIT

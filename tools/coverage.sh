@@ -25,7 +25,7 @@ cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="--coverage" \
   -DCMAKE_EXE_LINKER_FLAGS="--coverage" >/dev/null
-cmake --build "$BUILD_DIR" -j >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" >/dev/null
 
 # Stale counters from a previous run would inflate the numbers.
 find "$BUILD_DIR" -name '*.gcda' -delete

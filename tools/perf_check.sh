@@ -60,11 +60,11 @@ cmake -B "$BUILD_DIR" -S . >/dev/null
 mapfile -t TARGETS < <(ctest --test-dir "$BUILD_DIR" -N -L "$LABELS" -LE slow |
   sed -n 's/^ *Test *#[0-9]*: //p')
 [[ ${#TARGETS[@]} -gt 0 ]] || { echo "no tests match -L '$LABELS'" >&2; exit 1; }
-cmake --build "$BUILD_DIR" -j --target "${TARGETS[@]}" >/dev/null
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}" >/dev/null
 ctest --test-dir "$BUILD_DIR" -L "$LABELS" -LE slow --output-on-failure
 
 # --- Performance gate. ---
-cmake --build "$BUILD_DIR" -j --target micro_orchestrator
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target micro_orchestrator
 
 mkdir -p "$REPORT_DIR"
 PAINTER_REPORT_DIR="$REPORT_DIR" \
@@ -81,7 +81,7 @@ else
 fi
 
 # --- Catchment-pruning gate: evaluation savings + no-slowdown. ---
-cmake --build "$BUILD_DIR" -j --target fig6c_learning
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target fig6c_learning
 PAINTER_REPORT_DIR="$REPORT_DIR" "$BUILD_DIR"/bench/fig6c_learning >/dev/null
 PRUNING_REPORT="$REPORT_DIR/BENCH_fig6c_learning.json"
 python3 - "$PRUNING_REPORT" <<'PY'
@@ -101,7 +101,7 @@ if on > off * 1.10:
 PY
 
 # --- Workload-engine gate: scale thresholds + perf trajectory. ---
-cmake --build "$BUILD_DIR" -j --target workload_throughput
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target workload_throughput
 PAINTER_REPORT_DIR="$REPORT_DIR" "$BUILD_DIR"/bench/workload_throughput
 WORKLOAD_REPORT="$REPORT_DIR/BENCH_workload_throughput.json"
 
@@ -137,7 +137,7 @@ if ratio < 1.0:
 PY
 
 # --- Unified-timeline gate: one-clock interleaving + perf trajectory. ---
-cmake --build "$BUILD_DIR" -j --target unified_timeline
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target unified_timeline
 PAINTER_REPORT_DIR="$REPORT_DIR" "$BUILD_DIR"/bench/unified_timeline
 TIMELINE_REPORT="$REPORT_DIR/BENCH_unified_timeline.json"
 
@@ -154,7 +154,7 @@ fi
 # --- Chaos-under-load gate: detection-latency SLO + perf trajectory. ---
 # The runner itself asserts the SLO in its exit status (invariant violations
 # or loaded p99 > 8 RTTs fail here, not just drift vs the baseline).
-cmake --build "$BUILD_DIR" -j --target chaos_runner
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target chaos_runner
 PAINTER_REPORT_DIR="$REPORT_DIR" \
   "$BUILD_DIR"/bench/chaos_runner --under_load --seeds 10
 CHAOS_REPORT="$REPORT_DIR/BENCH_chaos_under_load.json"
@@ -173,7 +173,7 @@ fi
 # The bench itself exits non-zero if a fault goes unanswered, the audit
 # mismatches, or the cross-call cache never hit; the report re-assert below
 # keeps the numeric gates visible in CI output.
-cmake --build "$BUILD_DIR" -j --target control_loop
+cmake --build "$BUILD_DIR" -j "$(nproc)" --target control_loop
 PAINTER_REPORT_DIR="$REPORT_DIR" "$BUILD_DIR"/bench/control_loop >/dev/null
 CONTROL_REPORT="$REPORT_DIR/BENCH_control_loop.json"
 python3 - "$CONTROL_REPORT" <<'PY'
