@@ -823,7 +823,10 @@ Orchestrator::IterationReport Orchestrator::RunLearningIteration(
   // Registry growth is bounded: per-slot `iterN` gauges stop at
   // max_iter_metric_series (historical names kept below the cap), while the
   // rolling `last.*` family is overwritten every iteration — a run of any
-  // length leaves O(cap) gauges behind, never O(iterations).
+  // length leaves O(cap) gauges behind, never O(iterations). Iteration 0
+  // unsets the slots an earlier run filled, so the export holds one run's
+  // series, not a longer earlier run's tail.
+  if (iter == 0) obs::Metrics().UnsetGauges("orchestrator.learn.iter");
   const auto emit = [&](const std::string& prefix) {
     obs::Metrics().GetGauge(prefix + "predicted_mean_ms")
         .Set(report.predicted.mean_ms);

@@ -125,6 +125,8 @@ struct OrchestratorConfig {
   // per-slot names; beyond it only the rolling `orchestrator.learn.last.*`
   // gauges (emitted every iteration) advance, so an arbitrarily long
   // learning run adds O(1) registry entries instead of O(iterations).
+  // Iteration 0 unsets every per-slot gauge an earlier run set, so the
+  // export holds one run's series.
   std::size_t max_iter_metric_series = 64;
 
   [[nodiscard]] ExpectationParams Expectation() const {

@@ -1,6 +1,6 @@
 #include "obs/metrics.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -11,66 +11,32 @@
 
 namespace painter::obs {
 
-// One thread's private slice of every metric. Writers lock only their own
-// shard's mutex (uncontended in steady state — each shard has exactly one
-// writing thread); Collect/Reset lock the registry, then each shard, in
-// registration order. Lock order is always registry -> shard, never the
-// reverse, so the two sides cannot deadlock.
-struct MetricsRegistry::Shard {
-  std::mutex mu;
-  std::vector<std::uint64_t> counters;  // by counter id; grown on demand
-  struct HistShard {
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-  };
-  std::vector<HistShard> hists;  // by histogram id; grown on demand
-};
-
 namespace {
 
-// Registries get process-unique serials so the thread-local shard cache can
-// never confuse a new registry allocated at a freed registry's address.
-std::atomic<std::uint64_t> g_registry_serial{1};
-
-thread_local struct ShardCache {
-  struct Slot {
-    std::uint64_t serial;
-    MetricsRegistry::Shard* shard;
-  };
-  std::vector<Slot> slots;
-} t_shards;
-
-std::size_t BucketOf(double v, const HistogramSpec& spec) {
+std::size_t BucketOf(double v, const HistogramSpec& spec, double log_growth) {
   if (!(v >= spec.min_bound)) return 0;  // underflow (and NaN) bucket
-  const std::size_t i =
-      1 + static_cast<std::size_t>(
-              std::floor(std::log(v / spec.min_bound) / std::log(spec.growth)));
-  return std::min(i, spec.buckets - 1);
+  const double k = std::floor(std::log(v / spec.min_bound) / log_growth);
+  // Clamp before the cast: +inf, or anything past std::size_t, would make
+  // the conversion undefined. Finite in-range values are unchanged.
+  return static_cast<std::size_t>(
+      std::min(1.0 + k, static_cast<double>(spec.buckets - 1)));
+}
+
+// Get-or-create `name` in `own`; `a` and `b` hold the other two kinds.
+template <typename T, typename A, typename B, typename Make>
+T& GetOrCreate(std::map<std::string, std::unique_ptr<T>, std::less<>>& own,
+               const A& a, const B& b, std::string_view name, Make make) {
+  if (a.contains(name) || b.contains(name)) {
+    throw std::logic_error{"metric kind mismatch: " + std::string(name)};
+  }
+  auto it = own.find(name);
+  if (it == own.end()) {
+    it = own.emplace(std::string(name), std::unique_ptr<T>(make())).first;
+  }
+  return *it->second;
 }
 
 }  // namespace
-
-MetricsRegistry::Shard& MetricsRegistry::LocalShard() {
-  for (const auto& slot : t_shards.slots) {
-    if (slot.serial == serial_) return *slot.shard;
-  }
-  auto shard = std::make_unique<Shard>();
-  Shard* raw = shard.get();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shards_.push_back(std::move(shard));
-  }
-  t_shards.slots.push_back({serial_, raw});
-  return *raw;
-}
-
-MetricsRegistry::MetricsRegistry()
-    : serial_(g_registry_serial.fetch_add(1)) {}
-
-MetricsRegistry::~MetricsRegistry() = default;
 
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* g = [] {
@@ -90,31 +56,14 @@ MetricsRegistry& MetricsRegistry::Global() {
 
 Counter& MetricsRegistry::GetCounter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (gauge_ids_.count(name) || histogram_ids_.count(name)) {
-    throw std::logic_error{"metric kind mismatch: " + std::string(name)};
-  }
-  auto [it, inserted] =
-      counter_ids_.emplace(std::string(name),
-                           static_cast<std::uint32_t>(counters_.size()));
-  if (inserted) {
-    counters_.push_back(CounterInfo{std::string(name), nullptr});
-    counters_.back().handle.reset(new Counter(this, it->second));
-  }
-  return *counters_[it->second].handle;
+  return GetOrCreate(counters_, gauges_, histograms_, name,
+                     [] { return new Counter(); });
 }
 
 Gauge& MetricsRegistry::GetGauge(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (counter_ids_.count(name) || histogram_ids_.count(name)) {
-    throw std::logic_error{"metric kind mismatch: " + std::string(name)};
-  }
-  auto [it, inserted] = gauge_ids_.emplace(
-      std::string(name), static_cast<std::uint32_t>(gauges_.size()));
-  if (inserted) {
-    gauges_.push_back(GaugeInfo{std::string(name), 0.0, false, nullptr});
-    gauges_.back().handle.reset(new Gauge(this, it->second));
-  }
-  return *gauges_[it->second].handle;
+  return GetOrCreate(gauges_, counters_, histograms_, name,
+                     [] { return new Gauge(); });
 }
 
 Histogram& MetricsRegistry::GetHistogram(std::string_view name,
@@ -124,97 +73,55 @@ Histogram& MetricsRegistry::GetHistogram(std::string_view name,
                                 "min_bound > 0"};
   }
   std::lock_guard<std::mutex> lock(mu_);
-  if (counter_ids_.count(name) || gauge_ids_.count(name)) {
-    throw std::logic_error{"metric kind mismatch: " + std::string(name)};
-  }
-  auto [it, inserted] = histogram_ids_.emplace(
-      std::string(name), static_cast<std::uint32_t>(histograms_.size()));
-  if (inserted) {
-    histograms_.push_back(HistogramInfo{std::string(name), nullptr});
-    histograms_.back().handle.reset(new Histogram(this, it->second, spec));
-  }
-  return *histograms_[it->second].handle;
+  return GetOrCreate(histograms_, counters_, gauges_, name,
+                     [&spec] { return new Histogram(spec); });
 }
 
-void Counter::Add(std::uint64_t n) {
-  MetricsRegistry::Shard& s = reg_->LocalShard();
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (id_ >= s.counters.size()) s.counters.resize(id_ + 1, 0);
-  s.counters[id_] += n;
-}
-
-std::uint64_t MetricsRegistry::MergedCounter(std::uint32_t id) const {
-  std::uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (id < shard->counters.size()) total += shard->counters[id];
-  }
-  return total;
-}
-
-std::uint64_t Counter::Value() const {
-  std::lock_guard<std::mutex> lock(reg_->mu_);
-  return reg_->MergedCounter(id_);
-}
-
-void Gauge::Set(double v) {
-  std::lock_guard<std::mutex> lock(reg_->mu_);
-  reg_->gauges_[id_].value = v;
-  reg_->gauges_[id_].set = true;
-}
-
-double Gauge::Value() const {
-  std::lock_guard<std::mutex> lock(reg_->mu_);
-  return reg_->gauges_[id_].value;
-}
+Histogram::Histogram(const HistogramSpec& spec)
+    : spec_(spec), log_growth_(std::log(spec.growth)),
+      buckets_(spec.buckets, 0) {}
 
 void Histogram::Record(double v) {
-  MetricsRegistry::Shard& s = reg_->LocalShard();
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (id_ >= s.hists.size()) s.hists.resize(id_ + 1);
-  auto& h = s.hists[id_];
-  if (h.buckets.empty()) h.buckets.assign(spec_.buckets, 0);
-  ++h.buckets[BucketOf(v, spec_)];
-  if (h.count == 0 || v < h.min) h.min = v;
-  if (h.count == 0 || v > h.max) h.max = v;
-  ++h.count;
-  h.sum += v;
+  const std::size_t bucket = BucketOf(v, spec_, log_growth_);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++buckets_[bucket];
+  if (count_ == 0 || v < min_) min_ = v;
+  if (count_ == 0 || v > max_) max_ = v;
+  ++count_;
+  sum_ += v;
 }
 
 std::uint64_t Histogram::Count() const {
-  std::lock_guard<std::mutex> lock(reg_->mu_);
-  std::uint64_t total = 0;
-  for (const auto& shard : reg_->shards_) {
-    std::lock_guard<std::mutex> slock(shard->mu);
-    if (id_ < shard->hists.size()) total += shard->hists[id_].count;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return count_;
 }
 
 std::vector<std::uint64_t> Histogram::BucketCounts() const {
-  std::lock_guard<std::mutex> lock(reg_->mu_);
-  std::vector<std::uint64_t> out(spec_.buckets, 0);
-  for (const auto& shard : reg_->shards_) {
-    std::lock_guard<std::mutex> slock(shard->mu);
-    if (id_ >= shard->hists.size()) continue;
-    const auto& h = shard->hists[id_];
-    for (std::size_t b = 0; b < h.buckets.size() && b < out.size(); ++b) {
-      out[b] += h.buckets[b];
-    }
-  }
-  return out;
+  std::lock_guard<std::mutex> lock(mu_);
+  return buckets_;
+}
+
+void Histogram::Reset() {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::fill(buckets_.begin(), buckets_.end(), 0);
+  count_ = 0;
+  sum_ = min_ = max_ = 0.0;
 }
 
 void MetricsRegistry::ResetValues() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> slock(shard->mu);
-    shard->counters.assign(shard->counters.size(), 0);
-    shard->hists.assign(shard->hists.size(), {});
+  for (auto& [name, c] : counters_) {
+    c->value_.store(0, std::memory_order_relaxed);
   }
-  for (auto& g : gauges_) {
-    g.value = 0.0;
-    g.set = false;
+  for (auto& [name, g] : gauges_) g->Unset();
+  for (auto& [name, h] : histograms_) h->Reset();
+}
+
+void MetricsRegistry::UnsetGauges(std::string_view prefix) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = gauges_.lower_bound(prefix);
+       it != gauges_.end() && it->first.starts_with(prefix); ++it) {
+    it->second->Unset();
   }
 }
 
@@ -225,46 +132,30 @@ void MetricsRegistry::WriteJson(std::ostream& os) const {
 
   w.Key("counters");
   w.BeginObject();
-  for (const auto& [name, id] : counter_ids_) {  // map: sorted by name
+  for (const auto& [name, c] : counters_) {
     w.Key(name);
-    w.Number(MergedCounter(id));
+    w.Number(c->Value());
   }
   w.EndObject();
 
   w.Key("gauges");
   w.BeginObject();
-  for (const auto& [name, id] : gauge_ids_) {
-    if (!gauges_[id].set) continue;
+  for (const auto& [name, g] : gauges_) {
+    if (!g->set_.load(std::memory_order_relaxed)) continue;
     w.Key(name);
-    w.Number(gauges_[id].value);
+    w.Number(g->Value());
   }
   w.EndObject();
 
   w.Key("histograms");
   w.BeginObject();
-  for (const auto& [name, id] : histogram_ids_) {
-    const HistogramSpec& spec = histograms_[id].handle->spec_;
-    // Merge this histogram across shards in registration order.
-    std::vector<std::uint64_t> buckets(spec.buckets, 0);
-    std::uint64_t count = 0;
-    double sum = 0.0, mn = 0.0, mx = 0.0;
-    for (const auto& shard : shards_) {
-      std::lock_guard<std::mutex> slock(shard->mu);
-      if (id >= shard->hists.size()) continue;
-      const auto& h = shard->hists[id];
-      if (h.count == 0) continue;
-      for (std::size_t b = 0; b < h.buckets.size() && b < buckets.size(); ++b) {
-        buckets[b] += h.buckets[b];
-      }
-      if (count == 0 || h.min < mn) mn = h.min;
-      if (count == 0 || h.max > mx) mx = h.max;
-      count += h.count;
-      sum += h.sum;
-    }
+  for (const auto& [name, h] : histograms_) {
+    const HistogramSpec& spec = h->spec_;
+    std::lock_guard<std::mutex> hlock(h->mu_);
     w.Key(name);
     w.BeginObject();
     w.Key("count");
-    w.Number(count);
+    w.Number(h->count_);
     w.Key("min_bound");
     w.Number(spec.min_bound);
     w.Key("growth");
@@ -276,17 +167,17 @@ void MetricsRegistry::WriteJson(std::ostream& os) const {
     const char* min_key = spec.wall_clock ? "wall_min" : "min";
     const char* max_key = spec.wall_clock ? "wall_max" : "max";
     const char* buckets_key = spec.wall_clock ? "wall_buckets" : "buckets";
-    if (count > 0) {
+    if (h->count_ > 0) {
       w.Key(sum_key);
-      w.Number(sum);
+      w.Number(h->sum_);
       w.Key(min_key);
-      w.Number(mn);
+      w.Number(h->min_);
       w.Key(max_key);
-      w.Number(mx);
+      w.Number(h->max_);
     }
     w.Key(buckets_key);
     w.BeginArray();
-    for (const std::uint64_t b : buckets) w.Number(b);
+    for (const std::uint64_t b : h->buckets_) w.Number(b);
     w.EndArray();
     w.EndObject();
   }
@@ -304,20 +195,20 @@ std::string MetricsRegistry::ToJson() const {
 
 std::uint64_t MetricsRegistry::CounterValue(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = counter_ids_.find(name);
-  if (it == counter_ids_.end()) {
+  const auto it = counters_.find(name);
+  if (it == counters_.end()) {
     throw std::out_of_range{"no counter named " + std::string(name)};
   }
-  return MergedCounter(it->second);
+  return it->second->Value();
 }
 
 double MetricsRegistry::GaugeValue(std::string_view name) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = gauge_ids_.find(name);
-  if (it == gauge_ids_.end()) {
+  const auto it = gauges_.find(name);
+  if (it == gauges_.end()) {
     throw std::out_of_range{"no gauge named " + std::string(name)};
   }
-  return gauges_[it->second].value;
+  return it->second->Value();
 }
 
 }  // namespace painter::obs

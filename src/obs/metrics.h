@@ -1,16 +1,17 @@
 // Metrics registry: named counters, gauges, and fixed-bucket exponential
 // histograms, exported as JSON.
 //
-// Thread-safety (DESIGN.md's determinism rule): writers touch only a
-// per-thread shard (no contention on the hot path), and Collect() merges
-// shards in their fixed registration order. Counter and histogram-bucket
-// merges are integer sums — order-independent, hence bit-identical across
-// runs with the same workload regardless of which thread incremented what.
-// Histogram value sums are doubles; they are merged in shard order, which is
-// deterministic within a run, and are anyway only used for wall-clock
-// measurements whose *values* differ run to run (those fields are emitted
-// under `wall_*` keys so consumers can strip them when diffing runs — see
-// StripVolatile in report.h).
+// Each handle owns its value: a counter is one relaxed atomic, a gauge an
+// atomic value plus an atomic `set` flag, a histogram its buckets and
+// summary under its own mutex. The registry itself only maps names to
+// handles, under one mutex taken on registration, reset and export — never
+// on the record path. Any thread may record; counter and bucket values are
+// integer sums, so they do not depend on which thread recorded what.
+// Histogram value sums are doubles accumulated in recording order, which is
+// deterministic for the single-threaded library, and are anyway only used
+// for wall-clock measurements whose *values* differ run to run (those
+// fields are emitted under `wall_*` keys so consumers can strip them when
+// diffing runs — see StripVolatile in report.h).
 //
 // Metric naming convention (README "Observability"): lowercase
 // dot-separated paths, `<subsystem>.<object>.<event-or-quantity>`, with a
@@ -28,8 +29,8 @@
 // cached handles) valid — tests use it to isolate runs.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -40,39 +41,50 @@
 
 namespace painter::obs {
 
-class MetricsRegistry;
-
-// Monotonic event count. Add() takes one uncontended lock, of the calling
-// thread's own shard; no process-wide lock after the first call on a thread.
+// Monotonic event count: one relaxed atomic add, no lock.
 class Counter {
  public:
-  void Add(std::uint64_t n = 1);
-  [[nodiscard]] std::uint64_t Value() const;
+  void Add(std::uint64_t n = 1) {
+    value_.fetch_add(n, std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t Value() const {
+    return value_.load(std::memory_order_relaxed);
+  }
 
  private:
   friend class MetricsRegistry;
-  Counter(MetricsRegistry* reg, std::uint32_t id) : reg_(reg), id_(id) {}
-  MetricsRegistry* reg_;
-  std::uint32_t id_;
+  Counter() = default;
+  std::atomic<std::uint64_t> value_{0};
 };
 
-// Last-written value. Set() takes the registry mutex — gauges record
-// per-phase results (iteration benefit, detection delay), not hot-loop data.
+// Last-written value. Gauges record per-phase results (iteration benefit,
+// detection delay), not hot-loop data. A gauge never Set(), or reset or
+// unset since its last Set(), is left out of the export.
 class Gauge {
  public:
-  void Set(double v);
-  [[nodiscard]] double Value() const;
+  void Set(double v) {
+    value_.store(v, std::memory_order_relaxed);
+    set_.store(true, std::memory_order_relaxed);
+  }
+  [[nodiscard]] double Value() const {
+    return value_.load(std::memory_order_relaxed);
+  }
 
  private:
   friend class MetricsRegistry;
-  Gauge(MetricsRegistry* reg, std::uint32_t id) : reg_(reg), id_(id) {}
-  MetricsRegistry* reg_;
-  std::uint32_t id_;
+  Gauge() = default;
+  void Unset() {
+    set_.store(false, std::memory_order_relaxed);
+    value_.store(0.0, std::memory_order_relaxed);
+  }
+  std::atomic<double> value_{0.0};
+  std::atomic<bool> set_{false};
 };
 
 // Fixed-bucket exponential histogram: bucket i counts samples in
 // [min_bound * growth^(i-1), min_bound * growth^i), bucket 0 is the
-// underflow bucket (< min_bound), the last bucket absorbs overflow.
+// underflow bucket (< min_bound, and NaN), the last bucket absorbs overflow
+// (+inf included).
 struct HistogramSpec {
   double min_bound = 1.0;
   double growth = 2.0;
@@ -83,37 +95,43 @@ struct HistogramSpec {
   bool wall_clock = false;
 };
 
-// Record() takes one uncontended lock, of the calling thread's own shard:
-// the spec is fixed at first registration and copied into the handle, so
-// no process-wide lock after the first call on a thread.
+// Record() takes the histogram's own mutex; the spec is fixed at first
+// registration.
 class Histogram {
  public:
   void Record(double v);
 
   [[nodiscard]] std::uint64_t Count() const;
-  // Merged bucket counts, underflow first.
+  // Bucket counts, underflow first.
   [[nodiscard]] std::vector<std::uint64_t> BucketCounts() const;
 
  private:
   friend class MetricsRegistry;
-  Histogram(MetricsRegistry* reg, std::uint32_t id, const HistogramSpec& spec)
-      : reg_(reg), id_(id), spec_(spec) {}
-  MetricsRegistry* reg_;
-  std::uint32_t id_;
-  HistogramSpec spec_;
+  explicit Histogram(const HistogramSpec& spec);
+  void Reset();
+
+  const HistogramSpec spec_;
+  const double log_growth_;  // log(spec_.growth), hoisted out of Record()
+  mutable std::mutex mu_;
+  std::vector<std::uint64_t> buckets_;
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = 0.0;
+  double max_ = 0.0;
 };
 
 class MetricsRegistry {
  public:
-  // Out of line: the shard deque needs Shard complete at instantiation.
-  MetricsRegistry();
-  ~MetricsRegistry();
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  // Process-wide registry. Never destroyed (worker threads may outlive every
-  // static destructor). If PAINTER_METRICS=<path> is set in the environment,
-  // the merged registry is written there as JSON at process exit.
+  // Process-wide registry. Never destroyed: call sites cache its handles in
+  // function-local statics across translation units, whose destruction
+  // order is unspecified, so a static destructor or exit handler may still
+  // record or export after every other static is gone. If
+  // PAINTER_METRICS=<path> is set in the environment, the registry is
+  // written there as JSON at process exit.
   static MetricsRegistry& Global();
 
   // Get-or-create by name. The kind of an existing name must match (throws
@@ -126,9 +144,13 @@ class MetricsRegistry {
   // Zeroes all values; registrations and handles stay valid.
   void ResetValues();
 
-  // Merged snapshot as JSON: {"counters":{...},"gauges":{...},
-  // "histograms":{...}}, each section sorted by metric name. Counters whose
-  // merged value is zero are included (a zero is information).
+  // Unsets (and zeroes) every gauge whose name starts with `prefix`, so the
+  // export leaves them out until they are Set() again; handles stay valid.
+  void UnsetGauges(std::string_view prefix);
+
+  // Snapshot as JSON: {"counters":{...},"gauges":{...},"histograms":{...}},
+  // each section sorted by metric name. Counters whose value is zero are
+  // included (a zero is information).
   void WriteJson(std::ostream& os) const;
   [[nodiscard]] std::string ToJson() const;
 
@@ -136,47 +158,16 @@ class MetricsRegistry {
   [[nodiscard]] std::uint64_t CounterValue(std::string_view name) const;
   [[nodiscard]] double GaugeValue(std::string_view name) const;
 
-  // Opaque per-thread shard (defined in metrics.cc; public only so the
-  // thread-local shard cache can name the type).
-  struct Shard;
-
  private:
-  friend class Counter;
-  friend class Gauge;
-  friend class Histogram;
+  template <typename T>
+  using ByName = std::map<std::string, std::unique_ptr<T>, std::less<>>;
 
-  struct CounterInfo {
-    std::string name;
-    std::unique_ptr<Counter> handle;
-  };
-  struct GaugeInfo {
-    std::string name;
-    double value = 0.0;
-    bool set = false;
-    std::unique_ptr<Gauge> handle;
-  };
-  struct HistogramInfo {
-    std::string name;
-    std::unique_ptr<Histogram> handle;  // carries the spec
-  };
-
-  Shard& LocalShard();
-  [[nodiscard]] std::uint64_t MergedCounter(std::uint32_t id) const;
-
-  // Never reused: a registry built at a freed one's address cannot match
-  // the stale shard pointers other threads still cache under the old one.
-  const std::uint64_t serial_;
   mutable std::mutex mu_;
-  // deque: growth never relocates existing entries, so handle references and
-  // shard indices stay stable without holding mu_ on the read side.
-  std::deque<CounterInfo> counters_;
-  std::deque<GaugeInfo> gauges_;
-  std::deque<HistogramInfo> histograms_;
-  std::map<std::string, std::uint32_t, std::less<>> counter_ids_;
-  std::map<std::string, std::uint32_t, std::less<>> gauge_ids_;
-  std::map<std::string, std::uint32_t, std::less<>> histogram_ids_;
-  // Shards in registration order (the deterministic merge order).
-  std::deque<std::unique_ptr<Shard>> shards_;
+  // Sorted by name: the export order. Handles live behind unique_ptr, so
+  // their addresses survive later insertions.
+  ByName<Counter> counters_;
+  ByName<Gauge> gauges_;
+  ByName<Histogram> histograms_;
 };
 
 // Convenience accessor used throughout the instrumented subsystems.

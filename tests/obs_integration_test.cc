@@ -93,6 +93,40 @@ TEST_F(ObsIntegrationTest, MetricsCaptureLearningRun) {
             gauges.At("orchestrator.prefix_budget.total").AsNumber());
 }
 
+// The per-iteration gauges describe one learning run: a shorter run after a
+// longer one must not leave the longer run's tail in the export.
+TEST_F(ObsIntegrationTest, IterationGaugesCoverOnlyTheLastRun) {
+  obs::Metrics().ResetValues();
+  const auto learn = [&](std::size_t iterations) {
+    core::OrchestratorConfig cfg;
+    cfg.prefix_budget = 4;
+    cfg.max_learning_iterations = iterations;
+    cfg.learning_patience = iterations;  // run every iteration
+    core::Orchestrator orch{inst_, cfg};
+    core::SimEnvironment env{*w_.resolver, *w_.oracle, util::Rng{9}};
+    return orch.Learn(env);
+  };
+  ASSERT_EQ(learn(4).size(), 4u);
+  const auto second = learn(2);
+  ASSERT_EQ(second.size(), 2u);
+
+  const test::JsonValue doc = test::ParseJson(obs::Metrics().ToJson());
+  const test::JsonValue& gauges = doc.At("gauges");
+  for (const char* leaf : {"realized_ms", "predicted_mean_ms",
+                           "realized_positive_ms", "prefixes_used",
+                           "preferences_total"}) {
+    EXPECT_TRUE(gauges.Has(std::string{"orchestrator.learn.iter0."} + leaf));
+    EXPECT_TRUE(gauges.Has(std::string{"orchestrator.learn.iter1."} + leaf));
+    EXPECT_FALSE(gauges.Has(std::string{"orchestrator.learn.iter2."} + leaf));
+    EXPECT_FALSE(gauges.Has(std::string{"orchestrator.learn.iter3."} + leaf));
+  }
+  EXPECT_DOUBLE_EQ(
+      gauges.At("orchestrator.learn.iter1.realized_ms").AsNumber(),
+      second.back().realized_ms);
+  EXPECT_DOUBLE_EQ(gauges.At("orchestrator.learn.last.iteration").AsNumber(),
+                   1.0);
+}
+
 TEST_F(ObsIntegrationTest, TraceFileIsLoadableAndCoversTheRun) {
   const std::string path = ::testing::TempDir() + "obs_integration_trace.json";
   RunLearningOnce(path);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -40,6 +42,21 @@ TEST(MetricsRegistryTest, GetOrCreateReturnsSameHandle) {
   EXPECT_EQ(&a, &b);
 }
 
+// Runs `read` on its own thread until the writers have joined, and at least
+// once: the export races the recorders, which is what TSan checks here.
+template <typename Read>
+void WhileWritersRun(std::vector<std::thread>& writers, Read read) {
+  std::atomic<bool> done{false};
+  std::thread reader{[&] {
+    do {
+      read();
+    } while (!done.load());
+  }};
+  for (auto& w : writers) w.join();
+  done.store(true);
+  reader.join();
+}
+
 TEST(MetricsRegistryTest, CounterMergesAcrossThreads) {
   MetricsRegistry reg;
   Counter& c = reg.GetCounter("threads.total");
@@ -52,13 +69,21 @@ TEST(MetricsRegistryTest, CounterMergesAcrossThreads) {
       for (int i = 0; i < kAdds; ++i) c.Add();
     });
   }
-  for (auto& w : workers) w.join();
+  std::uint64_t last_seen = 0;
+  bool monotonic = true;
+  WhileWritersRun(workers, [&] {
+    EXPECT_FALSE(reg.ToJson().empty());
+    const std::uint64_t v = c.Value();
+    monotonic = monotonic && v >= last_seen;
+    last_seen = v;
+  });
+  EXPECT_TRUE(monotonic);
   EXPECT_EQ(c.Value(), static_cast<std::uint64_t>(kThreads) * kAdds);
+  EXPECT_EQ(reg.CounterValue("threads.total"), c.Value());
 }
 
-// Threads find their shard of a registry by its serial. A registry built
-// where a destroyed one lived gets a fresh serial, so this thread's cached
-// slot for the first never matches the second.
+// A registry built where a destroyed one lived shares nothing with it: the
+// values live in the new registry's own handles.
 TEST(MetricsRegistryTest, RegistryAtAFreedAddressCountsFromZero) {
   std::optional<MetricsRegistry> reg;
   reg.emplace();
@@ -85,6 +110,27 @@ TEST(MetricsRegistryTest, GaugeLastWriteWins) {
   EXPECT_DOUBLE_EQ(reg.GaugeValue("g"), -2.25);
 }
 
+TEST(MetricsRegistryTest, UnsetGaugesDropsOnlyThePrefix) {
+  MetricsRegistry reg;
+  Gauge& a0 = reg.GetGauge("run.iter0.v");
+  Gauge& a1 = reg.GetGauge("run.iter1.v");
+  reg.GetGauge("run.last.v").Set(3.0);
+  a0.Set(1.0);
+  a1.Set(2.0);
+  reg.UnsetGauges("run.iter");
+  EXPECT_DOUBLE_EQ(a1.Value(), 0.0);
+  const test::JsonValue doc = test::ParseJson(reg.ToJson());
+  const test::JsonValue& gauges = doc.At("gauges");
+  EXPECT_FALSE(gauges.Has("run.iter0.v"));
+  EXPECT_FALSE(gauges.Has("run.iter1.v"));
+  EXPECT_DOUBLE_EQ(gauges.At("run.last.v").AsNumber(), 3.0);
+  // The cached handle still works and brings its name back.
+  a0.Set(5.0);
+  EXPECT_DOUBLE_EQ(
+      test::ParseJson(reg.ToJson()).At("gauges").At("run.iter0.v").AsNumber(),
+      5.0);
+}
+
 TEST(MetricsRegistryTest, HistogramBucketBoundaries) {
   MetricsRegistry reg;
   Histogram& h = reg.GetHistogram(
@@ -95,13 +141,14 @@ TEST(MetricsRegistryTest, HistogramBucketBoundaries) {
   h.Record(5.0);   // [4,..) -> bucket 3
   h.Record(1e9);   // overflow clamps to the last bucket
   h.Record(std::nan(""));  // NaN lands in the underflow bucket
-  EXPECT_EQ(h.Count(), 6u);
+  h.Record(std::numeric_limits<double>::infinity());  // overflow too
+  EXPECT_EQ(h.Count(), 7u);
   const auto buckets = h.BucketCounts();
   ASSERT_EQ(buckets.size(), 4u);
   EXPECT_EQ(buckets[0], 2u);
   EXPECT_EQ(buckets[1], 1u);
   EXPECT_EQ(buckets[2], 1u);
-  EXPECT_EQ(buckets[3], 2u);
+  EXPECT_EQ(buckets[3], 3u);
 }
 
 TEST(MetricsRegistryTest, HistogramMergesAcrossThreads) {
@@ -115,7 +162,15 @@ TEST(MetricsRegistryTest, HistogramMergesAcrossThreads) {
       for (int i = 0; i < kRecords; ++i) h.Record(static_cast<double>(i));
     });
   }
-  for (auto& w : workers) w.join();
+  std::uint64_t last_seen = 0;
+  bool monotonic = true;
+  WhileWritersRun(workers, [&] {
+    EXPECT_FALSE(reg.ToJson().empty());
+    const std::uint64_t n = h.Count();
+    monotonic = monotonic && n >= last_seen;
+    last_seen = n;
+  });
+  EXPECT_TRUE(monotonic);
   EXPECT_EQ(h.Count(), static_cast<std::uint64_t>(kThreads) * kRecords);
   std::uint64_t total = 0;
   for (const std::uint64_t b : h.BucketCounts()) total += b;

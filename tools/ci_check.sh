@@ -51,9 +51,10 @@
 #                 tools/tsan_check.sh); ASan+UBSan also runs the `fuzz`
 #                 label, the seeded mutation fuzzer of the config_io
 #                 parser. The selection includes the faultsim chaos
-#                 properties, the sharded-replay suites and the metrics
-#                 registry's per-thread shards (obs_test's threads, the
-#                 one multi-threaded subject TSan has left).
+#                 properties, the sharded-replay suites and obs_test, whose
+#                 threads record into one counter and one histogram while
+#                 another exports the registry (the one multi-threaded
+#                 subject TSan has left).
 #
 # Any stage failing aborts the pipeline with that stage's exit status.
 #

@@ -39,6 +39,11 @@
 # If a baseline doesn't exist yet, the fresh report is installed as the
 # baseline (commit it) and that gate succeeds.
 #
+# A failing correctness gate (1) stops the script. Every later gate runs
+# whatever the others did, so a noisy phase in one cannot hide whether the
+# rest hold; the script then names each gate that failed and exits non-zero
+# if any did.
+#
 # Usage: tools/perf_check.sh [build-dir] [tolerance] [label-regex]
 #        (defaults: build, 0.25 = 25% allowed slowdown per phase, tier1)
 set -euo pipefail
@@ -63,28 +68,44 @@ mapfile -t TARGETS < <(ctest --test-dir "$BUILD_DIR" -N -L "$LABELS" -LE slow |
 cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${TARGETS[@]}" >/dev/null
 ctest --test-dir "$BUILD_DIR" -L "$LABELS" -LE slow --output-on-failure
 
+FAILED=()
+
+# Runs gate_$1 in a subshell with errexit on, so its first failing command
+# ends that gate only; the name of a failed gate is kept for the summary.
+run_gate() {
+  echo "=== perf gate: $1 ==="
+  set +e
+  (set -e; "gate_$1")
+  local status=$?
+  set -e
+  if [[ $status -ne 0 ]]; then
+    echo "perf gate $1 FAILED (exit $status)" >&2
+    FAILED+=("$1")
+  fi
+}
+
 # --- Performance gate. ---
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target micro_orchestrator
+gate_micro_orchestrator() {
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target micro_orchestrator
+  PAINTER_REPORT_DIR="$REPORT_DIR" \
+    "$BUILD_DIR"/bench/micro_orchestrator --report-only
+  local report="$REPORT_DIR/BENCH_micro_orchestrator.json"
 
-mkdir -p "$REPORT_DIR"
-PAINTER_REPORT_DIR="$REPORT_DIR" \
-  "$BUILD_DIR"/bench/micro_orchestrator --report-only
-REPORT="$REPORT_DIR/BENCH_micro_orchestrator.json"
-
-if [[ ! -f "$BASELINE" ]]; then
-  mkdir -p "$(dirname "$BASELINE")"
-  cp "$REPORT" "$BASELINE"
-  echo "No baseline found; installed $REPORT as $BASELINE — commit it."
-else
-  tools/bench_compare.py "$BASELINE" "$REPORT" --tolerance "$TOLERANCE"
-  echo "Perf check passed against $BASELINE."
-fi
+  if [[ ! -f "$BASELINE" ]]; then
+    mkdir -p "$(dirname "$BASELINE")"
+    cp "$report" "$BASELINE"
+    echo "No baseline found; installed $report as $BASELINE — commit it."
+  else
+    tools/bench_compare.py "$BASELINE" "$report" --tolerance "$TOLERANCE"
+    echo "Perf check passed against $BASELINE."
+  fi
+}
 
 # --- Catchment-pruning gate: evaluation savings + no-slowdown. ---
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target fig6c_learning
-PAINTER_REPORT_DIR="$REPORT_DIR" "$BUILD_DIR"/bench/fig6c_learning >/dev/null
-PRUNING_REPORT="$REPORT_DIR/BENCH_fig6c_learning.json"
-python3 - "$PRUNING_REPORT" <<'PY'
+gate_catchment_pruning() {
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target fig6c_learning
+  PAINTER_REPORT_DIR="$REPORT_DIR" "$BUILD_DIR"/bench/fig6c_learning >/dev/null
+  python3 - "$REPORT_DIR/BENCH_fig6c_learning.json" <<'PY'
 import json, sys
 report = json.load(open(sys.argv[1]))
 saved = report["values"]["pruning.saved_frac"]
@@ -99,27 +120,33 @@ if on > off * 1.10:
     sys.exit(f"FAIL: pruned run slower than unpruned "
              f"({on:.0f} ms > {off:.0f} ms)")
 PY
+}
 
 # --- Workload-engine gate: scale thresholds + perf trajectory. ---
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target workload_throughput
-PAINTER_REPORT_DIR="$REPORT_DIR" "$BUILD_DIR"/bench/workload_throughput
 WORKLOAD_REPORT="$REPORT_DIR/BENCH_workload_throughput.json"
+gate_workload_throughput() {
+  rm -f "$WORKLOAD_REPORT"  # the sharded gate must not read a stale one
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target workload_throughput
+  PAINTER_REPORT_DIR="$REPORT_DIR" "$BUILD_DIR"/bench/workload_throughput
 
-if [[ ! -f "$WORKLOAD_BASELINE" ]]; then
-  cp "$WORKLOAD_REPORT" "$WORKLOAD_BASELINE"
-  echo "No workload baseline; installed $WORKLOAD_REPORT as" \
-       "$WORKLOAD_BASELINE — commit it."
-else
-  tools/bench_compare.py "$WORKLOAD_BASELINE" "$WORKLOAD_REPORT" \
-    --tolerance "$TOLERANCE"
-  echo "Perf check passed against $WORKLOAD_BASELINE."
-fi
+  if [[ ! -f "$WORKLOAD_BASELINE" ]]; then
+    cp "$WORKLOAD_REPORT" "$WORKLOAD_BASELINE"
+    echo "No workload baseline; installed $WORKLOAD_REPORT as" \
+         "$WORKLOAD_BASELINE — commit it."
+  else
+    tools/bench_compare.py "$WORKLOAD_BASELINE" "$WORKLOAD_REPORT" \
+      --tolerance "$TOLERANCE"
+    echo "Perf check passed against $WORKLOAD_BASELINE."
+  fi
+}
 
-# Sharded-engine no-regression gate: the best shard count must match or beat
-# the serial replay's throughput on this host. Shards share one thread, so
-# this measures the epoch batching (one policy Pick per tick, expiry buckets
-# that carry their release), not any parallel speedup.
-python3 - "$WORKLOAD_REPORT" <<'PY'
+# Sharded-engine no-regression gate, on the report the workload gate wrote:
+# the best shard count must match or beat the serial replay's throughput on
+# this host. Shards share one thread, so this measures the epoch batching
+# (one policy Pick per tick, expiry buckets that carry their release), not
+# any parallel speedup.
+gate_sharded_replay() {
+  python3 - "$WORKLOAD_REPORT" <<'PY'
 import json, sys
 report = json.load(open(sys.argv[1]))
 values = report["values"]
@@ -135,48 +162,54 @@ if values.get("sharded_identical") != 1:
 if ratio < 1.0:
     sys.exit(f"FAIL: sharded replay slower than serial ({ratio:.2f}x < 1.0x)")
 PY
+}
 
 # --- Unified-timeline gate: one-clock interleaving + perf trajectory. ---
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target unified_timeline
-PAINTER_REPORT_DIR="$REPORT_DIR" "$BUILD_DIR"/bench/unified_timeline
-TIMELINE_REPORT="$REPORT_DIR/BENCH_unified_timeline.json"
+gate_unified_timeline() {
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target unified_timeline
+  PAINTER_REPORT_DIR="$REPORT_DIR" "$BUILD_DIR"/bench/unified_timeline
+  local report="$REPORT_DIR/BENCH_unified_timeline.json"
 
-if [[ ! -f "$TIMELINE_BASELINE" ]]; then
-  cp "$TIMELINE_REPORT" "$TIMELINE_BASELINE"
-  echo "No timeline baseline; installed $TIMELINE_REPORT as" \
-       "$TIMELINE_BASELINE — commit it."
-else
-  tools/bench_compare.py "$TIMELINE_BASELINE" "$TIMELINE_REPORT" \
-    --tolerance "$TOLERANCE"
-  echo "Perf check passed against $TIMELINE_BASELINE."
-fi
+  if [[ ! -f "$TIMELINE_BASELINE" ]]; then
+    cp "$report" "$TIMELINE_BASELINE"
+    echo "No timeline baseline; installed $report as" \
+         "$TIMELINE_BASELINE — commit it."
+  else
+    tools/bench_compare.py "$TIMELINE_BASELINE" "$report" \
+      --tolerance "$TOLERANCE"
+    echo "Perf check passed against $TIMELINE_BASELINE."
+  fi
+}
 
 # --- Chaos-under-load gate: detection-latency SLO + perf trajectory. ---
 # The runner itself asserts the SLO in its exit status (invariant violations
 # or loaded p99 > 8 RTTs fail here, not just drift vs the baseline).
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target chaos_runner
-PAINTER_REPORT_DIR="$REPORT_DIR" \
-  "$BUILD_DIR"/bench/chaos_runner --under_load --seeds 10
-CHAOS_REPORT="$REPORT_DIR/BENCH_chaos_under_load.json"
+gate_chaos_under_load() {
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target chaos_runner
+  PAINTER_REPORT_DIR="$REPORT_DIR" \
+    "$BUILD_DIR"/bench/chaos_runner --under_load --seeds 10
+  local report="$REPORT_DIR/BENCH_chaos_under_load.json"
 
-if [[ ! -f "$CHAOS_BASELINE" ]]; then
-  cp "$CHAOS_REPORT" "$CHAOS_BASELINE"
-  echo "No chaos-under-load baseline; installed $CHAOS_REPORT as" \
-       "$CHAOS_BASELINE — commit it."
-else
-  tools/bench_compare.py "$CHAOS_BASELINE" "$CHAOS_REPORT" \
-    --tolerance "$TOLERANCE"
-  echo "Perf check passed against $CHAOS_BASELINE."
-fi
+  if [[ ! -f "$CHAOS_BASELINE" ]]; then
+    cp "$report" "$CHAOS_BASELINE"
+    echo "No chaos-under-load baseline; installed $report as" \
+         "$CHAOS_BASELINE — commit it."
+  else
+    tools/bench_compare.py "$CHAOS_BASELINE" "$report" \
+      --tolerance "$TOLERANCE"
+    echo "Perf check passed against $CHAOS_BASELINE."
+  fi
+}
 
 # --- Control-loop gate: reaction SLO + incremental recompute savings. ---
 # The bench itself exits non-zero if a fault goes unanswered, the audit
 # mismatches, or the cross-call cache never hit; the report re-assert below
 # keeps the numeric gates visible in CI output.
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target control_loop
-PAINTER_REPORT_DIR="$REPORT_DIR" "$BUILD_DIR"/bench/control_loop >/dev/null
-CONTROL_REPORT="$REPORT_DIR/BENCH_control_loop.json"
-python3 - "$CONTROL_REPORT" <<'PY'
+gate_control_loop() {
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target control_loop
+  PAINTER_REPORT_DIR="$REPORT_DIR" "$BUILD_DIR"/bench/control_loop >/dev/null
+  local report="$REPORT_DIR/BENCH_control_loop.json"
+  python3 - "$report" <<'PY'
 import json, sys
 values = json.load(open(sys.argv[1]))["values"]
 p99, slo = values["reaction.p99_ms"], values["reaction.slo_ms"]
@@ -192,13 +225,25 @@ if values["audit.mismatches"] != 0 or values["audit.checks"] <= 0:
     sys.exit("FAIL: incremental-vs-full audit not clean")
 PY
 
-if [[ ! -f "$CONTROL_BASELINE" ]]; then
-  cp "$CONTROL_REPORT" "$CONTROL_BASELINE"
-  echo "No control-loop baseline; installed $CONTROL_REPORT as" \
-       "$CONTROL_BASELINE — commit it."
-  exit 0
-fi
+  if [[ ! -f "$CONTROL_BASELINE" ]]; then
+    cp "$report" "$CONTROL_BASELINE"
+    echo "No control-loop baseline; installed $report as" \
+         "$CONTROL_BASELINE — commit it."
+  else
+    tools/bench_compare.py "$CONTROL_BASELINE" "$report" \
+      --tolerance "$TOLERANCE"
+    echo "Perf check passed against $CONTROL_BASELINE."
+  fi
+}
 
-tools/bench_compare.py "$CONTROL_BASELINE" "$CONTROL_REPORT" \
-  --tolerance "$TOLERANCE"
-echo "Perf check passed against $CONTROL_BASELINE."
+mkdir -p "$REPORT_DIR"
+for gate in micro_orchestrator catchment_pruning workload_throughput \
+            sharded_replay unified_timeline chaos_under_load control_loop; do
+  run_gate "$gate"
+done
+
+if [[ ${#FAILED[@]} -gt 0 ]]; then
+  echo "perf_check: ${#FAILED[@]} gate(s) failed: ${FAILED[*]}" >&2
+  exit 1
+fi
+echo "perf_check: all gates passed."

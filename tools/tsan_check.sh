@@ -2,11 +2,13 @@
 # ThreadSanitizer job.
 #
 # The library plans, evaluates and replays on the calling thread. What
-# still runs on more than one thread is obs::MetricsRegistry: obs_test's
-# CounterMergesAcrossThreads and HistogramMergesAcrossThreads record into
-# its per-thread shards from std::threads while the merge reads them. The
-# trace sink and the flight recorder keep their mutexes for callers off the
-# simulator thread.
+# still runs on more than one thread is obs::MetricsRegistry, which stays
+# safe to record from any thread: obs_test's CounterMergesAcrossThreads and
+# HistogramMergesAcrossThreads add to one counter's atomic and one
+# histogram's mutex-guarded buckets from several std::threads while a
+# reader thread exports the registry and reads the values. The trace sink
+# and the flight recorder keep their mutexes for callers off the simulator
+# thread.
 #
 # Configures a dedicated build tree with -fsanitize=thread and runs the
 # tests selected by ctest label (see tests/CMakeLists.txt for the tier/label
