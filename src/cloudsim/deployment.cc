@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "obs/trace.h"
+
 namespace painter::cloudsim {
 
 Deployment::Deployment(util::AsId cloud_as, std::vector<Pop> pops,
@@ -49,6 +51,7 @@ std::span<const util::PeeringId> Deployment::PeeringsOfAs(
 
 Deployment BuildDeployment(topo::Internet& internet,
                            const DeploymentConfig& config) {
+  const obs::TraceSpan span{"cloudsim.BuildDeployment"};
   util::Rng rng{config.seed};
   topo::AsGraph& g = internet.graph;
   const auto& metros = internet.metros;

@@ -18,7 +18,6 @@ util::PeeringId IngressResolver::PickExit(
     util::AsId entry, util::MetroId ug_metro,
     std::span<const util::PeeringId> options) const {
   const topo::AsInfo& info = internet_->graph.info(entry);
-  const auto& metros = internet_->metros;
 
   // Quirky (entry AS, client metro) pairs exit at their rendezvous-hash
   // session — stable across advertisement changes, so the orchestrator can
@@ -30,16 +29,14 @@ util::PeeringId IngressResolver::PickExit(
                                     ug_metro.value())};
     if (qrng.Bernoulli(quirks_.quirk_prob)) {
       constexpr double kQuirkMaxKm = 7000.0;
-      const topo::GeoPoint& home =
-          internet_->metros[ug_metro.value()].location;
       util::PeeringId best;
       std::uint64_t best_hash = 0;
       for (util::PeeringId pid : options) {
-        const auto& pop_loc =
-            internet_->metros[deployment_->pop(deployment_->peering(pid).pop)
-                                  .metro.value()]
-                .location;
-        if (topo::Distance(home, pop_loc).count() > kQuirkMaxKm) continue;
+        const util::MetroId pop_metro =
+            deployment_->pop(deployment_->peering(pid).pop).metro;
+        if (internet_->MetroKm(ug_metro, pop_metro).count() > kQuirkMaxKm) {
+          continue;
+        }
         const std::uint64_t h = util::MixSeed(
             quirks_.seed, 0x99, util::MixSeed(entry.value(), ug_metro.value()),
             deployment_->peering(pid).pop.value());
@@ -54,15 +51,13 @@ util::PeeringId IngressResolver::PickExit(
   const util::MetroId target =
       info.exit_policy == topo::ExitPolicy::kEarlyExit ? ug_metro
                                                        : info.exit_bias;
-  const topo::GeoPoint& anchor = metros[target.value()].location;
 
   util::PeeringId best;
   double best_dist = 0.0;
   for (util::PeeringId pid : options) {
     const Peering& sess = deployment_->peering(pid);
-    const topo::GeoPoint& pop_loc =
-        metros[deployment_->pop(sess.pop).metro.value()].location;
-    const double d = topo::Distance(anchor, pop_loc).count();
+    const double d =
+        internet_->MetroKm(target, deployment_->pop(sess.pop).metro).count();
     if (!best.valid() || d < best_dist ||
         (d == best_dist && pid < best)) {
       best = pid;

@@ -74,9 +74,10 @@ AdvertisementConfig OnePerPopWithReuse(const topo::Internet& internet,
   // prefix whose existing PoPs are all at least D_reuse away; open a new
   // prefix when allowed by the budget, else skip the PoP.
   const auto order = RankPops(deployment, instance);
-  const auto& metros = internet.metros;
-  auto pop_loc = [&](util::PopId p) {
-    return metros[deployment.pop(p).metro.value()].location;
+  auto pop_km = [&](util::PopId a, util::PopId b) {
+    return internet
+        .MetroKm(deployment.pop(a).metro, deployment.pop(b).metro)
+        .count();
   };
 
   std::vector<std::vector<util::PopId>> groups;
@@ -85,8 +86,7 @@ AdvertisementConfig OnePerPopWithReuse(const topo::Internet& internet,
     for (auto& grp : groups) {
       const bool far_enough =
           std::all_of(grp.begin(), grp.end(), [&](util::PopId other) {
-            return topo::Distance(pop_loc(pop), pop_loc(other)).count() >=
-                   d_reuse_km;
+            return pop_km(pop, other) >= d_reuse_km;
           });
       if (far_enough) {
         grp.push_back(pop);
@@ -145,9 +145,8 @@ AdvertisementConfig RegionalTransit(const topo::Internet& internet,
                                     const cloudsim::Deployment& deployment,
                                     std::size_t regions) {
   if (regions == 0 || deployment.pops().empty()) return {};
-  const auto& metros = internet.metros;
-  auto pop_loc = [&](const cloudsim::Pop& p) {
-    return metros[p.metro.value()].location;
+  auto pop_km = [&](const cloudsim::Pop& a, const cloudsim::Pop& b) {
+    return internet.MetroKm(a.metro, b.metro).count();
   };
 
   // Farthest-point seeding, then nearest-seed assignment: a simple,
@@ -160,9 +159,7 @@ AdvertisementConfig RegionalTransit(const topo::Internet& internet,
       double nearest = 1e18;
       for (std::size_t s : seeds) {
         nearest = std::min(
-            nearest, topo::Distance(pop_loc(deployment.pops()[i]),
-                                    pop_loc(deployment.pops()[s]))
-                         .count());
+            nearest, pop_km(deployment.pops()[i], deployment.pops()[s]));
       }
       if (nearest > far_d) {
         far_d = nearest;
@@ -175,12 +172,11 @@ AdvertisementConfig RegionalTransit(const topo::Internet& internet,
   std::vector<std::vector<util::PeeringId>> groups(seeds.size());
   for (util::PeeringId pid : deployment.TransitPeerings()) {
     const cloudsim::Peering& sess = deployment.peering(pid);
-    const auto& loc = pop_loc(deployment.pop(sess.pop));
+    const cloudsim::Pop& pop = deployment.pop(sess.pop);
     std::size_t best = 0;
     double best_d = 1e18;
     for (std::size_t s = 0; s < seeds.size(); ++s) {
-      const double d =
-          topo::Distance(loc, pop_loc(deployment.pops()[seeds[s]])).count();
+      const double d = pop_km(pop, deployment.pops()[seeds[s]]);
       if (d < best_d) {
         best_d = d;
         best = s;

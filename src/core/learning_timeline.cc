@@ -42,8 +42,11 @@ void LearningTimeline::Start() {
 void LearningTimeline::RunRound() {
   const std::size_t round = rounds_run_++;
   std::vector<AdvertisementEnvironment::PrefixObservation> observations;
-  reports_.push_back(
-      orchestrator_->RunLearningIteration(*env_, round, &observations));
+  // The iteration index names the `orchestrator.learn.iterN.*` gauges and
+  // unsets the previous run's at 0, so it is the episode's round, as in
+  // Learn(); the callback keeps the global round.
+  reports_.push_back(orchestrator_->RunLearningIteration(
+      *env_, reports_.size(), &observations));
   if (config_.timeseries != nullptr) {
     const Orchestrator::IterationReport& rep = reports_.back();
     config_.timeseries->Append("orchestrator.round.predicted_ms",

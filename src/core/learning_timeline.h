@@ -48,7 +48,7 @@ struct LearningTimelineConfig {
 
 class LearningTimeline {
  public:
-  // (round index, that round's report, raw per-prefix observations).
+  // (global round index, that round's report, raw per-prefix observations).
   using RoundCallback = std::function<void(
       std::size_t, const Orchestrator::IterationReport&,
       const std::vector<AdvertisementEnvironment::PrefixObservation>&)>;
@@ -63,10 +63,11 @@ class LearningTimeline {
   // completed round schedules its successor on the absolute grid until the
   // orchestrator's LearningComplete fires over the episode's reports (or the
   // per-episode round cap hits). Re-armable: once an episode finishes,
-  // Start() may be called again to run another on the same timeline — round
-  // indices and RoundsRun() keep counting globally, while reports() and the
-  // termination rule see only the current episode. Throws std::logic_error
-  // while an episode is still active.
+  // Start() may be called again to run another on the same timeline — the
+  // callback's round indices and RoundsRun() keep counting globally, while
+  // reports(), the termination rule and the `orchestrator.learn.iterN.*`
+  // gauges see only the current episode. Throws std::logic_error while an
+  // episode is still active.
   void Start();
 
   // Reports of the current (or just-finished) episode's rounds (== Learn()'s

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/trace.h"
+
 namespace painter::core {
 namespace {
 
@@ -35,11 +37,8 @@ std::vector<double> MeasureAnycast(const cloudsim::Deployment& deployment,
 double UgToPopKm(const topo::Internet& internet,
                  const cloudsim::Deployment& deployment,
                  const cloudsim::UserGroup& ug, util::PeeringId peering) {
-  const auto& metros = internet.metros;
   const auto& pop = deployment.pop(deployment.peering(peering).pop);
-  return topo::Distance(metros[ug.metro.value()].location,
-                        metros[pop.metro.value()].location)
-      .count();
+  return internet.MetroKm(ug.metro, pop.metro).count();
 }
 
 bool InPeerCone(const topo::Internet& internet,
@@ -115,20 +114,29 @@ ProblemInstance BuildMeasuredInstance(
     const cloudsim::PolicyCatalog& catalog,
     const cloudsim::IngressResolver& resolver,
     const measure::LatencyOracle& oracle, util::Rng& rng, int ping_count) {
+  const obs::TraceSpan span{"core.BuildMeasuredInstance"};
   ProblemInstance inst;
   const auto& ugs = deployment.ugs();
   inst.ug_weight.resize(ugs.size());
   inst.options.resize(ugs.size());
-  inst.anycast_rtt_ms =
-      MeasureAnycast(deployment, resolver, oracle, rng, ping_count);
+  {
+    const obs::TraceSpan anycast_span{"core.BuildMeasuredInstance.anycast"};
+    inst.anycast_rtt_ms =
+        MeasureAnycast(deployment, resolver, oracle, rng, ping_count);
+  }
 
+  const obs::TraceSpan options_span{"core.BuildMeasuredInstance.options"};
   for (const auto& ug : ugs) {
     inst.ug_weight[ug.id.value()] = ug.traffic_weight;
     auto& opts = inst.options[ug.id.value()];
-    for (util::PeeringId pid : catalog.CompliantPeerings(ug.id)) {
+    const auto compliant = catalog.CompliantPeerings(ug.id);
+    const auto rtts = oracle.MeasureMinEach(ug.id, compliant, rng, ping_count);
+    opts.reserve(compliant.size());
+    for (std::size_t i = 0; i < compliant.size(); ++i) {
+      const util::PeeringId pid = compliant[i];
       opts.push_back(IngressOption{
           .peering = pid,
-          .rtt_ms = oracle.MeasureMin(ug.id, pid, rng, ping_count).count(),
+          .rtt_ms = rtts[i].count(),
           .distance_km = UgToPopKm(internet, deployment, ug, pid),
           .in_peer_cone = InPeerCone(internet, deployment, ug, pid)});
     }
@@ -143,6 +151,7 @@ ProblemInstance BuildEstimatedInstance(
     const cloudsim::IngressResolver& resolver,
     const measure::LatencyOracle& oracle,
     const measure::GeoTargetCatalog& targets, util::Rng& rng, double gp_km) {
+  const obs::TraceSpan span{"core.BuildEstimatedInstance"};
   ProblemInstance inst;
   const auto& ugs = deployment.ugs();
   inst.ug_weight.resize(ugs.size());

@@ -1,6 +1,11 @@
 #include "measure/latency.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <utility>
+
+#include "obs/trace.h"
 
 namespace painter::measure {
 
@@ -14,12 +19,22 @@ double ProbeNoiseMs(util::Rng& rng) {
   return noise;
 }
 
+// Min over `count` pings of `truth` plus noise drawn from `rng`.
+double MinOfPings(double truth, util::Rng& rng, int count) {
+  double best = truth + ProbeNoiseMs(rng);
+  for (int i = 1; i < count; ++i) {
+    best = std::min(best, truth + ProbeNoiseMs(rng));
+  }
+  return best;
+}
+
 }  // namespace
 
 LatencyOracle::LatencyOracle(const topo::Internet& internet,
                              const cloudsim::Deployment& deployment,
                              OracleConfig config)
     : internet_(&internet), deployment_(&deployment), config_(config) {
+  const obs::TraceSpan span{"measure.LatencyOracle"};
   const std::size_t ugs = deployment.ugs().size();
   last_mile_ms_.reserve(ugs);
   mediocre_mu_.reserve(ugs);
@@ -34,17 +49,16 @@ LatencyOracle::LatencyOracle(const topo::Internet& internet,
   }
 }
 
-double LatencyOracle::InflationFactor(util::UgId ug,
-                                      util::PeeringId peering) const {
-  const cloudsim::Peering& sess = deployment_->peering(peering);
-  const topo::AsInfo& entry = internet_->graph.info(sess.peer);
+double LatencyOracle::AsInflation(const cloudsim::UserGroup& user,
+                                  util::AsId entry) const {
+  const topo::AsInfo& info = internet_->graph.info(entry);
 
   // Bimodal per-(UG, entry AS): a few direct ("good") paths, the rest
   // mediocre. Mediocre paths share a per-UG level (the region's interdomain
   // detours are common to most of its paths) with a small per-AS jitter, so
-  // bouncing between mediocre ASes gains almost nothing. A small per-session
-  // component differentiates a given AS's PoPs.
-  util::Rng as_rng{MixSeed(config_.seed, 0x22, ug.value(), sess.peer.value())};
+  // bouncing between mediocre ASes gains almost nothing.
+  util::Rng as_rng{
+      MixSeed(config_.seed, 0x22, user.id.value(), entry.value())};
   const bool good = as_rng.Bernoulli(config_.good_path_prob);
   double mu = 0.0;
   double sigma = 0.0;
@@ -52,34 +66,38 @@ double LatencyOracle::InflationFactor(util::UgId ug,
     mu = config_.good_inflation_mu;
     sigma = config_.good_inflation_sigma;
   } else {
-    mu = mediocre_mu_[ug.value()];
+    mu = mediocre_mu_[user.id.value()];
     sigma = config_.mediocre_as_jitter_sigma;
   }
-  if (entry.tier == topo::AsTier::kTier1 ||
-      entry.tier == topo::AsTier::kTransit) {
+  if (info.tier == topo::AsTier::kTier1 ||
+      info.tier == topo::AsTier::kTransit) {
     mu += config_.transit_inflation_bonus_mu;
   }
-  if (entry.exit_policy == topo::ExitPolicy::kFixedExit) {
+  if (info.exit_policy == topo::ExitPolicy::kFixedExit) {
     mu += config_.fixed_exit_bonus_mu;
   }
-  util::Rng sess_rng{MixSeed(config_.seed, 0x33, ug.value(), peering.value())};
-  const double as_part = as_rng.LogNormal(mu, sigma);
-  const double sess_part = sess_rng.LogNormal(0.0, 0.08);
-  return std::max(1.0, as_part * sess_part);
+  return as_rng.LogNormal(mu, sigma);
+}
+
+double LatencyOracle::TrueRttGiven(const cloudsim::UserGroup& user,
+                                   const cloudsim::Peering& sess,
+                                   double as_inflation) const {
+  // A small per-session component differentiates a given AS's PoPs.
+  util::Rng sess_rng{
+      MixSeed(config_.seed, 0x33, user.id.value(), sess.id.value())};
+  const double inflation =
+      std::max(1.0, as_inflation * sess_rng.LogNormal(0.0, 0.08));
+  const util::Km km =
+      internet_->MetroKm(user.metro, deployment_->pop(sess.pop).metro);
+  return last_mile_ms_[user.id.value()] +
+         util::FiberRtt(km).count() * inflation + config_.session_overhead_ms;
 }
 
 util::Millis LatencyOracle::TrueRtt(util::UgId ug,
                                     util::PeeringId peering) const {
-  const cloudsim::Peering& sess = deployment_->peering(peering);
   const cloudsim::UserGroup& user = deployment_->ug(ug);
-  const auto& metros = internet_->metros;
-  const topo::GeoPoint& a = metros[user.metro.value()].location;
-  const topo::GeoPoint& b =
-      metros[deployment_->pop(sess.pop).metro.value()].location;
-  const double fiber_rtt = util::FiberRtt(topo::Distance(a, b)).count();
-  return util::Millis{last_mile_ms_[ug.value()] +
-                      fiber_rtt * InflationFactor(ug, peering) +
-                      config_.session_overhead_ms};
+  const cloudsim::Peering& sess = deployment_->peering(peering);
+  return util::Millis{TrueRttGiven(user, sess, AsInflation(user, sess.peer))};
 }
 
 util::Millis LatencyOracle::TrueRttOnDay(util::UgId ug,
@@ -121,12 +139,31 @@ util::Millis LatencyOracle::ProbeOnce(util::UgId ug, util::PeeringId peering,
 util::Millis LatencyOracle::MeasureMin(util::UgId ug, util::PeeringId peering,
                                        util::Rng& rng, int count,
                                        int day) const {
-  const double truth = TrueRttOnDay(ug, peering, day).count();
-  double best = truth + ProbeNoiseMs(rng);
-  for (int i = 1; i < count; ++i) {
-    best = std::min(best, truth + ProbeNoiseMs(rng));
+  return util::Millis{
+      MinOfPings(TrueRttOnDay(ug, peering, day).count(), rng, count)};
+}
+
+std::vector<util::Millis> LatencyOracle::MeasureMinEach(
+    util::UgId ug, std::span<const util::PeeringId> peerings, util::Rng& rng,
+    int count) const {
+  const cloudsim::UserGroup& user = deployment_->ug(ug);
+  // A UG's compliant sessions enter through a handful of ASes, so a linear
+  // scan of the ones seen so far finds each session's draw.
+  std::vector<std::pair<util::AsId, double>> as_inflation;
+  std::vector<util::Millis> out;
+  out.reserve(peerings.size());
+  for (util::PeeringId peering : peerings) {
+    const cloudsim::Peering& sess = deployment_->peering(peering);
+    auto it = std::find_if(as_inflation.begin(), as_inflation.end(),
+                           [&](const auto& e) { return e.first == sess.peer; });
+    if (it == as_inflation.end()) {
+      as_inflation.emplace_back(sess.peer, AsInflation(user, sess.peer));
+      it = std::prev(as_inflation.end());
+    }
+    const double truth = TrueRttGiven(user, sess, it->second);
+    out.emplace_back(MinOfPings(truth, rng, count));
   }
-  return util::Millis{best};
+  return out;
 }
 
 }  // namespace painter::measure

@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cloudsim/deployment.h"
@@ -96,14 +97,36 @@ class LatencyOracle {
                                         util::Rng& rng, int count = 7,
                                         int day = 0) const;
 
+  // MeasureMin(ug, p, rng, count) for each p of `peerings` in order, at day
+  // 0: equal value for value, and drawing the same pings from `rng`. The
+  // (UG, entry-AS) inflation draw is made once per distinct entry AS of the
+  // span instead of once per session, which is what makes probing every
+  // compliant ingress of a UG cheap.
+  [[nodiscard]] std::vector<util::Millis> MeasureMinEach(
+      util::UgId ug, std::span<const util::PeeringId> peerings, util::Rng& rng,
+      int count = 7) const;
+
   [[nodiscard]] const cloudsim::Deployment& deployment() const {
     return *deployment_;
   }
   [[nodiscard]] const topo::Internet& internet() const { return *internet_; }
 
  private:
-  [[nodiscard]] double InflationFactor(util::UgId ug,
-                                       util::PeeringId peering) const;
+  // Both take a UG the caller has looked up through the deployment, which
+  // rejects an id past it before the per-UG vectors are read.
+  //
+  // The (UG, entry-AS) factor of the path inflation (key 0x22): bimodal
+  // between a few direct paths and the UG's mediocre level, plus the entry
+  // AS's transit and fixed-exit bonuses.
+  [[nodiscard]] double AsInflation(const cloudsim::UserGroup& user,
+                                   util::AsId entry) const;
+
+  // TrueRtt given `as_inflation`, the UG's AsInflation for the session's
+  // peer: applies the per-session factor (key 0x33) to the fiber RTT between
+  // the UG's and the PoP's metros.
+  [[nodiscard]] double TrueRttGiven(const cloudsim::UserGroup& user,
+                                    const cloudsim::Peering& sess,
+                                    double as_inflation) const;
 
   const topo::Internet* internet_;
   const cloudsim::Deployment* deployment_;

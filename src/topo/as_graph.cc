@@ -71,13 +71,17 @@ const std::vector<util::AsId>& AsGraph::peers(util::AsId id) const {
 }
 
 void AsGraph::InvalidateCaches() {
-  cone_cache_.assign(infos_.size(), {});
-  cone_cached_.assign(infos_.size(), false);
+  cone_cache_.clear();
+  cone_cached_.clear();
 }
 
 const std::unordered_set<std::uint32_t>& AsGraph::ConeSet(
     util::AsId root) const {
   CheckId(root);
+  if (cone_cached_.empty()) {
+    cone_cache_.resize(infos_.size());
+    cone_cached_.assign(infos_.size(), false);
+  }
   if (!cone_cached_[root.value()]) {
     // Depth-first walk over customer edges. The relationship graph is a DAG
     // in practice; visited-set also guards against accidental cycles.

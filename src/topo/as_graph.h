@@ -75,7 +75,8 @@ class AsGraph {
   // All ASes in `root`'s customer cone, including `root`.
   [[nodiscard]] std::vector<util::AsId> CustomerCone(util::AsId root) const;
 
-  // Invalidates cached cones; called automatically by mutators.
+  // Drops cached cones; called automatically by mutators. No per-AS work
+  // when no cone is cached: the cache is sized by the first cone query.
   void InvalidateCaches();
 
   [[nodiscard]] std::vector<util::AsId> AsesOfTier(AsTier tier) const;
@@ -89,7 +90,9 @@ class AsGraph {
   std::vector<std::vector<util::AsId>> customers_;
   std::vector<std::vector<util::AsId>> peers_;
 
-  // Lazy per-root cone cache (root id -> set of member ids).
+  // Lazy per-root cone cache (root id -> set of member ids). Both vectors
+  // are empty until the first cone query after a mutation, which sizes them
+  // to the graph; building a graph therefore never touches them.
   mutable std::vector<std::unordered_set<std::uint32_t>> cone_cache_;
   mutable std::vector<bool> cone_cached_;
 };

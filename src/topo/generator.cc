@@ -10,15 +10,15 @@ namespace {
 
 // Picks `n` distinct metros, weighted by population, biased to be near
 // `anchor` when `local` is true (regional ISPs cluster geographically).
-std::vector<util::MetroId> PickPresence(const std::vector<Metro>& metros,
-                                        util::Rng& rng, std::size_t n,
-                                        const Metro* anchor, bool local) {
+std::vector<util::MetroId> PickPresence(const Internet& net, util::Rng& rng,
+                                        std::size_t n, const Metro* anchor,
+                                        bool local) {
+  const std::vector<Metro>& metros = net.metros;
   std::vector<double> weights(metros.size());
   for (std::size_t i = 0; i < metros.size(); ++i) {
     double w = metros[i].population_weight;
     if (local && anchor != nullptr) {
-      const double d =
-          Distance(anchor->location, metros[i].location).count();
+      const double d = net.MetroKm(anchor->id, metros[i].id).count();
       // Strong distance decay: ~halves every 1500 km.
       w *= std::exp(-d / 2000.0);
     }
@@ -46,23 +46,19 @@ std::size_t DrawProviderCount(util::Rng& rng,
 // from ISPs that operate where they are: the decay is sharp and providers
 // with no presence within a service radius are ineligible (falling back to
 // whatever is nearest only if nothing qualifies).
-std::vector<util::AsId> PickProviders(const AsGraph& g,
-                                      const std::vector<Metro>& metros,
-                                      util::Rng& rng,
+std::vector<util::AsId> PickProviders(const Internet& net, util::Rng& rng,
                                       const std::vector<util::AsId>& pool,
                                       util::MetroId customer_home,
                                       std::size_t count) {
   constexpr double kServiceRadiusKm = 2500.0;
-  const GeoPoint& home = metros[customer_home.value()].location;
   std::vector<double> weights(pool.size());
   double nearest_km = 1e18;
   std::size_t nearest_idx = 0;
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    const AsInfo& cand = g.info(pool[i]);
+    const AsInfo& cand = net.graph.info(pool[i]);
     double best_km = 1e18;
     for (util::MetroId m : cand.presence) {
-      best_km = std::min(
-          best_km, Distance(home, metros[m.value()].location).count());
+      best_km = std::min(best_km, net.MetroKm(customer_home, m).count());
     }
     weights[i] = best_km <= kServiceRadiusKm ? std::exp(-best_km / 800.0) : 0.0;
     if (best_km < nearest_km) {
@@ -94,13 +90,19 @@ ExitPolicy DrawExit(util::Rng& rng, double fixed_frac) {
 Internet GenerateInternet(const InternetConfig& config) {
   Internet net;
   net.metros = WorldMetros();
+  net.metro_km.reserve(net.metros.size() * net.metros.size());
+  for (const Metro& a : net.metros) {
+    for (const Metro& b : net.metros) {
+      net.metro_km.push_back(Distance(a.location, b.location));
+    }
+  }
   util::Rng rng{config.seed};
   AsGraph& g = net.graph;
 
   // --- Tier-1 backbones: global presence, full peer mesh. ---
   std::vector<util::AsId> tier1;
   for (std::size_t i = 0; i < config.tier1_count; ++i) {
-    auto presence = PickPresence(net.metros, rng, 45, nullptr, false);
+    auto presence = PickPresence(net, rng, 45, nullptr, false);
     const util::MetroId bias = presence[rng.Index(presence.size())];
     tier1.push_back(g.AddAs(AsTier::kTier1, "T1-" + std::to_string(i),
                             std::move(presence),
@@ -122,15 +124,14 @@ Internet GenerateInternet(const InternetConfig& config) {
     // near-optimal for most users, §2.1) and (b) its ingress choice is
     // *correlated* across per-PoP prefixes — per-PoP advertisement cannot
     // escape a poorly-performing transit.
-    auto presence = PickPresence(net.metros, rng, 40, &anchor, false);
+    auto presence = PickPresence(net, rng, 40, &anchor, false);
     const util::MetroId bias = presence.front();
     const util::AsId id =
         g.AddAs(AsTier::kTransit, "TR-" + std::to_string(i),
                 std::move(presence),
                 DrawExit(rng, config.transit_fixed_exit_frac), bias);
     const std::size_t np = 1 + rng.Index(3);
-    for (util::AsId p :
-         PickProviders(g, net.metros, rng, tier1, anchor.id, np)) {
+    for (util::AsId p : PickProviders(net, rng, tier1, anchor.id, np)) {
       g.AddProviderEdge(p, id);
     }
     transits.push_back(id);
@@ -153,7 +154,7 @@ Internet GenerateInternet(const InternetConfig& config) {
   std::vector<util::AsId> regionals;
   for (std::size_t i = 0; i < config.regional_count; ++i) {
     const Metro& anchor = net.metros[rng.Index(net.metros.size())];
-    auto presence = PickPresence(net.metros, rng, 3, &anchor, true);
+    auto presence = PickPresence(net, rng, 3, &anchor, true);
     const util::MetroId bias = presence.front();
     const util::AsId id =
         g.AddAs(AsTier::kRegional, "R-" + std::to_string(i),
@@ -162,7 +163,7 @@ Internet GenerateInternet(const InternetConfig& config) {
     const std::size_t np =
         DrawProviderCount(rng, config.provider_count_weights);
     const auto& pool = rng.Bernoulli(0.85) ? transits : tier1;
-    for (util::AsId p : PickProviders(g, net.metros, rng, pool, anchor.id, np)) {
+    for (util::AsId p : PickProviders(net, rng, pool, anchor.id, np)) {
       g.AddProviderEdge(p, id);
     }
     regionals.push_back(id);
@@ -200,10 +201,9 @@ Internet GenerateInternet(const InternetConfig& config) {
     for (std::size_t k = 0; k < np; ++k) {
       if (rng.Bernoulli(0.8)) ++wanted_regional;
     }
-    auto provs = PickProviders(g, net.metros, rng, regionals, home.id,
-                               wanted_regional);
-    const auto more = PickProviders(g, net.metros, rng, transits, home.id,
-                                    np - provs.size());
+    auto provs = PickProviders(net, rng, regionals, home.id, wanted_regional);
+    const auto more =
+        PickProviders(net, rng, transits, home.id, np - provs.size());
     provs.insert(provs.end(), more.begin(), more.end());
     if (provs.empty()) provs.push_back(transits[rng.Index(transits.size())]);
     for (util::AsId p : provs) g.AddProviderEdge(p, id);

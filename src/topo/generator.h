@@ -44,7 +44,17 @@ struct InternetConfig {
 
 struct Internet {
   std::vector<Metro> metros;
+  // Great-circle distance of every ordered metro pair, row-major:
+  // metro_km[a * metros.size() + b] is exactly Distance(metros[a].location,
+  // metros[b].location). GenerateInternet fills it once, and every
+  // metro-to-metro distance in the library reads it through MetroKm, so the
+  // haversine runs once per pair instead of once per query.
+  std::vector<util::Km> metro_km;
   AsGraph graph;
+
+  [[nodiscard]] util::Km MetroKm(util::MetroId a, util::MetroId b) const {
+    return metro_km[a.value() * metros.size() + b.value()];
+  }
 };
 
 // Builds the internetwork deterministically from `config.seed`.

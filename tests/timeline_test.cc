@@ -28,6 +28,9 @@
 #include "measure/latency.h"
 #include "netsim/path.h"
 #include "netsim/sim.h"
+#include "obs/metrics.h"
+#include "tests/json_test_util.h"
+#include "tests/world_fixture.h"
 #include "timeline/unified.h"
 #include "tm/tm_edge.h"
 #include "tm/tm_pop.h"
@@ -242,6 +245,55 @@ TEST(LearningTimelineTest, EventDrivenRoundsMatchLearnBitForBit) {
     EXPECT_EQ(event_reports[i].prefixes_used, loop_reports[i].prefixes_used)
         << i;
   }
+}
+
+// A re-armed timeline numbers each episode's `orchestrator.learn.iterN.*`
+// gauges by the episode's round, as Learn() numbers its iterations: after two
+// episodes of k rounds the export holds iter0 to iter(k-1) and no iterk. The
+// round callback keeps the timeline's global round index.
+TEST(LearningTimelineTest, ReArmedEpisodeNumbersIterationGaugesFromZero) {
+  constexpr std::size_t kRounds = 2;
+  const test::World& w = test::SharedWorld();
+  const core::ProblemInstance instance = test::MakeInstance(w);
+  core::OrchestratorConfig orch_cfg;
+  orch_cfg.prefix_budget = 4;
+  orch_cfg.max_learning_iterations = 10;
+  orch_cfg.learning_patience = 10;  // only the episode cap ends an episode
+  core::Orchestrator orch{instance, orch_cfg};
+  core::SimEnvironment env{*w.resolver, *w.oracle, util::Rng{9}};
+  netsim::Simulator sim;
+  core::LearningTimelineConfig ltcfg;
+  ltcfg.round_interval_s = 10.0;
+  ltcfg.max_rounds_per_episode = kRounds;
+  std::vector<std::size_t> callback_rounds;
+  core::LearningTimeline timeline{
+      sim, orch, env, ltcfg,
+      [&](std::size_t round, const auto&, const auto&) {
+        callback_rounds.push_back(round);
+      }};
+
+  obs::Metrics().ResetValues();
+  for (int episode = 0; episode < 2; ++episode) {
+    timeline.Start();
+    sim.Run(sim.Now() + 10.0 * kRounds);
+    ASSERT_TRUE(timeline.Finished()) << "episode " << episode;
+    ASSERT_EQ(timeline.EpisodeRounds(), kRounds) << "episode " << episode;
+  }
+  EXPECT_EQ(timeline.RoundsRun(), 2 * kRounds);
+  EXPECT_EQ(callback_rounds, (std::vector<std::size_t>{0, 1, 2, 3}));
+
+  const test::JsonValue doc = test::ParseJson(obs::Metrics().ToJson());
+  const test::JsonValue& gauges = doc.At("gauges");
+  for (std::size_t iter = 0; iter <= kRounds; ++iter) {
+    const std::string name =
+        "orchestrator.learn.iter" + std::to_string(iter) + ".realized_ms";
+    EXPECT_EQ(gauges.Has(name), iter < kRounds) << name;
+  }
+  EXPECT_DOUBLE_EQ(
+      gauges.At("orchestrator.learn.iter1.realized_ms").AsNumber(),
+      timeline.reports().back().realized_ms);
+  EXPECT_DOUBLE_EQ(gauges.At("orchestrator.learn.last.iteration").AsNumber(),
+                   static_cast<double>(kRounds - 1));
 }
 
 timeline::UnifiedTimelineConfig TinyTimelineConfig() {

@@ -85,9 +85,11 @@ def main():
               f"{base.get('name')!r} vs {cand.get('name')!r}")
 
     pa, pb = phase_map(base), phase_map(cand)
-    print(f"bench: {cand.get('name')}  "
-          f"(baseline seed {base.get('seed')}, candidate seed "
-          f"{cand.get('seed')})")
+    seeds = ""
+    if "seed" in base or "seed" in cand:
+        seeds = (f"  (baseline seed {base.get('seed')}, candidate seed "
+                 f"{cand.get('seed')})")
+    print(f"bench: {cand.get('name')}{seeds}")
     print(f"\nphases (wall ms, candidate/baseline, tolerance "
           f"{args.tolerance:.0%}):")
     regressions = []

@@ -35,16 +35,11 @@
 #                 bench/control_loop, whose own gates require every scripted
 #                 fault answered within the reaction SLO, zero audit
 #                 mismatches, and the equal-reactivity recompute savings.
-#   8. golden   — reruns every deterministic bench (all but
-#                 workload_throughput, which prints timings, and
-#                 micro_orchestrator) at its defaults, plus
-#                 unified_timeline --shards 4 and chaos_runner --under_load
-#                 --shards 4 (the sharded replay), and diffs each stdout
-#                 against bench/results/golden/<name>.stdout. Their stdout
-#                 carries no timings, so any byte that moves is a change in
-#                 what the planner, the evaluators, the control plane, the
-#                 TM-Edge probe loop or the replay computed; a change that
-#                 means to move one re-pins the file and says why.
+#   8. golden   — tools/golden_check.sh: reruns every deterministic bench
+#                 (21 runs) and diffs each stdout against
+#                 bench/results/golden/<name>.stdout; records each run's
+#                 wall time in $BUILD_DIR/bench_reports/BENCH_suite.json and
+#                 prints the total (a record, not a gate).
 #   9. ASan+UBSan, then TSan — dedicated sanitizer build trees running the
 #                 `sanitize` + `property` + `shard` + `actionspace` +
 #                 `control` label selection (tools/asan_check.sh and
@@ -99,49 +94,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" --target control_loop >/dev/null
 "$BUILD_DIR"/bench/control_loop --smoke >/dev/null
 
 echo "=== ci 8/10: golden stdout of every deterministic bench ==="
-# "<golden name>=<bench> [args...]"; a bare bench name runs it at its
-# defaults and is its own golden name.
-GOLDEN_RUNS=(
-  fig3_dns_ttl
-  fig5_deployment
-  fig6a_benefit_budget
-  fig6b_prototype
-  fig6c_learning
-  fig7_persistence
-  fig8_deployability
-  fig9a_granularity
-  fig9b_dns_steering
-  fig10_failover
-  fig11_resilience
-  fig12_geolocation
-  fig14_ranges
-  fig15_scaling
-  table_impact
-  ablations
-  control_loop
-  chaos_runner
-  unified_timeline
-  "unified_timeline.shards4=unified_timeline --shards 4"
-  "chaos_runner.under_load.shards4=chaos_runner --under_load --shards 4"
-)
-mapfile -t GOLDEN_BENCHES < <(for run in "${GOLDEN_RUNS[@]}"; do
-  read -ra cmd <<<"${run#*=}"
-  echo "${cmd[0]}"
-done | sort -u)
-cmake --build "$BUILD_DIR" -j "$(nproc)" --target "${GOLDEN_BENCHES[@]}" >/dev/null
-bench_bin="$(cd "$BUILD_DIR/bench" && pwd)"
-golden_out="$(mktemp -d)"
-trap 'rm -rf "$golden_out"' EXIT
-for run in "${GOLDEN_RUNS[@]}"; do
-  name="${run%%=*}"
-  read -ra cmd <<<"${run#*=}"
-  # Run inside the temp dir with PAINTER_REPORT_DIR unset: the reports
-  # land there, and the "Report: BENCH_<bench>.json" line the goldens carry
-  # stays a bare file name.
-  (cd "$golden_out" && env -u PAINTER_REPORT_DIR "$bench_bin/${cmd[0]}" \
-      "${cmd[@]:1}") >"$golden_out/$name.stdout"
-  diff -u "bench/results/golden/$name.stdout" "$golden_out/$name.stdout"
-done
+tools/golden_check.sh "$BUILD_DIR"
 
 echo "=== ci 9/10: ASan+UBSan (sanitize|property|shard|actionspace|control|fuzz labels) ==="
 tools/asan_check.sh
