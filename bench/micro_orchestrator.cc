@@ -16,6 +16,7 @@
 #include "core/evaluate.h"
 #include "core/orchestrator.h"
 #include "core/problem.h"
+#include "core/sim_environment.h"
 #include "obs/report.h"
 
 namespace {
@@ -170,6 +171,30 @@ void WriteRunReport() {
       benchmark::DoNotOptimize(pred);
     }
     report.AddPhaseMs("predict_serial", best_ms);
+  }
+
+  // The learned-model layer: every phase above runs on an empty model. A
+  // fresh orchestrator learns for exactly 3 iterations against the
+  // simulated Internet, so the last two passes plan with learned
+  // preferences and Absorb folds in three rounds of observations.
+  {
+    const auto& w = SharedWorld(kStubs);
+    core::OrchestratorConfig cfg;
+    cfg.prefix_budget = kBudget;
+    cfg.max_learning_iterations = 3;
+    cfg.learning_stop_frac = -1.0;  // a fixed iteration count
+    double best_ms = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 3; ++rep) {
+      core::Orchestrator orch{*inst, cfg};
+      core::SimEnvironment env{*w.resolver, *w.oracle, util::Rng{9}};
+      const auto start = std::chrono::steady_clock::now();
+      const auto reports = orch.Learn(env);
+      const auto elapsed = std::chrono::steady_clock::now() - start;
+      best_ms = std::min(
+          best_ms, std::chrono::duration<double, std::milli>(elapsed).count());
+      benchmark::DoNotOptimize(reports);
+    }
+    report.AddPhaseMs("learn_serial", best_ms);
   }
 
   report.AddValue("compute_s_per_prefix_serial",
