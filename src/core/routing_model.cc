@@ -1,6 +1,7 @@
 #include "core/routing_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <climits>
 #include <cmath>
 #include <stdexcept>
@@ -10,41 +11,104 @@
 namespace painter::core {
 
 RoutingModel::RoutingModel(std::size_t ug_count)
-    : prefers_(ug_count), measured_(ug_count) {}
+    : ugs_(ug_count), has_prefs_(ug_count, 0) {}
+
+std::uint32_t RoutingModel::LocalIndex(std::uint32_t ug,
+                                       util::PeeringId id) const {
+  const UgState& s = ugs_.at(ug);
+  if (id.value() >= kMaxSessions) return kUnobserved;
+  const std::uint32_t key = id.value() << 16;
+  const auto it = std::lower_bound(s.keys.begin(), s.keys.end(), key);
+  if (it == s.keys.end() || (*it >> 16) != id.value()) return kUnobserved;
+  return *it & 0xFFFFu;
+}
+
+std::uint32_t RoutingModel::Intern(UgState& s, util::PeeringId id) {
+  const std::uint32_t key = id.value() << 16;
+  const auto it = std::lower_bound(s.keys.begin(), s.keys.end(), key);
+  if (it != s.keys.end() && (*it >> 16) == id.value()) return *it & 0xFFFFu;
+  const auto local = static_cast<std::uint32_t>(s.keys.size());
+  s.keys.insert(it, key | local);
+  if (local == s.row_words * 64) {
+    // A new block, and one more word per loser row. Records only move up,
+    // so re-lay them out in place from the last one down.
+    const std::size_t old_stride = s.row_words + 1;
+    const std::size_t new_stride = old_stride + 1;
+    const std::size_t count = s.records.size() / old_stride;
+    s.blocks.insert(s.blocks.end(), {0, 0, count});
+    s.records.resize(count * new_stride);
+    for (std::size_t r = count; r-- > 0;) {
+      s.records[r * new_stride + old_stride] = 0;
+      for (std::size_t k = old_stride; k-- > 0;) {
+        s.records[r * new_stride + k] = s.records[r * old_stride + k];
+      }
+    }
+    ++s.row_words;
+  }
+  return local;
+}
+
+std::size_t RoutingModel::RecordOf(UgState& s, std::uint32_t local) {
+  const std::size_t block = 3 * (local >> 6);
+  const std::uint64_t bit = std::uint64_t{1} << (local & 63);
+  const std::size_t stride = s.row_words + 1;
+  const std::size_t at =
+      (s.blocks[block + 2] +
+       static_cast<std::size_t>(std::popcount(s.blocks[block] & (bit - 1)))) *
+      stride;
+  if ((s.blocks[block] & bit) == 0) {
+    s.records.insert(s.records.begin() + static_cast<std::ptrdiff_t>(at),
+                     stride, 0);
+    s.blocks[block] |= bit;
+    for (std::size_t b = block + 3; b < s.blocks.size(); b += 3) {
+      ++s.blocks[b + 2];
+    }
+  }
+  return at;
+}
 
 bool RoutingModel::ObservePreference(
     std::uint32_t ug, util::PeeringId chosen,
     std::span<const util::PeeringId> candidates) {
   static obs::Counter& learned =
       obs::Metrics().GetCounter("model.preferences_learned");
-  auto& set = prefers_.at(ug);
+  UgState& s = ugs_.at(ug);
   const auto storable = [](util::PeeringId id) {
     return id.value() < kMaxSessions;
   };
   if (!storable(chosen) || !std::ranges::all_of(candidates, storable)) {
     throw std::out_of_range{
-        "RoutingModel: ingress id does not fit a 16-bit pair key"};
+        "RoutingModel: ingress id does not fit a 16-bit local key"};
   }
   bool changed = false;
+  std::uint32_t won = kUnobserved;
   for (util::PeeringId other : candidates) {
     if (other == chosen) continue;
-    const std::uint32_t key = PairKey(chosen, other);
-    const auto it = std::lower_bound(set.begin(), set.end(), key);
-    if (it == set.end() || *it != key) {
-      set.insert(it, key);
+    if (won == kUnobserved) won = Intern(s, chosen);
+    const std::uint32_t lost = Intern(s, other);
+    // Interning may have widened the rows: offsets are taken after it.
+    const std::size_t row = RecordOf(s, won) + 1;
+    std::uint64_t& word = s.records[row + (lost >> 6)];
+    const std::uint64_t bit = std::uint64_t{1} << (lost & 63);
+    if ((word & bit) == 0) {
+      word |= bit;
       ++preference_count_;
       learned.Add();
       changed = true;
     }
     // Observations are ground truth; retract any stale opposite belief.
-    const std::uint32_t opposite = PairKey(other, chosen);
-    const auto oit = std::lower_bound(set.begin(), set.end(), opposite);
-    if (oit != set.end() && *oit == opposite) {
-      set.erase(oit);
-      --preference_count_;
-      changed = true;
+    const std::size_t at = RecordAt(s, lost);
+    if (at != kNoRecord) {
+      std::uint64_t& opposite = s.records[at + 1 + (won >> 6)];
+      const std::uint64_t obit = std::uint64_t{1} << (won & 63);
+      if ((opposite & obit) != 0) {
+        opposite &= ~obit;
+        --preference_count_;
+        changed = true;
+      }
     }
   }
+  if (won != kUnobserved) has_prefs_[ug] = 1;
   return changed;
 }
 
@@ -53,33 +117,77 @@ bool RoutingModel::ObserveLatency(std::uint32_t ug, util::PeeringId ingress,
   static obs::Counter& observed =
       obs::Metrics().GetCounter("model.rtt_observations");
   observed.Add();
-  const auto [it, inserted] = measured_.at(ug).try_emplace(ingress.value(), rtt_ms);
-  if (inserted) return true;
+  UgState& s = ugs_.at(ug);
+  if (ingress.value() >= kMaxSessions) {
+    throw std::out_of_range{
+        "RoutingModel: ingress id does not fit a 16-bit local key"};
+  }
+  const std::uint32_t local = Intern(s, ingress);
+  std::uint64_t& word = s.records[RecordOf(s, local)];
+  std::uint64_t& measured = s.blocks[3 * (local >> 6) + 1];
+  const std::uint64_t bit = std::uint64_t{1} << (local & 63);
+  if ((measured & bit) == 0) {
+    measured |= bit;
+    word = std::bit_cast<std::uint64_t>(rtt_ms);
+    return true;
+  }
   // A re-measurement within the noise floor keeps the stored value: storing
   // every sub-epsilon wiggle would re-dirty the cross-call seed cache each
   // round from ping jitter alone. epsilon 0 = any change counts (legacy).
-  if (std::abs(it->second - rtt_ms) <= epsilon_ms) return false;
-  it->second = rtt_ms;
+  if (std::abs(std::bit_cast<double>(word) - rtt_ms) <= epsilon_ms) {
+    return false;
+  }
+  word = std::bit_cast<std::uint64_t>(rtt_ms);
   return true;
 }
 
 bool RoutingModel::IsDominated(
     std::uint32_t ug, util::PeeringId candidate,
     std::span<const util::PeeringId> active) const {
-  if (prefers_.at(ug).empty()) return false;
+  if (!HasPreferences(ug)) return false;
+  const std::uint32_t loser = LocalIndex(ug, candidate);
+  if (loser == kUnobserved) return false;
   for (util::PeeringId other : active) {
     if (other == candidate) continue;
-    if (Prefers(ug, other, candidate)) return true;
+    const std::uint64_t* row = LoserRow(ug, LocalIndex(ug, other));
+    if (row != nullptr && RowHas(row, loser)) return true;
   }
   return false;
 }
 
-std::optional<double> RoutingModel::MeasuredRtt(std::uint32_t ug,
-                                                util::PeeringId ingress) const {
-  const auto& m = measured_.at(ug);
-  const auto it = m.find(ingress.value());
-  if (it == m.end()) return std::nullopt;
-  return it->second;
+bool RoutingModel::HasWinsLocal(std::uint32_t ug, std::uint32_t winner) const {
+  const std::uint64_t* row = LoserRow(ug, winner);
+  if (row == nullptr) return false;
+  return std::any_of(row, row + ugs_[ug].row_words,
+                     [](std::uint64_t w) { return w != 0; });
+}
+
+std::optional<double> RoutingModel::MeasuredRttLocal(
+    std::uint32_t ug, std::uint32_t local) const {
+  if (local == kUnobserved) return std::nullopt;
+  const UgState& s = ugs_[ug];
+  if (((s.blocks[3 * (local >> 6) + 1] >> (local & 63)) & 1u) == 0) {
+    return std::nullopt;
+  }
+  return std::bit_cast<double>(s.records[RecordAt(s, local)]);
+}
+
+void RoutingModel::ShrinkToFit() {
+  for (UgState& s : ugs_) {
+    s.keys.shrink_to_fit();
+    s.blocks.shrink_to_fit();
+    s.records.shrink_to_fit();
+  }
+}
+
+std::size_t RoutingModel::FootprintBytes() const {
+  std::size_t bytes = 0;
+  for (const UgState& s : ugs_) {
+    bytes += s.keys.capacity() * sizeof(std::uint32_t) +
+             s.blocks.capacity() * sizeof(std::uint64_t) +
+             s.records.capacity() * sizeof(std::uint64_t);
+  }
+  return bytes;
 }
 
 PrefixExpectation ComputeExpectationFromCandidates(
@@ -92,24 +200,33 @@ PrefixExpectation ComputeExpectationFromCandidates(
   struct Cand {
     const IngressOption* opt;
     double rtt;
+    std::uint32_t local;
+    bool dominated;
   };
   // Reused scratch: the greedy inner loop calls this millions of times.
   thread_local std::vector<Cand> cands;
-  thread_local std::vector<util::PeeringId> active;
   cands.clear();
   for (const IngressOption* opt : candidates) {
-    const auto measured = model.MeasuredRtt(ug, opt->peering);
-    cands.push_back(Cand{opt, measured.value_or(opt->rtt_ms)});
+    const std::uint32_t local = model.LocalIndex(ug, opt->peering);
+    const auto measured = model.MeasuredRttLocal(ug, local);
+    cands.push_back(Cand{opt, measured.value_or(opt->rtt_ms), local, false});
   }
 
   // Preference exclusion: drop candidates dominated by another candidate the
-  // UG is known to prefer.
-  if (cands.size() > 1) {
-    active.clear();
-    for (const Cand& c : cands) active.push_back(c.opt->peering);
-    std::erase_if(cands, [&](const Cand& c) {
-      return model.IsDominated(ug, c.opt->peering, active);
-    });
+  // UG is known to prefer — each candidate's loser row against every other
+  // candidate's local index, all tested before any is dropped.
+  if (cands.size() > 1 && model.HasPreferences(ug)) {
+    for (const Cand& w : cands) {
+      const std::uint64_t* row = model.LoserRow(ug, w.local);
+      if (row == nullptr) continue;
+      for (Cand& c : cands) {
+        if (c.local != RoutingModel::kUnobserved &&
+            RoutingModel::RowHas(row, c.local)) {
+          c.dominated = true;
+        }
+      }
+    }
+    std::erase_if(cands, [](const Cand& c) { return c.dominated; });
     if (cands.empty()) return out;
   }
 
