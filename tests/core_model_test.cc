@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
+#include <optional>
 #include <random>
 #include <set>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "core/problem.h"
 #include "core/routing_model.h"
@@ -264,6 +268,162 @@ TEST(RoutingModelTest, PairKeysMatchReferenceSet) {
     }
   }
   EXPECT_FALSE(model.HasPreferences(0));
+}
+
+TEST(RoutingModelTest, OutOfRangeUgThrows) {
+  RoutingModel model{2};
+  const util::PeeringId a{1};
+  const util::PeeringId b{2};
+  const util::PeeringId pair[] = {a, b};
+  ASSERT_TRUE(model.ObservePreference(1, a, pair));
+  ASSERT_TRUE(model.ObserveLatency(1, a, 10.0));
+  EXPECT_THROW((void)model.Prefers(2, a, b), std::out_of_range);
+  EXPECT_THROW((void)model.HasWins(2, a), std::out_of_range);
+  EXPECT_THROW((void)model.HasPreferences(2), std::out_of_range);
+  EXPECT_THROW((void)model.MeasuredRtt(2, a), std::out_of_range);
+  EXPECT_THROW((void)model.IsDominated(2, b, pair), std::out_of_range);
+  EXPECT_THROW((void)model.LocalIndex(2, a), std::out_of_range);
+  EXPECT_THROW(model.ObservePreference(2, a, pair), std::out_of_range);
+  EXPECT_THROW(model.ObserveLatency(2, a, 10.0), std::out_of_range);
+  EXPECT_EQ(model.PreferenceCount(), 1u);
+}
+
+TEST(RoutingModelTest, LatencyRejectsIdsBeyondSixteenBits) {
+  RoutingModel model{1};
+  const util::PeeringId over{RoutingModel::kMaxSessions};
+  EXPECT_THROW(model.ObserveLatency(0, over, 10.0), std::out_of_range);
+  EXPECT_FALSE(model.MeasuredRtt(0, over).has_value());
+  EXPECT_EQ(model.LocalIndex(0, over), RoutingModel::kUnobserved);
+  EXPECT_EQ(model.FootprintBytes(), 0u);
+}
+
+// Random observations against std::set / std::map references, with
+// retractions and latency updates at epsilon 0 and 2 ms. UG 1 observes 300
+// distinct ids, so its loser rows grow to five words and its local indices
+// pass what one byte holds; after each batch every id-based query, its
+// local-index form and the packed byte form must agree with the reference.
+TEST(RoutingModelTest, LocalIndexFormsMatchReference) {
+  constexpr std::uint32_t kUgs = 3;
+  // Per UG, the ids it draws from: UG 1 spreads 300 ids over the 16-bit
+  // range, the others use 12.
+  std::vector<std::vector<std::uint32_t>> pool(kUgs);
+  for (std::uint32_t k = 0; k < 300; ++k) pool[1].push_back(k * 218 + 7);
+  pool[1].push_back(RoutingModel::kMaxSessions - 1);
+  for (const std::uint32_t u : {0u, 2u}) {
+    for (std::uint32_t k = 0; k < 12; ++k) pool[u].push_back(k * 1000 + u);
+  }
+  RoutingModel model{kUgs};
+  std::vector<std::set<std::pair<std::uint32_t, std::uint32_t>>> pairs(kUgs);
+  std::vector<std::map<std::uint32_t, double>> rtts(kUgs);
+  std::vector<std::set<std::uint32_t>> observed(kUgs);
+  std::vector<std::map<std::uint32_t, std::uint32_t>> first_local(kUgs);
+  std::mt19937 rng{29};
+  const auto id = [](std::uint32_t v) { return util::PeeringId{v}; };
+
+  const auto check = [&](int round) {
+    std::size_t total = 0;
+    for (std::uint32_t u = 0; u < kUgs; ++u) {
+      total += pairs[u].size();
+      EXPECT_EQ(model.HasPreferences(u), !pairs[u].empty());
+      // Every id of the pool, plus one no UG ever sees.
+      std::vector<std::uint32_t> ids = pool[u];
+      ids.push_back(65000);
+      std::vector<util::PeeringId> active;
+      for (const std::uint32_t v : ids) active.push_back(id(v));
+      for (const std::uint32_t w : ids) {
+        const std::uint32_t lw = model.LocalIndex(u, id(w));
+        ASSERT_EQ(lw != RoutingModel::kUnobserved, observed[u].contains(w))
+            << "UG " << u << " id " << w << " round " << round;
+        if (lw != RoutingModel::kUnobserved) {
+          // Local indices are dense, never move, and survive packing.
+          EXPECT_LT(lw, observed[u].size());
+          const auto [it, fresh] = first_local[u].try_emplace(w, lw);
+          EXPECT_EQ(it->second, lw);
+        }
+        EXPECT_EQ(model.UnpackLocal(u, id(w), RoutingModel::PackLocal(lw)),
+                  lw);
+        const auto rtt = rtts[u].find(w);
+        const std::optional<double> want_rtt =
+            rtt == rtts[u].end() ? std::nullopt
+                                 : std::optional<double>{rtt->second};
+        EXPECT_EQ(model.MeasuredRtt(u, id(w)), want_rtt);
+        EXPECT_EQ(model.MeasuredRttLocal(u, lw), want_rtt);
+        const std::uint64_t* row = model.LoserRow(u, lw);
+        bool wins = false;
+        bool dominated = false;
+        for (const std::uint32_t l : ids) {
+          const bool want = pairs[u].contains({w, l});
+          const bool beaten = l != w && pairs[u].contains({l, w});
+          wins = wins || want;
+          dominated = dominated || beaten;
+          const std::uint32_t ll = model.LocalIndex(u, id(l));
+          ASSERT_EQ(model.Prefers(u, id(w), id(l)), want)
+              << "UG " << u << ": " << w << " over " << l << " round "
+              << round;
+          EXPECT_EQ(model.PrefersLocal(u, lw, ll), want);
+          if (row != nullptr && ll != RoutingModel::kUnobserved) {
+            EXPECT_EQ(RoutingModel::RowHas(row, ll), want);
+          }
+        }
+        EXPECT_TRUE(row != nullptr || !wins);
+        EXPECT_EQ(model.HasWins(u, id(w)), wins);
+        EXPECT_EQ(model.HasWinsLocal(u, lw), wins);
+        EXPECT_EQ(model.IsDominated(u, id(w), active), dominated);
+      }
+    }
+    EXPECT_EQ(model.PreferenceCount(), total) << "round " << round;
+  };
+
+  std::uniform_int_distribution<int> pick_ug{0, 5};
+  std::uniform_int_distribution<int> pick_k{2, 6};
+  std::uniform_real_distribution<double> pick_rtt{5.0, 25.0};
+  for (int round = 1; round <= 1500; ++round) {
+    const int r = pick_ug(rng);  // UG 1 gets two rounds in three
+    const std::uint32_t ug = r < 4 ? 1u : static_cast<std::uint32_t>(r - 4) * 2;
+    const auto& ids = pool[ug];
+    std::uniform_int_distribution<std::size_t> pick_id{0, ids.size() - 1};
+    if (round % 3 == 0) {
+      // Latency, alternating the noise floor; small moves within 2 ms stay.
+      const std::uint32_t v = ids[pick_id(rng)];
+      const double eps = round % 2 == 0 ? 0.0 : 2.0;
+      const auto it = rtts[ug].find(v);
+      const double rtt = it != rtts[ug].end() && round % 5 == 0
+                             ? it->second + 1.5
+                             : pick_rtt(rng);
+      bool want = true;
+      if (it == rtts[ug].end()) {
+        rtts[ug].emplace(v, rtt);
+      } else if (std::abs(it->second - rtt) <= eps) {
+        want = false;
+      } else {
+        it->second = rtt;
+      }
+      observed[ug].insert(v);
+      ASSERT_EQ(model.ObserveLatency(ug, id(v), rtt, eps), want)
+          << "round " << round;
+    } else {
+      std::vector<util::PeeringId> cands;
+      const int k = pick_k(rng);
+      for (int c = 0; c < k; ++c) cands.push_back(id(ids[pick_id(rng)]));
+      // Mostly one of the candidates; sometimes an outside ingress.
+      const util::PeeringId chosen =
+          round % 7 == 0 ? id(ids[pick_id(rng)]) : cands[pick_id(rng) % k];
+      bool want = false;
+      for (const util::PeeringId other : cands) {
+        if (other == chosen) continue;
+        observed[ug].insert(chosen.value());
+        observed[ug].insert(other.value());
+        want = pairs[ug].insert({chosen.value(), other.value()}).second ||
+               want;
+        want = pairs[ug].erase({other.value(), chosen.value()}) > 0 || want;
+      }
+      ASSERT_EQ(model.ObservePreference(ug, chosen, cands), want)
+          << "round " << round;
+    }
+    if (round % 100 == 0) check(round);
+  }
+  ASSERT_GT(observed[1].size(), 254u);  // rows of five words, escaped bytes
+  EXPECT_GT(model.FootprintBytes(), 0u);
 }
 
 TEST(BuildInstance, MeasuredInstanceConsistentWithWorld) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "core/evaluate.h"
 #include "core/orchestrator.h"
@@ -137,6 +139,88 @@ TEST_F(OrchestratorTest, AbsorbRecordsObservations) {
   if (any_multi) {
     EXPECT_GT(orch.model().PreferenceCount(), 0u);
   }
+}
+
+// Absorb gathers each prefix's per-UG candidates by walking the advertised
+// sessions' flat-index ranges. On a prefix whose sessions mix plain,
+// prepended, lower-pref and no-export announcements, the model it builds
+// must equal one fed, per UG, its compliant options among the sessions in
+// options order, filtered to the chosen ingress's attributes.
+TEST_F(OrchestratorTest, AbsorbMatchesPerOptionIntersection) {
+  const SessionAttr variants[] = {
+      SessionAttr{},
+      SessionAttr{.prepend = 1},
+      SessionAttr{.community = bgpsim::Community::kLowerPref},
+      SessionAttr{.prepend = 2},
+      SessionAttr{.community = bgpsim::Community::kNoExportUp}};
+  std::vector<util::PeeringId> mixed;
+  std::vector<SessionAttr> mixed_attrs;
+  std::vector<util::PeeringId> plain;
+  for (std::uint32_t g = 0; g < inst_.peering_count; ++g) {
+    if (g % 2 == 0) {
+      mixed.push_back(util::PeeringId{g});
+      mixed_attrs.push_back(variants[(g / 2) % std::size(variants)]);
+    } else if (g % 4 == 1) {
+      plain.push_back(util::PeeringId{g});
+    }
+  }
+  AdvertisementConfig cfg;
+  cfg.AddPrefix(mixed, mixed_attrs);
+  cfg.AddPrefix(plain);
+  SimEnvironment env{*w_.resolver, *w_.oracle, util::Rng{6}};
+  const auto obs = env.Execute(cfg);
+  Orchestrator orch{inst_, Cfg(2)};
+  orch.Absorb(cfg, obs);
+
+  RoutingModel ref{inst_.UgCount()};
+  std::size_t filtered = 0;
+  for (std::size_t p = 0; p < cfg.PrefixCount(); ++p) {
+    const auto& sessions = cfg.Sessions(p);
+    const auto& attrs = cfg.Attrs(p);
+    for (std::uint32_t u = 0; u < inst_.UgCount(); ++u) {
+      const auto& ingress = obs[p].ingress_of_ug[u];
+      if (!ingress.has_value()) continue;
+      const SessionAttr chosen_attr = cfg.AttrOf(p, *ingress);
+      std::vector<util::PeeringId> cands;
+      for (const IngressOption& opt : inst_.options[u]) {
+        const auto it =
+            std::lower_bound(sessions.begin(), sessions.end(), opt.peering);
+        if (it == sessions.end() || *it != opt.peering) continue;
+        if (attrs[static_cast<std::size_t>(it - sessions.begin())] !=
+            chosen_attr) {
+          ++filtered;
+          continue;
+        }
+        cands.push_back(opt.peering);
+      }
+      ref.ObservePreference(u, *ingress, cands);
+      ref.ObserveLatency(u, *ingress, obs[p].rtt_ms_of_ug[u]);
+    }
+  }
+  ASSERT_GT(filtered, 0u);  // the attribute filter fired
+  ASSERT_GT(ref.PreferenceCount(), 0u);
+  const RoutingModel& got = orch.model();
+  EXPECT_EQ(got.PreferenceCount(), ref.PreferenceCount());
+  std::size_t mismatches = 0;
+  for (std::uint32_t u = 0; u < inst_.UgCount(); ++u) {
+    EXPECT_EQ(got.HasPreferences(u), ref.HasPreferences(u));
+    for (const IngressOption& a : inst_.options[u]) {
+      mismatches +=
+          got.MeasuredRtt(u, a.peering) != ref.MeasuredRtt(u, a.peering);
+      mismatches += got.HasWins(u, a.peering) != ref.HasWins(u, a.peering);
+      for (const IngressOption& b : inst_.options[u]) {
+        mismatches += got.Prefers(u, a.peering, b.peering) !=
+                      ref.Prefers(u, a.peering, b.peering);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+
+  // An observation vector shorter than the UG count is rejected.
+  auto short_obs = obs;
+  short_obs[1].ingress_of_ug.pop_back();
+  Orchestrator fresh{inst_, Cfg(2)};
+  EXPECT_THROW(fresh.Absorb(cfg, short_obs), std::out_of_range);
 }
 
 TEST_F(OrchestratorTest, LearningDisabledDoesNotTouchModel) {

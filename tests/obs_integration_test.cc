@@ -93,6 +93,15 @@ TEST_F(ObsIntegrationTest, MetricsCaptureLearningRun) {
             gauges.At("orchestrator.prefix_budget.total").AsNumber());
 }
 
+// The learned model's footprint, set by each Absorb: nothing before a
+// learning run, the bytes the model's per-UG storage holds after one.
+TEST_F(ObsIntegrationTest, ModelFootprintGaugeFollowsLearning) {
+  obs::Metrics().ResetValues();
+  EXPECT_EQ(obs::Metrics().GetGauge("model.footprint_bytes").Value(), 0.0);
+  const test::JsonValue doc = test::ParseJson(RunLearningOnce(""));
+  EXPECT_GT(doc.At("gauges").At("model.footprint_bytes").AsNumber(), 0.0);
+}
+
 // The per-iteration gauges describe one learning run: a shorter run after a
 // longer one must not leave the longer run's tail in the export.
 TEST_F(ObsIntegrationTest, IterationGaugesCoverOnlyTheLastRun) {
