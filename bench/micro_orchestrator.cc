@@ -150,6 +150,36 @@ void WriteRunReport() {
     report.AddPhaseMs(phase_name, best_ms);
     return best_ms;
   };
+  // The latency oracle's two heaviest callers, apart from build_world:
+  // measuring the instance (every compliant pair, min of 7 pings) and one
+  // day-10 ground-truth pass over every UG's compliant sessions.
+  const auto& world = SharedWorld(kStubs);
+  auto time_best_of_3 = [&](const char* phase_name, const auto& pass) {
+    double best_ms = std::numeric_limits<double>::infinity();
+    for (int rep = 0; rep < 3; ++rep) {
+      const auto start = std::chrono::steady_clock::now();
+      pass();
+      const auto elapsed = std::chrono::steady_clock::now() - start;
+      best_ms = std::min(
+          best_ms, std::chrono::duration<double, std::milli>(elapsed).count());
+    }
+    report.AddPhaseMs(phase_name, best_ms);
+  };
+  time_best_of_3("build_instance", [&] {
+    util::Rng rng{5};
+    benchmark::DoNotOptimize(core::BuildMeasuredInstance(
+        world.internet(), *world.deployment, *world.catalog, *world.resolver,
+        *world.oracle, rng));
+  });
+  {
+    const core::GroundTruthEvaluator eval{*world.deployment, *world.resolver,
+                                          *world.oracle};
+    time_best_of_3("gt_possible_day10", [&] {
+      benchmark::DoNotOptimize(
+          eval.PossibleMeanImprovementMs(*world.catalog, 10));
+    });
+  }
+
   // Phase names keep their "_serial" suffix so they stay comparable with
   // the committed baseline report.
   const double serial_ms = time_compute(true, "compute_serial");
@@ -178,7 +208,6 @@ void WriteRunReport() {
   // simulated Internet, so the last two passes plan with learned
   // preferences and Absorb folds in three rounds of observations.
   {
-    const auto& w = SharedWorld(kStubs);
     core::OrchestratorConfig cfg;
     cfg.prefix_budget = kBudget;
     cfg.max_learning_iterations = 3;
@@ -186,7 +215,7 @@ void WriteRunReport() {
     double best_ms = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < 3; ++rep) {
       core::Orchestrator orch{*inst, cfg};
-      core::SimEnvironment env{*w.resolver, *w.oracle, util::Rng{9}};
+      core::SimEnvironment env{*world.resolver, *world.oracle, util::Rng{9}};
       const auto start = std::chrono::steady_clock::now();
       const auto reports = orch.Learn(env);
       const auto elapsed = std::chrono::steady_clock::now() - start;
