@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace painter::bgpsim {
 
@@ -73,6 +74,7 @@ RoutingOutcome BgpEngine::Propagate(const Announcement& ann) const {
   static obs::Counter& propagations =
       obs::Metrics().GetCounter("bgpsim.propagations");
   propagations.Add();
+  const obs::TraceSpan span{"bgpsim.BgpEngine.Propagate"};
   const topo::AsGraph& g = *graph_;
   RoutingOutcome out{g.size(), ann.origin};
 

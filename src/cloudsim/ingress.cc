@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "obs/trace.h"
 #include "util/hashmix.h"
 
 namespace painter::cloudsim {
@@ -75,6 +76,7 @@ IngressResolver::Result IngressResolver::ResolveWithRoutes(
 IngressResolver::Result IngressResolver::ResolveWithRoutes(
     std::span<const util::PeeringId> advertised,
     std::span<const bgpsim::NeighborAttr> attrs) const {
+  const obs::TraceSpan span{"cloudsim.IngressResolver.Resolve"};
   if (!attrs.empty() && attrs.size() != advertised.size()) {
     throw std::invalid_argument{
         "ResolveWithRoutes: attrs size does not match advertised"};

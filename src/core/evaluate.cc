@@ -1,8 +1,10 @@
 #include "core/evaluate.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <limits>
+#include <numeric>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -61,23 +63,25 @@ namespace {
 
 // Flattens one Resolve result into the evaluator's ingress/day-0-RTT layout
 // (-1 / +inf for unreachable), filling `ingress[base..base+n)` and
-// `day0[base..base+n)`.
+// `day0[base..base+n)`. The reachable UGs' truths are one oracle batch.
 void FlattenResolved(
     const std::vector<std::optional<util::PeeringId>>& resolved,
     const measure::LatencyOracle& oracle, std::size_t base,
     std::int32_t* ingress, double* day0) {
+  std::vector<measure::UgPeering> routed;
   for (std::size_t u = 0; u < resolved.size(); ++u) {
     if (resolved[u].has_value()) {
       ingress[base + u] = static_cast<std::int32_t>(resolved[u]->value());
-      day0[base + u] =
-          oracle
-              .TrueRttOnDay(util::UgId{static_cast<std::uint32_t>(u)},
-                            *resolved[u], /*day=*/0)
-              .count();
+      routed.push_back(
+          {util::UgId{static_cast<std::uint32_t>(u)}, *resolved[u]});
     } else {
       ingress[base + u] = -1;
       day0[base + u] = std::numeric_limits<double>::infinity();
     }
+  }
+  const auto truths = oracle.TrueRttEach(routed, /*day=*/0);
+  for (std::size_t i = 0; i < routed.size(); ++i) {
+    day0[base + routed[i].ug.value()] = truths[i].count();
   }
 }
 
@@ -118,20 +122,40 @@ void GroundTruthEvaluator::SetConfig(const AdvertisementConfig& config) {
   }
 }
 
-double GroundTruthEvaluator::RttOf(std::uint32_t u, int prefix,
-                                   int day) const {
-  const std::size_t slot =
-      prefix < 0 ? u : static_cast<std::size_t>(prefix) * ug_count_ + u;
-  const std::int32_t ingress =
-      prefix < 0 ? anycast_ingress_[slot] : prefix_ingress_[slot];
-  if (ingress < 0) return std::numeric_limits<double>::infinity();
-  if (day == 0) {
-    return prefix < 0 ? anycast_day0_rtt_[slot] : prefix_day0_rtt_[slot];
+std::size_t GroundTruthEvaluator::SlotOf(std::uint32_t u, int prefix) const {
+  return static_cast<std::size_t>(prefix) * ug_count_ + u;
+}
+
+void GroundTruthEvaluator::RowOf(std::uint32_t u, std::span<const int> prefixes,
+                                 int day, std::span<double> row) const {
+  auto ingress_of = [&](int prefix) {
+    return prefix < 0 ? anycast_ingress_[u]
+                      : prefix_ingress_[SlotOf(u, prefix)];
+  };
+  std::vector<util::PeeringId> sessions;
+  for (std::size_t j = 0; j < prefixes.size(); ++j) {
+    const std::int32_t ingress = ingress_of(prefixes[j]);
+    if (ingress < 0) {
+      row[j] = std::numeric_limits<double>::infinity();
+    } else if (day == 0) {
+      row[j] = prefixes[j] < 0 ? anycast_day0_rtt_[u]
+                               : prefix_day0_rtt_[SlotOf(u, prefixes[j])];
+    } else {
+      sessions.push_back(util::PeeringId{static_cast<std::uint32_t>(ingress)});
+    }
   }
-  return oracle_
-      ->TrueRttOnDay(util::UgId{u},
-                     util::PeeringId{static_cast<std::uint32_t>(ingress)}, day)
-      .count();
+  if (sessions.empty()) return;
+  const auto truths = oracle_->TrueRttOnDayEach(util::UgId{u}, sessions, day);
+  std::size_t next = 0;
+  for (std::size_t j = 0; j < prefixes.size(); ++j) {
+    if (ingress_of(prefixes[j]) >= 0) row[j] = truths[next++].count();
+  }
+}
+
+std::vector<int> GroundTruthEvaluator::AllPrefixes() const {
+  std::vector<int> prefixes(prefix_count_ + 1);
+  std::iota(prefixes.begin(), prefixes.end(), -1);
+  return prefixes;
 }
 
 double GroundTruthEvaluator::MeanImprovementMs(int day) const {
@@ -139,17 +163,15 @@ double GroundTruthEvaluator::MeanImprovementMs(int day) const {
       obs::Metrics().GetCounter("evaluator.gt.passes");
   passes.Add();
   const obs::TraceSpan span{"evaluator.gt.MeanImprovementMs"};
+  const std::vector<int> prefixes = AllPrefixes();
+  std::vector<double> row(prefixes.size());
   double acc = 0.0;
   double wsum = 0.0;
   for (const auto& ug : deployment_->ugs()) {
-    const std::uint32_t u = ug.id.value();
-    const double any = RttOf(u, -1, day);
-    double best = any;
-    for (std::size_t p = 0; p < prefix_count_; ++p) {
-      best = std::min(best, RttOf(u, static_cast<int>(p), day));
-    }
+    RowOf(ug.id.value(), prefixes, day, row);
+    const double any = row[0];
     if (std::isfinite(any)) {
-      acc += ug.traffic_weight * (any - best);
+      acc += ug.traffic_weight * (any - *std::min_element(row.begin(), row.end()));
       wsum += ug.traffic_weight;
     }
   }
@@ -161,16 +183,14 @@ double GroundTruthEvaluator::PositiveMeanImprovementMs(int day) const {
       obs::Metrics().GetCounter("evaluator.gt.passes");
   passes.Add();
   const obs::TraceSpan span{"evaluator.gt.PositiveMeanImprovementMs"};
+  const std::vector<int> prefixes = AllPrefixes();
+  std::vector<double> row(prefixes.size());
   double acc = 0.0;
   double wsum = 0.0;
   for (const auto& ug : deployment_->ugs()) {
-    const std::uint32_t u = ug.id.value();
-    const double any = RttOf(u, -1, day);
-    double best = any;
-    for (std::size_t p = 0; p < prefix_count_; ++p) {
-      best = std::min(best, RttOf(u, static_cast<int>(p), day));
-    }
-    const double imp = any - best;
+    RowOf(ug.id.value(), prefixes, day, row);
+    const double any = row[0];
+    const double imp = any - *std::min_element(row.begin(), row.end());
     if (std::isfinite(any) && imp > 1e-9) {
       acc += ug.traffic_weight * imp;
       wsum += ug.traffic_weight;
@@ -181,20 +201,34 @@ double GroundTruthEvaluator::PositiveMeanImprovementMs(int day) const {
 
 double GroundTruthEvaluator::MeanImprovementOverUgsMs(
     const std::vector<std::uint32_t>& ugs, int day) const {
+  const std::vector<int> prefixes = AllPrefixes();
+  std::vector<double> row(prefixes.size());
   double acc = 0.0;
   double wsum = 0.0;
   for (const std::uint32_t u : ugs) {
     const auto& ug = deployment_->ug(util::UgId{u});
-    const double any = RttOf(u, -1, day);
+    RowOf(u, prefixes, day, row);
+    const double any = row[0];
     if (!std::isfinite(any)) continue;
-    double best = any;
-    for (std::size_t p = 0; p < prefix_count_; ++p) {
-      best = std::min(best, RttOf(u, static_cast<int>(p), day));
-    }
-    acc += ug.traffic_weight * (any - best);
+    acc += ug.traffic_weight * (any - *std::min_element(row.begin(), row.end()));
     wsum += ug.traffic_weight;
   }
   return wsum == 0.0 ? 0.0 : acc / wsum;
+}
+
+std::optional<double> GroundTruthEvaluator::PossibleGainMs(
+    const cloudsim::PolicyCatalog& catalog, const cloudsim::UserGroup& ug,
+    int day) const {
+  const std::int32_t anycast = anycast_ingress_[ug.id.value()];
+  if (anycast < 0) return std::nullopt;
+  const auto compliant = catalog.CompliantPeerings(ug.id);
+  std::vector<util::PeeringId> sessions;
+  sessions.reserve(compliant.size() + 1);
+  sessions.push_back(util::PeeringId{static_cast<std::uint32_t>(anycast)});
+  sessions.insert(sessions.end(), compliant.begin(), compliant.end());
+  const auto truths = oracle_->TrueRttOnDayEach(ug.id, sessions, day);
+  const util::Millis best = *std::min_element(truths.begin(), truths.end());
+  return truths.front().count() - best.count();
 }
 
 std::vector<std::uint32_t> GroundTruthEvaluator::BenefitingUgs(
@@ -204,27 +238,23 @@ std::vector<std::uint32_t> GroundTruthEvaluator::BenefitingUgs(
   for (const auto& ug : deployment_->ugs()) {
     // Both sides of the headroom comparison use the same day's ground truth
     // so the set agrees with the improvement metrics for that day.
-    const double any = RttOf(ug.id.value(), -1, day);
-    if (!std::isfinite(any)) continue;
-    double best = any;
-    for (util::PeeringId pid : catalog.CompliantPeerings(ug.id)) {
-      best = std::min(best, oracle_->TrueRttOnDay(ug.id, pid, day).count());
-    }
-    if (any - best > threshold_ms) out.push_back(ug.id.value());
+    const auto gain = PossibleGainMs(catalog, ug, day);
+    if (gain.has_value() && *gain > threshold_ms) out.push_back(ug.id.value());
   }
   return out;
 }
 
 std::vector<int> GroundTruthEvaluator::Choices(int day) const {
-  const auto& ugs = deployment_->ugs();
-  std::vector<int> choices(ugs.size(), -1);
-  for (const auto& ug : ugs) {
+  const std::vector<int> prefixes = AllPrefixes();
+  std::vector<double> row(prefixes.size());
+  std::vector<int> choices(ug_count_, -1);
+  for (const auto& ug : deployment_->ugs()) {
     const std::uint32_t u = ug.id.value();
-    double best = RttOf(u, -1, day);
+    RowOf(u, prefixes, day, row);
+    double best = row[0];
     for (std::size_t p = 0; p < prefix_count_; ++p) {
-      const double rtt = RttOf(u, static_cast<int>(p), day);
-      if (rtt < best) {
-        best = rtt;
+      if (row[p + 1] < best) {
+        best = row[p + 1];
         choices[u] = static_cast<int>(p);
       }
     }
@@ -236,11 +266,14 @@ double GroundTruthEvaluator::MeanImprovementStaticMs(
     const std::vector<int>& choices, int day) const {
   double acc = 0.0;
   double wsum = 0.0;
+  std::array<double, 2> row{};
   for (const auto& ug : deployment_->ugs()) {
     const std::uint32_t u = ug.id.value();
-    const double any = RttOf(u, -1, day);
+    const std::array<int, 2> prefixes = {-1, choices.at(u)};
+    RowOf(u, prefixes, day, row);
+    const double any = row[0];
     if (!std::isfinite(any)) continue;
-    double used = RttOf(u, choices.at(u), day);
+    double used = row[1];
     if (!std::isfinite(used)) used = any;  // pinned prefix unreachable
     acc += ug.traffic_weight * (any - used);
     wsum += ug.traffic_weight;
@@ -253,13 +286,9 @@ double GroundTruthEvaluator::PossibleMeanImprovementMs(
   double acc = 0.0;
   double wsum = 0.0;
   for (const auto& ug : deployment_->ugs()) {
-    const double any = RttOf(ug.id.value(), -1, day);
-    if (!std::isfinite(any)) continue;
-    double best = any;
-    for (util::PeeringId pid : catalog.CompliantPeerings(ug.id)) {
-      best = std::min(best, oracle_->TrueRttOnDay(ug.id, pid, day).count());
-    }
-    acc += ug.traffic_weight * (any - best);
+    const auto gain = PossibleGainMs(catalog, ug, day);
+    if (!gain.has_value()) continue;
+    acc += ug.traffic_weight * *gain;
     wsum += ug.traffic_weight;
   }
   return wsum == 0.0 ? 0.0 : acc / wsum;

@@ -19,17 +19,17 @@ std::vector<double> MeasureAnycast(const cloudsim::Deployment& deployment,
   for (const auto& p : deployment.peerings()) all.push_back(p.id);
   const auto ingress = resolver.Resolve(all);
 
-  std::vector<double> rtt(deployment.ugs().size(), 0.0);
+  // No route at all under anycast: treat as unreachable (huge RTT) so any
+  // exposed path is an improvement.
+  std::vector<double> rtt(deployment.ugs().size(), 1e6);
+  std::vector<measure::UgPeering> routed;
   for (const auto& ug : deployment.ugs()) {
     const auto& choice = ingress[ug.id.value()];
-    if (choice.has_value()) {
-      rtt[ug.id.value()] =
-          oracle.MeasureMin(ug.id, *choice, rng, ping_count).count();
-    } else {
-      // No route at all under anycast: treat as unreachable (huge RTT) so
-      // any exposed path is an improvement.
-      rtt[ug.id.value()] = 1e6;
-    }
+    if (choice.has_value()) routed.push_back({ug.id, *choice});
+  }
+  const auto measured = oracle.MeasureMinEach(routed, rng, ping_count);
+  for (std::size_t i = 0; i < routed.size(); ++i) {
+    rtt[routed[i].ug.value()] = measured[i].count();
   }
   return rtt;
 }

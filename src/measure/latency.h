@@ -73,6 +73,17 @@ struct OracleConfig {
   double shift_penalty_sigma = 0.5;
 };
 
+// One (UG, peering) pair of a batch query.
+struct UgPeering {
+  util::UgId ug;
+  util::PeeringId peering;
+};
+
+// Every query is a batch. A batch makes all of its keyed draws first, a few
+// seeds at a time through util::ForEachKeyed, then takes its pings from the
+// caller's stream in pair order. Each single-pair query is a batch of one,
+// so every keyed value has one code path, and a batch equals the per-pair
+// loop value for value and leaves the stream where the loop leaves it.
 class LatencyOracle {
  public:
   LatencyOracle(const topo::Internet& internet,
@@ -87,21 +98,39 @@ class LatencyOracle {
                                           util::PeeringId peering,
                                           int day) const;
 
+  // TrueRttOnDay(pair.ug, pair.peering, day) for each pair in order. The
+  // (UG, entry-AS) draw is made once per distinct entry AS of each run of
+  // pairs with the same UG.
+  [[nodiscard]] std::vector<util::Millis> TrueRttEach(
+      std::span<const UgPeering> pairs, int day = 0) const;
+
+  // TrueRttOnDay(ug, p, day) for each p of `peerings` in order: one UG's
+  // sessions, with one (UG, entry-AS) draw per distinct entry AS.
+  [[nodiscard]] std::vector<util::Millis> TrueRttOnDayEach(
+      util::UgId ug, std::span<const util::PeeringId> peerings,
+      int day) const;
+
   // One ping: truth plus queueing jitter (always >= truth).
   [[nodiscard]] util::Millis ProbeOnce(util::UgId ug, util::PeeringId peering,
                                        util::Rng& rng, int day = 0) const;
 
   // Min over `count` pings — the paper's measurement primitive. Equal to the
   // min of `count` ProbeOnce calls, but evaluates the truth only once.
+  // Throws std::invalid_argument for count < 1, before drawing anything; so
+  // do both MeasureMinEach forms.
   [[nodiscard]] util::Millis MeasureMin(util::UgId ug, util::PeeringId peering,
                                         util::Rng& rng, int count = 7,
                                         int day = 0) const;
 
+  // MeasureMin(pair.ug, pair.peering, rng, count, day) for each pair in
+  // order.
+  [[nodiscard]] std::vector<util::Millis> MeasureMinEach(
+      std::span<const UgPeering> pairs, util::Rng& rng, int count = 7,
+      int day = 0) const;
+
   // MeasureMin(ug, p, rng, count) for each p of `peerings` in order, at day
-  // 0: equal value for value, and drawing the same pings from `rng`. The
-  // (UG, entry-AS) inflation draw is made once per distinct entry AS of the
-  // span instead of once per session, which is what makes probing every
-  // compliant ingress of a UG cheap.
+  // 0: one UG's sessions, with one (UG, entry-AS) draw per distinct entry
+  // AS, which is what makes probing every compliant ingress of a UG cheap.
   [[nodiscard]] std::vector<util::Millis> MeasureMinEach(
       util::UgId ug, std::span<const util::PeeringId> peerings, util::Rng& rng,
       int count = 7) const;
@@ -112,21 +141,31 @@ class LatencyOracle {
   [[nodiscard]] const topo::Internet& internet() const { return *internet_; }
 
  private:
-  // Both take a UG the caller has looked up through the deployment, which
-  // rejects an id past it before the per-UG vectors are read.
-  //
+  // The truths of `pairs` at `day`, into out[0, pairs.size()): the one code
+  // path of the keyed draws below. The deployment rejects an out-of-range
+  // id before any per-UG vector is read.
+  void TruthsInto(std::span<const UgPeering> pairs, int day,
+                  util::Millis* out) const;
+
   // The (UG, entry-AS) factor of the path inflation (key 0x22): bimodal
   // between a few direct paths and the UG's mediocre level, plus the entry
   // AS's transit and fixed-exit bonuses.
   [[nodiscard]] double AsInflation(const cloudsim::UserGroup& user,
-                                   util::AsId entry) const;
+                                   util::AsId entry,
+                                   util::KeyedRng& rng) const;
 
   // TrueRtt given `as_inflation`, the UG's AsInflation for the session's
   // peer: applies the per-session factor (key 0x33) to the fiber RTT between
   // the UG's and the PoP's metros.
   [[nodiscard]] double TrueRttGiven(const cloudsim::UserGroup& user,
                                     const cloudsim::Peering& sess,
-                                    double as_inflation) const;
+                                    double as_inflation,
+                                    util::KeyedRng& rng) const;
+
+  // The penalty of a degraded regime that starts on day `start` (key 0x44),
+  // if one starts then and still covers `day`.
+  [[nodiscard]] std::optional<double> RegimePenalty(int start, int day,
+                                                    util::KeyedRng& rng) const;
 
   const topo::Internet* internet_;
   const cloudsim::Deployment* deployment_;

@@ -2,8 +2,10 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
+#include "core/sim_environment.h"
 #include "measure/geolocation.h"
 #include "tests/pin_hash.h"
 #include "tests/world_fixture.h"
@@ -302,6 +304,126 @@ TEST_F(OraclePinTest, MeasureMinEachEqualsMeasureMinLoop) {
         EXPECT_EQ(each_rng.Uniform01(), loop_rng.Uniform01()) << "ug " << ug.id;
       }
     }
+  }
+}
+
+// Every batch form is its per-pair loop, value for value, at day 0, on
+// days inside and past the 24-day lookback window (1, 5, 17, 25, 40), over
+// spans that repeat sessions, mix UGs or are empty; MeasureMinEach also
+// leaves the stream where the loop leaves it.
+TEST_F(OraclePinTest, BatchFormsEqualPerPairLoops) {
+  const auto& sessions = w_.deployment->peerings();
+  std::vector<util::PeeringId> all;
+  for (const auto& sess : sessions) all.push_back(sess.id);
+  for (const auto& ug : w_.deployment->ugs()) {
+    if (ug.id.value() % 10 != 0) continue;
+    const auto compliant = w_.catalog->CompliantPeerings(ug.id);
+    // Compliant sessions, then the first three again, then the last one.
+    std::vector<util::PeeringId> repeated(compliant.begin(), compliant.end());
+    for (std::size_t i = 0; i < 3 && i < compliant.size(); ++i) {
+      repeated.push_back(compliant[i]);
+    }
+    repeated.push_back(all.back());
+    // Pairs across UGs: this UG and its neighbours, interleaved, so runs of
+    // one UG restart and a UG's draws are made again after a gap.
+    std::vector<UgPeering> pairs;
+    for (std::size_t i = 0; i < 12; ++i) {
+      const std::uint32_t u =
+          (ug.id.value() + static_cast<std::uint32_t>(i % 3)) %
+          static_cast<std::uint32_t>(w_.deployment->ugs().size());
+      pairs.push_back({util::UgId{u}, all[(i * 7 + u) % all.size()]});
+    }
+    const std::span<const util::PeeringId> spans[] = {
+        repeated, all, std::span<const util::PeeringId>{}};
+    for (const int day : {0, 1, 5, 17, 25, 40}) {
+      SCOPED_TRACE(testing::Message() << "ug " << ug.id << " day " << day);
+      for (const auto peerings : spans) {
+        const auto each = w_.oracle->TrueRttOnDayEach(ug.id, peerings, day);
+        ASSERT_EQ(each.size(), peerings.size());
+        for (std::size_t i = 0; i < peerings.size(); ++i) {
+          ASSERT_EQ(each[i].count(),
+                    w_.oracle->TrueRttOnDay(ug.id, peerings[i], day).count())
+              << "session " << peerings[i];
+        }
+      }
+      const auto truths = w_.oracle->TrueRttEach(pairs, day);
+      ASSERT_EQ(truths.size(), pairs.size());
+      util::Rng each_rng{ug.id.value() + 7};
+      util::Rng loop_rng{ug.id.value() + 7};
+      const auto measured = w_.oracle->MeasureMinEach(pairs, each_rng, 3, day);
+      ASSERT_EQ(measured.size(), pairs.size());
+      for (std::size_t i = 0; i < pairs.size(); ++i) {
+        ASSERT_EQ(truths[i].count(),
+                  w_.oracle->TrueRttOnDay(pairs[i].ug, pairs[i].peering, day)
+                      .count());
+        ASSERT_EQ(measured[i].count(),
+                  w_.oracle
+                      ->MeasureMin(pairs[i].ug, pairs[i].peering, loop_rng, 3,
+                                   day)
+                      .count());
+      }
+      EXPECT_EQ(each_rng.Uniform01(), loop_rng.Uniform01());
+      EXPECT_TRUE(w_.oracle->TrueRttEach({}, day).empty());
+      EXPECT_TRUE(w_.oracle->MeasureMinEach({}, each_rng, 3, day).empty());
+      EXPECT_EQ(each_rng.Uniform01(), loop_rng.Uniform01());
+    }
+  }
+}
+
+// An id past the deployment throws std::out_of_range from every form before
+// any per-UG vector is read, wherever it sits in the batch.
+TEST_F(OraclePinTest, OutOfRangeIdsThrow) {
+  const auto ugs = static_cast<std::uint32_t>(w_.deployment->ugs().size());
+  const auto sessions =
+      static_cast<std::uint32_t>(w_.deployment->peerings().size());
+  const util::UgId bad_ug{ugs};
+  const util::PeeringId p0{0};
+  const UgPeering pairs[] = {{util::UgId{0}, p0}, {bad_ug, p0}};
+  const UgPeering bad_session[] = {{util::UgId{0}, util::PeeringId{sessions}}};
+  const util::PeeringId one[] = {p0};
+  util::Rng rng{3};
+  EXPECT_THROW((void)w_.oracle->TrueRtt(bad_ug, p0), std::out_of_range);
+  EXPECT_THROW((void)w_.oracle->TrueRttOnDay(bad_ug, p0, 9), std::out_of_range);
+  EXPECT_THROW((void)w_.oracle->MeasureMin(bad_ug, p0, rng), std::out_of_range);
+  EXPECT_THROW((void)w_.oracle->TrueRttEach(pairs, 9), std::out_of_range);
+  EXPECT_THROW((void)w_.oracle->TrueRttEach(bad_session), std::out_of_range);
+  EXPECT_THROW((void)w_.oracle->TrueRttOnDayEach(bad_ug, one, 9),
+               std::out_of_range);
+  EXPECT_THROW((void)w_.oracle->MeasureMinEach(pairs, rng), std::out_of_range);
+  EXPECT_THROW((void)w_.oracle->MeasureMinEach(bad_ug, one, rng),
+               std::out_of_range);
+}
+
+// "Min over count pings" needs a ping: every measuring form rejects
+// count < 1 before it draws anything, and so do the two callers that pass a
+// ping count through.
+TEST_F(OraclePinTest, PingCountBelowOneThrowsBeforeDrawing) {
+  const util::UgId ug{0};
+  const util::PeeringId p0{0};
+  const UgPeering pairs[] = {{ug, p0}};
+  const util::PeeringId one[] = {p0};
+  for (const int count : {0, -1}) {
+    SCOPED_TRACE(testing::Message() << "count " << count);
+    util::Rng rng{21};
+    const util::Rng untouched = rng;
+    EXPECT_THROW((void)w_.oracle->MeasureMin(ug, p0, rng, count),
+                 std::invalid_argument);
+    EXPECT_THROW((void)w_.oracle->MeasureMinEach(pairs, rng, count, 3),
+                 std::invalid_argument);
+    EXPECT_THROW((void)w_.oracle->MeasureMinEach(ug, one, rng, count),
+                 std::invalid_argument);
+    EXPECT_THROW((void)w_.oracle->MeasureMinEach({}, rng, count),
+                 std::invalid_argument);
+    EXPECT_THROW((void)core::BuildMeasuredInstance(
+                     w_.internet(), *w_.deployment, *w_.catalog, *w_.resolver,
+                     *w_.oracle, rng, count),
+                 std::invalid_argument);
+    core::SimEnvironment env{*w_.resolver, *w_.oracle, rng, count};
+    core::AdvertisementConfig config;
+    config.AddPrefix(std::vector<util::PeeringId>{p0});
+    EXPECT_THROW((void)env.Execute(config), std::invalid_argument);
+    util::Rng copy = untouched;
+    EXPECT_EQ(rng.Uniform01(), copy.Uniform01());
   }
 }
 

@@ -148,6 +148,11 @@ TEST_F(ObsIntegrationTest, TraceFileIsLoadableAndCoversTheRun) {
   int compute_config = 0;
   int learn_iteration = 0;
   int predict = 0;
+  // The boundaries under each iteration's Execute: one resolution (one BGP
+  // propagation) and one oracle batch per announced prefix.
+  int resolve = 0;
+  int propagate = 0;
+  int measure = 0;
   for (const auto& e : events) {
     const std::string& name = e.At("name").AsString();
     EXPECT_TRUE(e.Has("ts"));
@@ -155,10 +160,16 @@ TEST_F(ObsIntegrationTest, TraceFileIsLoadableAndCoversTheRun) {
     if (name == "orchestrator.ComputeConfig") ++compute_config;
     if (name == "orchestrator.learn.iteration") ++learn_iteration;
     if (name == "orchestrator.Predict") ++predict;
+    if (name == "cloudsim.IngressResolver.Resolve") ++resolve;
+    if (name == "bgpsim.BgpEngine.Propagate") ++propagate;
+    if (name == "measure.LatencyOracle.MeasureMinEach") ++measure;
   }
   EXPECT_GE(compute_config, 1);
   EXPECT_EQ(learn_iteration, 3);
   EXPECT_GE(predict, 1);
+  EXPECT_GE(measure, 3);
+  EXPECT_GE(resolve, measure);
+  EXPECT_GE(propagate, resolve);
 }
 
 TEST_F(ObsIntegrationTest, IdenticalRunsProduceByteIdenticalReports) {
