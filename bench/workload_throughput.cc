@@ -1,12 +1,15 @@
 // Workload-engine throughput: a simulated day of traffic through the TM-Edge.
 //
-// Three phases, one acceptance gate each:
+// Phases:
 //   generate   — produce >= 1M flow arrivals from synthetic UG profiles and
 //                record the generation rate (flows/s of wall time) plus the
 //                trace checksum (the determinism identity).
 //   pin_lookup — microbench the sharded flow-pinning store: insert a large
 //                working set, then time Find() batches and report p50/p99
 //                per-lookup latency.
+//   edge_probe_loop — the 8-tunnel TM-Edge alone over the trace horizon:
+//                the probe loop every replay below carries, reported as
+//                des_events and wall_des_ns_per_event.
 //   replay     — drive the full trace through a WorkloadEngine pinned to a
 //                TM-Edge (8 tunnels, 4 PoPs), once under the classic
 //                latency-only policy and once under the capacity-aware
@@ -32,6 +35,7 @@
 //   workload_throughput --seed 11
 //   workload_throughput --shards 4     # headline shard count (1, 2, 4 or 8)
 //   workload_throughput --smoke        # tiny trace; gates are skipped
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -273,6 +277,29 @@ int main(int argc, char** argv) {
             << util::Table::Num(util::Median(lookup_ns), 1) << " ns, p99 "
             << util::Table::Num(util::Percentile(lookup_ns, 99.0), 1)
             << " ns/lookup (sink " << (lookup_sink & 0xFF) << ")\n";
+
+  // --- edge_probe_loop --------------------------------------------------
+  // The TM-Edge with no workload attached, over the horizon every replay
+  // runs: probes, timeouts, PoP arrivals and replies on the control
+  // simulator, which is most of a replay's events.
+  std::size_t probe_events = 0;
+  double probe_ms = 0.0;
+  {
+    const obs::RunReport::ScopedPhase phase{report, "edge_probe_loop"};
+    auto w = MakeReplayWorld(seed);
+    const auto start = Clock::now();
+    w->edge->Start();
+    w->sim.Run(static_cast<double>(trace.duration_us) / 1e6 + 2.0);
+    probe_ms = MsSince(start);
+    probe_events = w->sim.ExecutedEvents();
+  }
+  const double ns_per_event =
+      probe_ms * 1e6 /
+      static_cast<double>(std::max<std::size_t>(probe_events, 1));
+  report.AddValue("des_events", static_cast<double>(probe_events));
+  report.AddValue("wall_des_ns_per_event", ns_per_event);
+  std::cout << "edge_probe_loop: " << probe_events << " control events, "
+            << util::Table::Num(ns_per_event, 1) << " ns/event\n";
 
   // --- replay: latency-only vs capacity-aware ---------------------------
   // Capacity sized so the aggregate offered load (~2.7 MB/s) fits across the

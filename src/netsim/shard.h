@@ -13,8 +13,8 @@
 //        the shards;
 //     3. every shard simulator runs its own heap to b_k, in shard order, on
 //        the calling thread;
-//     4. `merge` hook: drain the shards' outboxes in canonical order and
-//        apply them to control state.
+//     4. `merge` hook: apply the shards' effects to control state in
+//        canonical order.
 //
 // Sharding is a data partition, not a thread partition: everything runs on
 // the thread that calls Run(). Threads were measured and lost: at one tick

@@ -1,6 +1,7 @@
 #include "tm/tm_edge.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -31,6 +32,11 @@ struct TmMetrics {
 TmEdge::TmEdge(netsim::Simulator& sim, Config config,
                std::vector<TunnelConfig> tunnels)
     : sim_(&sim), config_(config), rng_(config.seed) {
+  // ProbeTunnel reschedules itself one interval ahead: an interval that
+  // rounds to 0 µs would reschedule at the same instant forever.
+  if (netsim::UsFromSeconds(config.probe_interval_s) == 0) {
+    throw std::invalid_argument{"TmEdge: probe_interval_s rounds to 0 us"};
+  }
   tunnels_.reserve(tunnels.size());
   for (auto& t : tunnels) {
     Tunnel tun;
@@ -73,13 +79,35 @@ void TmEdge::SendViaTunnel(std::size_t i, netsim::Packet packet) {
     const double path_delay = *delay * Jitter();
     tun.config.bottleneck->Send(packet, [this, i, path_delay](
                                             const netsim::Packet& p) {
-      sim_->Schedule(path_delay, [this, i, p]() { DeliverToPop(i, p); });
+      ScheduleArrival(i, p, path_delay);
     });
     return;
   }
+  ScheduleArrival(i, packet, *delay * Jitter());
+}
 
-  const double arrive = *delay * Jitter();
-  sim_->Schedule(arrive, [this, i, packet]() { DeliverToPop(i, packet); });
+void TmEdge::ScheduleArrival(std::size_t i, const netsim::Packet& packet,
+                             double delay_s) {
+  if (packet.kind == netsim::PacketKind::kProbe) {
+    // A probe's round trip needs only its id: the events carry (edge,
+    // tunnel, id), not the packet.
+    sim_->Schedule(delay_s, [this, i, id = packet.probe_id]() {
+      ProbeAtPop(i, id);
+    });
+    return;
+  }
+  sim_->Schedule(delay_s, [this, i, packet]() { DeliverToPop(i, packet); });
+}
+
+void TmEdge::ProbeAtPop(std::size_t i, std::uint64_t probe_id) {
+  Tunnel& tun = tunnels_[i];
+  if (tun.config.pop == nullptr) return;
+  tun.config.pop->AnswerProbe();
+  // The reply takes the reverse direction over the same tunnel path.
+  const auto back = tun.config.path.OneWayDelay(sim_->Now());
+  if (!back.has_value()) return;  // reply lost
+  sim_->Schedule(*back * Jitter(),
+                 [this, i, probe_id]() { OnProbeReply(i, probe_id); });
 }
 
 void TmEdge::DeliverToPop(std::size_t i, const netsim::Packet& packet) {
@@ -89,19 +117,15 @@ void TmEdge::DeliverToPop(std::size_t i, const netsim::Packet& packet) {
     // Reverse direction over the same tunnel path.
     const auto back = tunnels_[i].config.path.OneWayDelay(sim_->Now());
     if (!back.has_value()) return;  // reply lost
-    sim_->Schedule(*back * Jitter(), [this, i, reply]() {
-      if (reply.kind == netsim::PacketKind::kProbeReply) {
-        OnProbeReply(i, reply.probe_id);
-      } else {
-        // Data response delivered to the client.
-        const netsim::FlowKey forward{.src_ip = reply.inner.dst_ip,
-                                      .dst_ip = reply.inner.src_ip,
-                                      .src_port = reply.inner.dst_port,
-                                      .dst_port = reply.inner.src_port,
-                                      .proto = reply.inner.proto};
-        FlowStats* stats = flows_.Find(forward);
-        if (stats != nullptr) ++stats->delivered;
-      }
+    sim_->Schedule(*back * Jitter(), [this, reply]() {
+      // Data response delivered to the client.
+      const netsim::FlowKey forward{.src_ip = reply.inner.dst_ip,
+                                    .dst_ip = reply.inner.src_ip,
+                                    .src_port = reply.inner.dst_port,
+                                    .dst_port = reply.inner.src_port,
+                                    .proto = reply.inner.proto};
+      FlowStats* stats = flows_.Find(forward);
+      if (stats != nullptr) ++stats->delivered;
     });
   });
 }
@@ -232,6 +256,9 @@ std::optional<double> TmEdge::TunnelRttMs(std::size_t i) const {
 }
 
 void TmEdge::SampleEvery(double interval_s, double until_s) {
+  if (netsim::UsFromSeconds(interval_s) == 0) {
+    throw std::invalid_argument{"TmEdge::SampleEvery: interval rounds to 0 us"};
+  }
   if (sim_->Now() > until_s) return;
   Sample s;
   s.t = sim_->Now();

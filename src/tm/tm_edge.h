@@ -91,6 +91,8 @@ class TmEdge {
   using FlowPlacer = std::function<int(const netsim::FlowKey& flow,
                                        int chosen)>;
 
+  // Throws std::invalid_argument when `probe_interval_s` is negative,
+  // non-finite or rounds to 0 µs.
   TmEdge(netsim::Simulator& sim, Config config,
          std::vector<TunnelConfig> tunnels);
 
@@ -102,7 +104,9 @@ class TmEdge {
   void StartFlow(const netsim::FlowKey& flow, std::size_t packets,
                  double interval_s, std::uint32_t payload_bytes = 1400);
 
-  // Samples the per-tunnel state every `interval_s` until `until_s`.
+  // Samples the per-tunnel state every `interval_s` until `until_s`. Throws
+  // std::invalid_argument for an interval that rounds to 0 µs (the loop
+  // would never leave the current instant).
   void SampleEvery(double interval_s, double until_s);
 
   [[nodiscard]] int chosen() const { return chosen_; }
@@ -139,7 +143,14 @@ class TmEdge {
   // Sends a packet over tunnel i; schedules arrival at the TM-PoP (or drops
   // it if the path is down at send time / the bottleneck queue overflows).
   void SendViaTunnel(std::size_t i, netsim::Packet packet);
-  // Hands an arrived packet to the tunnel's TM-PoP and wires the reply path.
+  // Schedules the packet's arrival at tunnel i's TM-PoP `delay_s` from now.
+  void ScheduleArrival(std::size_t i, const netsim::Packet& packet,
+                       double delay_s);
+  // A probe reached the TM-PoP: it answers at once, and the reply travels
+  // back over the tunnel path (drawing the return Jitter()).
+  void ProbeAtPop(std::size_t i, std::uint64_t probe_id);
+  // Hands an arrived data packet to the tunnel's TM-PoP and wires the
+  // response path.
   void DeliverToPop(std::size_t i, const netsim::Packet& packet);
   [[nodiscard]] double Jitter();
 

@@ -14,7 +14,7 @@ TmPop::TmPop(netsim::Simulator& sim, std::string name,
 void TmPop::HandleArrival(const netsim::Packet& packet,
                           std::function<void(netsim::Packet)> send_back) {
   if (packet.kind == netsim::PacketKind::kProbe) {
-    ++stats_.probe_packets;
+    AnswerProbe();
     netsim::Packet reply = packet;
     reply.kind = netsim::PacketKind::kProbeReply;
     reply.outer.reset();

@@ -35,6 +35,11 @@ class TmPop {
   void HandleArrival(const netsim::Packet& packet,
                      std::function<void(netsim::Packet)> send_back);
 
+  // Counts a probe that arrived through a tunnel. A probe is answered at
+  // once, so the caller sends the reply itself; HandleArrival's probe path
+  // is this plus the reply packet.
+  void AnswerProbe() { ++stats_.probe_packets; }
+
   [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] netsim::NatTable& nat() { return nat_; }
   [[nodiscard]] const std::string& name() const { return name_; }

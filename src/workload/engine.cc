@@ -45,6 +45,7 @@ WorkloadEngine::WorkloadEngine(netsim::Simulator& sim, tm::TmEdge& edge,
       config_(config),
       store_(config.store),
       tick_us_(netsim::UsFromSeconds(config.tick_s)) {
+  ValidateEngineConfig(config_);
   if (tick_us_ == 0) {
     throw std::invalid_argument{"WorkloadEngine: tick_s below 1 microsecond"};
   }
@@ -78,9 +79,28 @@ FlowTiming TimingFor(const FlowEvent& event, const EngineConfig& config) {
       .expiry_us = event.start_us + netsim::UsFromSeconds(duration_s)};
 }
 
-std::vector<TunnelView> SnapshotViews(const tm::TmEdge& edge,
-                                      std::span<const int> tunnel_pop) {
-  std::vector<TunnelView> views;
+void ValidateEngineConfig(const EngineConfig& config) {
+  if (!std::isfinite(config.flow_bytes_per_s) ||
+      config.flow_bytes_per_s <= 0.0) {
+    throw std::invalid_argument{
+        "EngineConfig: flow_bytes_per_s must be finite and > 0"};
+  }
+  if (!std::isfinite(config.min_duration_s) || config.min_duration_s < 0.0) {
+    throw std::invalid_argument{
+        "EngineConfig: min_duration_s must be finite and >= 0"};
+  }
+  if (!std::isfinite(config.max_duration_s)) {
+    throw std::invalid_argument{"EngineConfig: max_duration_s must be finite"};
+  }
+  if (config.min_duration_s > config.max_duration_s) {
+    throw std::invalid_argument{
+        "EngineConfig: min_duration_s exceeds max_duration_s"};
+  }
+}
+
+void SnapshotViews(const tm::TmEdge& edge, std::span<const int> tunnel_pop,
+                   std::vector<TunnelView>& views) {
+  views.clear();
   views.reserve(edge.TunnelCount());
   for (std::size_t i = 0; i < edge.TunnelCount(); ++i) {
     const auto rtt = edge.TunnelRttMs(i);
@@ -90,11 +110,12 @@ std::vector<TunnelView> SnapshotViews(const tm::TmEdge& edge,
         .usable = rtt.has_value(),
         .rtt_ms = rtt.value_or(0.0)});
   }
-  return views;
 }
 
 std::vector<TunnelView> WorkloadEngine::CurrentViews() const {
-  return SnapshotViews(*edge_, tunnel_pop_);
+  std::vector<TunnelView> views;
+  SnapshotViews(*edge_, tunnel_pop_, views);
+  return views;
 }
 
 void WorkloadEngine::Start() {

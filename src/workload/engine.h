@@ -112,10 +112,17 @@ struct FlowTiming {
 [[nodiscard]] FlowTiming TimingFor(const FlowEvent& event,
                                    const EngineConfig& config);
 
-// Per-tunnel views exactly as the engine snapshots them once per tick
-// (usable = probed up with a measured RTT, TmEdge::TunnelRttMs's notion).
-[[nodiscard]] std::vector<TunnelView> SnapshotViews(
-    const tm::TmEdge& edge, std::span<const int> tunnel_pop);
+// Throws std::invalid_argument unless TimingFor is defined on `config`:
+// flow_bytes_per_s finite and > 0, min_duration_s finite and >= 0,
+// max_duration_s finite and >= min_duration_s. Both engines call it before
+// anything is sized from the config.
+void ValidateEngineConfig(const EngineConfig& config);
+
+// Fills `views` with the per-tunnel views exactly as the engine snapshots
+// them once per tick (usable = probed up with a measured RTT,
+// TmEdge::TunnelRttMs's notion), reusing its capacity.
+void SnapshotViews(const tm::TmEdge& edge, std::span<const int> tunnel_pop,
+                   std::vector<TunnelView>& views);
 
 class WorkloadEngine {
  public:
@@ -142,7 +149,8 @@ class WorkloadEngine {
 
   // `tunnel_pop[i]` maps the edge's tunnel i to a LoadTracker PoP index.
   // All references must outlive the engine; the trace must stay alive and
-  // unmodified while the simulation runs.
+  // unmodified while the simulation runs. Throws std::invalid_argument on a
+  // config ValidateEngineConfig rejects or a tick below 1 µs.
   WorkloadEngine(netsim::Simulator& sim, tm::TmEdge& edge,
                  std::vector<int> tunnel_pop, LoadTracker& load,
                  const DestinationPolicy& policy, const Trace& trace,

@@ -56,7 +56,9 @@ ShardedWorkloadReplay::ShardedWorkloadReplay(
       trace_(&trace),
       config_(std::move(config)),
       shards_(des_.ShardCount()),
-      tick_us_(des_.EpochUs()) {}
+      tick_us_(des_.EpochUs()) {
+  ValidateEngineConfig(config_.engine);
+}
 
 std::size_t ShardedWorkloadReplay::BucketOf(std::uint64_t expiry_us) const {
   // Identical to WorkloadEngine::BucketOf: bucket k drains at trace time
@@ -78,9 +80,9 @@ void ShardedWorkloadReplay::Start() {
   started_ = true;
   start_us_ = control_->NowUs();
 
-  // Partition the trace once: shard = top bits of the flow-key fingerprint,
-  // the flow store's own rule, via ShardedSimulator::ShardOf. Per-shard
-  // lists keep global trace order because the walk is in trace order.
+  // Partition the trace once: event i belongs to shard owner_[i], the top
+  // bits of its flow-key fingerprint (the flow store's own rule, via
+  // ShardedSimulator::ShardOf).
   const std::vector<FlowEvent>& events = trace_->events;
   if (events.size() >
       static_cast<std::size_t>(std::numeric_limits<std::uint32_t>::max())) {
@@ -88,24 +90,29 @@ void ShardedWorkloadReplay::Start() {
         "ShardedWorkloadReplay: trace too large for 32-bit event indices"};
   }
   if (shards_.size() == 1) {
-    Shard& sh = shards_.front();
-    sh.events.resize(events.size());
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      sh.events[i] = static_cast<std::uint32_t>(i);
-    }
+    owner_.assign(events.size(), 0);
   } else {
+    owner_.resize(events.size());
     for (std::size_t i = 0; i < events.size(); ++i) {
-      const std::uint64_t fp =
-          netsim::FlowKeyFingerprint(WorkloadEngine::KeyFor(events[i]));
-      shards_[des_.ShardOf(fp)].events.push_back(
-          static_cast<std::uint32_t>(i));
+      owner_[i] = static_cast<std::uint8_t>(des_.ShardOf(
+          netsim::FlowKeyFingerprint(WorkloadEngine::KeyFor(events[i]))));
     }
   }
 
+  // The serial engine's bucket grid: one bucket per tick of the trace plus
+  // one that absorbs post-trace expiries. The live pins span at most
+  // max_duration_s / tick + 2 consecutive buckets, so a ring of that many
+  // slots gives each live bucket its own (DESIGN.md §13). The cap is taken
+  // at most the grid's length, where the ring has one slot per bucket.
   bucket_count_ =
       static_cast<std::size_t>(trace_->duration_us / tick_us_) + 2;
+  const double cap_s =
+      std::min(config_.engine.max_duration_s,
+               netsim::SecondsFromUs(bucket_count_ * tick_us_));
+  ring_size_ = std::min<std::size_t>(
+      bucket_count_, netsim::UsFromSeconds(cap_s) / tick_us_ + 2);
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].expiry_buckets.resize(bucket_count_);
+    shards_[s].ring.resize(ring_size_);
     // Every shard ticks on its own heap, on the shared absolute grid; the
     // barrier guarantees tick k has run on every shard before merge k.
     des_.shard(s).ScheduleAtUs(start_us_ + tick_us_,
@@ -118,9 +125,8 @@ void ShardedWorkloadReplay::Start() {
     // load as of the last barrier — deterministic at any shard count
     // because the control timeline is serial.
     edge_->SetFlowPlacer([this](const netsim::FlowKey&, int chosen) {
-      const std::vector<TunnelView> views =
-          SnapshotViews(*edge_, tunnel_pop_);
-      const int pick = policy_->Pick(views, *load_);
+      SnapshotViews(*edge_, tunnel_pop_, views_);
+      const int pick = policy_->Pick(views_, *load_);
       return pick >= 0 ? pick : chosen;
     });
   }
@@ -157,6 +163,7 @@ void ShardedWorkloadReplay::Prepare(std::uint64_t /*epoch*/,
   epoch_final_ = false;
   epoch_pick_ = -1;
   epoch_pop_ = -1;
+  due_end_ = global_cursor_;
   if (ticks_stopped_) return;
   // A Run() horizon can end mid-epoch; that barrier has no tick on it, so
   // there is nothing to decide (the flags above already say "no work").
@@ -165,19 +172,26 @@ void ShardedWorkloadReplay::Prepare(std::uint64_t /*epoch*/,
     epoch_final_ = true;  // this tick: drain everything, admit nothing
     return;
   }
+  // The epoch's arrivals: every trace event due by the tick. Each shard
+  // admits the ones it owns; the merge walks all of them in trace order.
+  const std::uint64_t now_us = boundary_us - start_us_;
+  const std::vector<FlowEvent>& events = trace_->events;
+  while (due_end_ < events.size() && events[due_end_].start_us <= now_us) {
+    ++due_end_;
+  }
   // The per-epoch destination decision. Views and load are frozen until the
   // merge, so this Pick is exactly the one every arrival of the tick would
   // have computed — hoisted out of the per-flow path (header, "cheaper").
-  epoch_views_ = SnapshotViews(*edge_, tunnel_pop_);
-  const int pick = policy_->Pick(epoch_views_, *load_);
-  if (pick < 0 || static_cast<std::size_t>(pick) >= epoch_views_.size()) {
+  SnapshotViews(*edge_, tunnel_pop_, views_);
+  const int pick = policy_->Pick(views_, *load_);
+  if (pick < 0 || static_cast<std::size_t>(pick) >= views_.size()) {
     return;  // reject epoch: epoch_pick_ stays -1
   }
   epoch_pick_ = pick;
-  if (!epoch_views_[static_cast<std::size_t>(pick)].usable) {
+  if (!views_[static_cast<std::size_t>(pick)].usable) {
     return;  // down-pick epoch: pick recorded, admit stays false
   }
-  epoch_pop_ = epoch_views_[static_cast<std::size_t>(pick)].pop;
+  epoch_pop_ = views_[static_cast<std::size_t>(pick)].pop;
   epoch_admit_ = true;
 }
 
@@ -185,60 +199,85 @@ void ShardedWorkloadReplay::ShardTick(std::size_t s) {
   Shard& sh = shards_[s];
   netsim::Simulator& sim = des_.shard(s);
   const std::uint64_t now_us = sim.NowUs() - start_us_;
-  const std::uint64_t expected_us = (sh.tick_index + 1) * tick_us_;
+  const std::uint64_t expected_us = (tick_index_ + 1) * tick_us_;
   sh.max_tick_skew_us = std::max(
       sh.max_tick_skew_us,
       now_us > expected_us ? now_us - expected_us : expected_us - now_us);
+  // Global trace done and (drained or past end), decided at the previous
+  // merge: this tick's merge releases whatever outlived the trace.
+  if (epoch_final_) return;
 
-  if (epoch_final_) {
-    // Global trace done and (drained or past end), decided at the previous
-    // merge: release whatever outlived the trace, then stop rescheduling.
-    for (std::size_t b = sh.tick_index; b < bucket_count_; ++b) {
-      DrainBucket(sh, b);
-    }
-    sh.post_admit_size = sh.live;  // 0: every bucket is drained
-    return;
-  }
-
-  const std::vector<FlowEvent>& events = trace_->events;
+  // In a reject or down-pick epoch the arrivals are consumed unpinned; the
+  // merge does the (count-only) stats from the global range.
   if (epoch_admit_) {
-    while (sh.cursor < sh.events.size()) {
-      const std::uint32_t idx = sh.events[sh.cursor];
-      const FlowEvent& event = events[idx];
-      if (event.start_us > now_us) break;
-      const FlowTiming timing = TimingFor(event, config_.engine);
-      sh.expiry_buckets[BucketOf(timing.expiry_us)].push_back(
-          BucketEntry{idx, epoch_pop_, timing.rate_bps});
-      ++sh.live;
-      ++sh.cursor;
-    }
-  } else {
-    // Reject / down-pick epoch: arrivals are consumed but not pinned; the
-    // merge does the (count-only) stats from the global cursor.
-    while (sh.cursor < sh.events.size() &&
-           events[sh.events[sh.cursor]].start_us <= now_us) {
-      ++sh.cursor;
+    const std::vector<FlowEvent>& events = trace_->events;
+    for (std::size_t i = global_cursor_; i < due_end_; ++i) {
+      if (owner_[i] != s) continue;
+      FilePin(sh, static_cast<std::uint32_t>(i),
+              TimingFor(events[i], config_.engine));
     }
   }
-  sh.post_admit_size = sh.live;  // serial peak point: pre-expiry
-
-  if (sh.tick_index < bucket_count_) DrainBucket(sh, sh.tick_index);
-  ++sh.tick_index;
-
-  sim.ScheduleAtUs(start_us_ + (sh.tick_index + 1) * tick_us_,
+  // Tick k + 1 fires at (k + 2) * tick; the merge advances tick_index_.
+  sim.ScheduleAtUs(start_us_ + (tick_index_ + 2) * tick_us_,
                    [this, s]() { ShardTick(s); });
 }
 
-void ShardedWorkloadReplay::DrainBucket(Shard& sh, std::size_t bucket) {
-  std::vector<BucketEntry>& entries = sh.expiry_buckets[bucket];
-  for (const BucketEntry& entry : entries) {
-    sh.releases.push_back(ReleaseDelta{static_cast<std::uint32_t>(bucket),
-                                       entry.trace_idx, entry.pop,
-                                       entry.rate_bps});
+void ShardedWorkloadReplay::FilePin(Shard& sh, std::uint32_t trace_idx,
+                                    const FlowTiming& timing) {
+  ++sh.live;
+  const std::size_t bucket = BucketOf(timing.expiry_us);
+  // Only a flow starting after the last bucket was released is clamped
+  // behind the tick: it stays live and is never released, as in the serial
+  // engine.
+  if (bucket < tick_index_) return;
+  std::uint32_t node = sh.free_pin;
+  if (node != kNoPin) {
+    sh.free_pin = sh.PinAt(node).next;
+  } else {
+    if (sh.pool_size % kPinsPerChunk == 0) {
+      sh.pool.push_back(std::unique_ptr<Pin[]>(new Pin[kPinsPerChunk]));
+    }
+    node = sh.pool_size++;
   }
-  sh.live -= entries.size();
-  entries.clear();
-  entries.shrink_to_fit();
+  sh.PinAt(node) = Pin{timing.rate_bps, trace_idx, epoch_pop_, kNoPin};
+  Bucket& b = sh.ring[RingSlot(bucket)];
+  if (b.head == kNoPin) {
+    b.head = node;
+  } else {
+    sh.PinAt(b.tail).next = node;
+  }
+  b.tail = node;
+}
+
+std::uint64_t ShardedWorkloadReplay::ReleaseBucket(std::size_t bucket) {
+  // Each shard's chain is in trace order; a min-scan over the chain heads
+  // releases the bucket in trace order at any shard count (header:
+  // determinism contract).
+  const std::size_t slot = RingSlot(bucket);
+  std::uint64_t released = 0;
+  while (true) {
+    Shard* next = nullptr;
+    std::uint32_t next_idx = 0;
+    for (Shard& sh : shards_) {
+      const std::uint32_t head = sh.ring[slot].head;
+      if (head == kNoPin) continue;
+      if (next == nullptr || sh.PinAt(head).trace_idx < next_idx) {
+        next = &sh;
+        next_idx = sh.PinAt(head).trace_idx;
+      }
+    }
+    if (next == nullptr) break;
+    const std::uint32_t node = next->ring[slot].head;
+    Pin& pin = next->PinAt(node);
+    load_->OnRelease(pin.pop, pin.rate_bps);
+    next->ring[slot].head = pin.next;
+    pin.next = next->free_pin;
+    next->free_pin = node;
+    --next->live;
+    ++released;
+  }
+  for (Shard& sh : shards_) sh.ring[slot].tail = kNoPin;
+  return released;
 }
 
 void ShardedWorkloadReplay::Merge(std::uint64_t /*epoch*/,
@@ -249,13 +288,12 @@ void ShardedWorkloadReplay::Merge(std::uint64_t /*epoch*/,
   const std::vector<FlowEvent>& events = trace_->events;
 
   // Arrival-order work: on_arrival, the count stats and the load assigns
-  // walk the *global* trace cursor, so hook order, counts and the
+  // walk the *global* trace range, so hook order, counts and the
   // floating-point fold order are independent of the partition. Every shard
-  // consumed exactly its slice of this range; in an admit epoch every event
+  // admitted exactly its events of this range; in an admit epoch every event
   // in it was pinned. Assigns before releases: the serial tick's structure.
-  std::size_t due_end = global_cursor_;
-  while (due_end < events.size() && events[due_end].start_us <= now_us) {
-    const FlowEvent& event = events[due_end];
+  for (std::size_t i = global_cursor_; i < due_end_; ++i) {
+    const FlowEvent& event = events[i];
     if (config_.engine.on_arrival) config_.engine.on_arrival(event);
     if (epoch_admit_) {
       if (load_->Utilization(epoch_pop_) >= 1.0) {
@@ -264,10 +302,9 @@ void ShardedWorkloadReplay::Merge(std::uint64_t /*epoch*/,
       load_->OnAssign(epoch_pop_, TimingFor(event, config_.engine).rate_bps);
       stats_.bytes_offered += static_cast<double>(event.bytes);
     }
-    ++due_end;
   }
-  const auto due = static_cast<std::uint64_t>(due_end - global_cursor_);
-  global_cursor_ = due_end;
+  const auto due = static_cast<std::uint64_t>(due_end_ - global_cursor_);
+  global_cursor_ = due_end_;
   stats_.arrivals += due;
   if (epoch_admit_) {
     // Offered load only grew since the last release, so the post-assign
@@ -297,50 +334,37 @@ void ShardedWorkloadReplay::Merge(std::uint64_t /*epoch*/,
     }
   }
 
-  // Releases, k-way merged across shards in canonical order (header:
-  // determinism contract).
-  {
-    std::uint64_t released = 0;
-    std::vector<std::size_t> pos(shards_.size(), 0);
-    while (true) {
-      std::size_t best = shards_.size();
-      std::uint64_t best_key = 0;
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        const Shard& sh = shards_[s];
-        if (pos[s] >= sh.releases.size()) continue;
-        const ReleaseDelta& r = sh.releases[pos[s]];
-        // Bucket-major, then admission order: the serial expiry order even
-        // when a final drain empties several buckets in one epoch.
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(r.bucket) << 32) | r.trace_idx;
-        if (best == shards_.size() || key < best_key) {
-          best = s;
-          best_key = key;
-        }
-      }
-      if (best == shards_.size()) break;
-      const ReleaseDelta& r = shards_[best].releases[pos[best]++];
-      load_->OnRelease(r.pop, r.rate_bps);
-      ++released;
-    }
-    if (released > 0) {
-      stats_.completed += released;
-      ReplayMetrics::Get().completed.Add(released);
-    }
-  }
-  for (Shard& sh : shards_) sh.releases.clear();
-
-  std::size_t concurrent = 0;
+  // Occupancy after the admissions, before the expiries: the serial
+  // engine's peak point. (In the final epoch nothing was admitted, so this
+  // reads the previous tick's post-release count, already below the peak.)
+  stats_.peak_concurrent = std::max<std::uint64_t>(
+      stats_.peak_concurrent, static_cast<std::uint64_t>(Concurrent()));
   for (const Shard& sh : shards_) {
-    concurrent += sh.post_admit_size;
     stats_.max_tick_skew_us =
         std::max(stats_.max_tick_skew_us, sh.max_tick_skew_us);
   }
-  stats_.peak_concurrent = std::max<std::uint64_t>(
-      stats_.peak_concurrent, static_cast<std::uint64_t>(concurrent));
+
+  // Releases: the tick's bucket, or in the final epoch every bucket that
+  // can still hold a pin, bucket-major (the serial engine's final drain).
+  std::uint64_t released = 0;
+  if (epoch_final_) {
+    const std::size_t end =
+        std::min(bucket_count_, tick_index_ + ring_size_);
+    for (std::size_t b = tick_index_; b < end; ++b) {
+      released += ReleaseBucket(b);
+    }
+  } else if (tick_index_ < bucket_count_) {
+    released = ReleaseBucket(tick_index_);
+  }
+  if (released > 0) {
+    stats_.completed += released;
+    ReplayMetrics::Get().completed.Add(released);
+  }
+  ++tick_index_;
+  if (++tick_slot_ == ring_size_) tick_slot_ = 0;
 
   if (epoch_final_) {
-    // The drain tick just ran on every shard and its releases were merged
+    // The final tick ran on every shard and its releases were applied
     // above; the replay is quiescent from here on.
     ticks_stopped_ = true;
     load_->ExportGauges();

@@ -2,13 +2,15 @@
 // shard-local simulators under deterministic epoch barriers (DESIGN.md §13).
 //
 // Partitioning: a flow belongs to shard `FlowKeyFingerprint(key) >> (64 -
-// log2 N)` — the flow store's own high-bit rule — so a flow's admission,
-// pinning, and expiry all happen on one shard and never migrate. The trace
-// is split into per-shard index lists once at Start(); each shard walks its
-// slice with a private cursor and pins a flow by filing one entry, which
-// carries all its release needs, under a private expiry bucket: a shard
-// keeps no flow table, only a count of its live pins. All of it runs inside
-// tick events on the shard's own simulator.
+// log2 N)` — the flow store's own high-bit rule — so a flow is admitted by
+// one shard and its pin never migrates. Start() records each trace event's
+// shard in one owner byte; a shard's tick (an event on the shard's own
+// simulator) walks the epoch's due range and pins the events it owns. A
+// pin is one node of the shard's pool, which carries all its release
+// needs, linked under its expiry bucket in a ring as long as the longest
+// pin lifetime: a shard keeps no flow table, only a count of its live
+// pins. Once the pools have reached the shards' peak live counts, an epoch
+// allocates nothing.
 //
 // The epoch is the admission tick. The serial engine already snapshots
 // tunnel views once per tick; the sharded engine moves the *load* reads to
@@ -24,23 +26,26 @@
 //
 // Cross-shard effects: shards never touch the shared LoadTracker. The merge
 // applies an epoch's assigns while it walks the global due range of the
-// trace (exactly the flows the shards admitted that tick), and k-way-merges
-// the shards' release outboxes by (expiry bucket, trace index) — a
-// canonical order no shard count can perturb — so even the floating-point
-// folds (offered bytes/s, high-water utilization) come out bit-identical.
+// trace (exactly the flows the shards admitted that tick), then releases
+// the tick's expiry bucket from every shard, walking the shards' chains
+// together by trace index (bucket by bucket in the final drain) — a
+// canonical (expiry bucket, trace index) order no shard count can perturb
+// — so even the floating-point folds (offered bytes/s, high-water
+// utilization) come out bit-identical.
 // The same walk drives EngineConfig::on_arrival in global trace order, with
 // control-shard state (DNS TTL versions, advertisement rounds) frozen at
 // the boundary.
 //
 // The per-flow hot path is also simply cheaper than the serial engine's:
 // one policy Pick per tick instead of per arrival, no flow-table insert,
-// lookup or erase (a pin is one 16-byte bucket entry), and per-epoch instead
+// lookup or erase (a pin is one 24-byte pool node), and per-epoch instead
 // of per-flow metrics increments — so `--shards 1` is a faster serial
 // engine. Every shard runs on the calling thread; more shards partition
 // the same work, they do not parallelize it.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -111,40 +116,54 @@ class ShardedWorkloadReplay {
   [[nodiscard]] std::string CanonicalStats() const;
 
  private:
-  // One expiry's load delta. `bucket` first in the merge order: a final
-  // drain releases several buckets in one epoch and bucket-major order is
-  // the serial engine's.
-  struct ReleaseDelta {
-    std::uint32_t bucket;
+  static constexpr std::uint32_t kNoPin = ~std::uint32_t{0};
+  // A pinned flow: a fixed node in its shard's pool, linked in admission
+  // order under its expiry bucket. The only record of the pin, and all its
+  // release needs. Released nodes are reused.
+  struct Pin {
+    double rate_bps;
     std::uint32_t trace_idx;
     std::int32_t pop;
-    double rate_bps;
+    std::uint32_t next;  // next pin of the bucket, or of the free list
   };
-  // A pinned flow, filed under its expiry bucket: the only record of the
-  // pin, and all its release needs.
-  struct BucketEntry {
-    std::uint32_t trace_idx;
-    std::int32_t pop;
-    double rate_bps;
+  // One expiry bucket of a shard's ring: its pins, oldest first.
+  struct Bucket {
+    std::uint32_t head = kNoPin;
+    std::uint32_t tail = kNoPin;
   };
 
+  // Pool nodes come kPinsPerChunk at a time and never move, so the pool
+  // grows without copying or leaving the old block behind.
+  static constexpr std::uint32_t kPinsPerChunk = 4096;
+
   struct Shard {
-    std::vector<std::uint32_t> events;  // indices into trace, trace order
-    std::size_t cursor = 0;
-    std::size_t tick_index = 0;
-    std::vector<std::vector<BucketEntry>> expiry_buckets;
-    // Epoch outbox: written during the shard's tick, drained at merge.
-    std::vector<ReleaseDelta> releases;
-    std::size_t live = 0;             // pins admitted and not yet drained
-    std::size_t post_admit_size = 0;  // `live` after admissions
+    std::vector<std::unique_ptr<Pin[]>> pool;
+    std::uint32_t pool_size = 0;      // nodes ever handed out
+    std::uint32_t free_pin = kNoPin;  // released pool nodes, a stack
+    // ring[b % ring_size_] holds absolute expiry bucket b (DESIGN.md §13).
+    std::vector<Bucket> ring;
+    std::size_t live = 0;  // pins admitted and not yet released
     std::uint64_t max_tick_skew_us = 0;
+
+    [[nodiscard]] Pin& PinAt(std::uint32_t node) {
+      return pool[node / kPinsPerChunk][node % kPinsPerChunk];
+    }
   };
 
   void ShardTick(std::size_t s);
-  void DrainBucket(Shard& sh, std::size_t bucket);
+  void FilePin(Shard& sh, std::uint32_t trace_idx, const FlowTiming& timing);
+  // Releases expiry bucket `bucket` of every shard into the load tracker in
+  // trace order and returns the count.
+  std::uint64_t ReleaseBucket(std::size_t bucket);
   void Prepare(std::uint64_t epoch, netsim::SimTime boundary_us);
   void Merge(std::uint64_t epoch, netsim::SimTime boundary_us);
   [[nodiscard]] std::size_t BucketOf(std::uint64_t expiry_us) const;
+  // Ring slot of absolute bucket `bucket` in [tick_index_, tick_index_ +
+  // ring_size_): a compare in place of a division.
+  [[nodiscard]] std::size_t RingSlot(std::size_t bucket) const {
+    const std::size_t slot = tick_slot_ + (bucket - tick_index_);
+    return slot >= ring_size_ ? slot - ring_size_ : slot;
+  }
 
   netsim::Simulator* control_;
   netsim::ShardedSimulator des_;
@@ -156,21 +175,33 @@ class ShardedWorkloadReplay {
   ShardedReplayConfig config_;
 
   std::vector<Shard> shards_;
+  // owner_[i]: the shard of trace event i (the fingerprint rule).
+  std::vector<std::uint8_t> owner_;
   netsim::SimTime tick_us_ = 0;
   netsim::SimTime start_us_ = 0;
   std::size_t bucket_count_ = 0;
+  std::size_t ring_size_ = 0;
   bool started_ = false;
+  // The tick of the current epoch: read by the shard ticks, advanced by the
+  // merge once it has released that tick's bucket.
+  std::size_t tick_index_ = 0;
+  std::size_t tick_slot_ = 0;  // tick_index_ % ring_size_
 
   // The epoch's decision: written in Prepare, read-only in the shard ticks
-  // and the merge.
-  std::vector<TunnelView> epoch_views_;
+  // and the merge. [global_cursor_, due_end_) is the epoch's arrivals; the
+  // merge moves global_cursor_ on.
+  std::size_t global_cursor_ = 0;  // next trace event not yet due
+  std::size_t due_end_ = 0;
   int epoch_pick_ = -1;
   std::int32_t epoch_pop_ = -1;
   bool epoch_admit_ = false;
   bool epoch_final_ = false;  // this tick: no admissions, drain everything
 
+  // The tunnel views every Pick reads, reused (Prepare and the edge flow
+  // placer).
+  std::vector<TunnelView> views_;
+
   // Bookkeeping the shard ticks never touch.
-  std::size_t global_cursor_ = 0;  // next trace event not yet due
   bool final_requested_ = false;
   bool ticks_stopped_ = false;
   Stats stats_;

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "netsim/nat.h"
@@ -109,6 +112,109 @@ TEST(SimulatorTest, MoveOnlyHandlersRun) {
   sim.Schedule(1.0, [token = std::move(token), &result] { result = *token + 1; });
   sim.Run(2.0);
   EXPECT_EQ(result, 42);
+}
+
+// Counts live copies of itself, so a test can see every handler destroyed.
+struct Tracked {
+  explicit Tracked(int* live) : live(live) { ++*live; }
+  Tracked(const Tracked& o) : live(o.live) { ++*live; }
+  Tracked(Tracked&& o) noexcept : live(o.live) { ++*live; }
+  Tracked& operator=(const Tracked&) = delete;
+  ~Tracked() { --*live; }
+  int* live;
+};
+
+TEST(SimulatorTest, HandlerLargerThanInlineStorageRuns) {
+  Simulator sim;
+  int live = 0;
+  std::array<std::uint64_t, 16> payload{};
+  static_assert(sizeof(payload) > Simulator::kInlineBytes);
+  for (std::size_t k = 0; k < payload.size(); ++k) payload[k] = k * k;
+  std::uint64_t sum = 0;
+  sim.Schedule(1.0, [payload, &sum, t = Tracked{&live}] {
+    for (const std::uint64_t v : payload) sum += v;
+  });
+  EXPECT_EQ(live, 1);
+  sim.Run(2.0);
+  EXPECT_EQ(sum, 1240u);  // sum of k^2 for k < 16
+  EXPECT_EQ(live, 0);
+  EXPECT_EQ(sim.ExecutedEvents(), 1u);
+}
+
+// A handler that schedules enough events to add slot chunks while it runs
+// keeps running in place: its captured state is read after the growth.
+TEST(SimulatorTest, HandlerGrowingSlotStorageWhileRunning) {
+  Simulator sim;
+  std::vector<int> order;
+  const std::vector<int> own{7, 8, 9};
+  sim.Schedule(1.0, [&sim, &order, own] {
+    for (int k = 0; k < 1000; ++k) {
+      sim.Schedule(1.0, [&order, k] { order.push_back(k); });
+    }
+    EXPECT_EQ(sim.PendingEvents(), 1000u);
+    for (const int v : own) order.push_back(-v);
+  });
+  sim.Run(10.0);
+  ASSERT_EQ(order.size(), 1003u);
+  EXPECT_EQ(order[0], -7);
+  EXPECT_EQ(order[2], -9);
+  for (int k = 0; k < 1000; ++k) EXPECT_EQ(order[3 + k], k);
+  EXPECT_EQ(sim.ExecutedEvents(), 1001u);
+}
+
+TEST(SimulatorTest, PendingHandlersAreDestroyedWithTheSimulator) {
+  int live = 0;
+  {
+    Simulator sim;
+    std::array<char, 200> big{};
+    for (int k = 0; k < 100; ++k) {
+      sim.Schedule(static_cast<double>(k), [t = Tracked{&live}] {});
+      sim.Schedule(static_cast<double>(k), [big, t = Tracked{&live}] {});
+    }
+    EXPECT_EQ(live, 200);
+    sim.Run(49.5);  // runs times 0..49: 100 handlers
+    EXPECT_EQ(live, 100);
+    EXPECT_EQ(sim.PendingEvents(), 100u);
+  }
+  EXPECT_EQ(live, 0);
+}
+
+TEST(SimulatorTest, ThrowingHandlerIsConsumedAndRunContinues) {
+  Simulator sim;
+  int live = 0;
+  std::vector<int> order;
+  sim.Schedule(1.0, [&order] { order.push_back(1); });
+  sim.Schedule(2.0, [t = Tracked{&live}] { throw std::runtime_error{"boom"}; });
+  sim.Schedule(3.0, [&order] { order.push_back(3); });
+  EXPECT_THROW(sim.Run(10.0), std::runtime_error);
+  EXPECT_EQ(live, 0);  // the throwing handler was destroyed
+  EXPECT_EQ(sim.ExecutedEvents(), 2u);
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  EXPECT_EQ(sim.NowUs(), 2'000'000u);
+  sim.Run(10.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(sim.ExecutedEvents(), 3u);
+  // The freed slot is reused.
+  sim.Schedule(1.0, [&order] { order.push_back(4); });
+  sim.Run(20.0);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4}));
+}
+
+// Slots come back to the free list in run order, not insertion order; the
+// order among equal timestamps is still insertion order.
+TEST(SimulatorTest, FifoAmongEqualTimestampsAcrossReusedSlots) {
+  Simulator sim;
+  std::vector<int> order;
+  for (int k = 0; k < 150; ++k) {
+    sim.ScheduleAtUs(static_cast<SimTime>((k * 37) % 150 + 1), [] {});
+  }
+  sim.RunUntilUs(75);  // frees a scattered half of the slots
+  for (int k = 0; k < 200; ++k) {
+    sim.ScheduleAtUs(1'000, [&order, k] { order.push_back(k); });
+  }
+  sim.RunUntilUs(2'000);
+  ASSERT_EQ(order.size(), 200u);
+  for (int k = 0; k < 200; ++k) EXPECT_EQ(order[k], k);
 }
 
 TEST(PacketTest, EncapOverheadCounted) {

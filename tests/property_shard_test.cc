@@ -234,14 +234,18 @@ workload::EngineConfig ReplayEngineConfig() {
   return ecfg;
 }
 
-std::string RunShardedReplay(std::uint64_t seed, const workload::Trace& trace,
-                             std::size_t shards,
-                             workload::WorkloadEngine::Stats* stats = nullptr) {
+// Replays `trace` to its end and returns CanonicalStats(). Expects every pin
+// released unless `live_at_end` asks for the count instead.
+std::string RunShardedReplay(
+    std::uint64_t seed, const workload::Trace& trace, std::size_t shards,
+    workload::WorkloadEngine::Stats* stats = nullptr,
+    const workload::EngineConfig& engine = ReplayEngineConfig(),
+    std::size_t* live_at_end = nullptr) {
   ReplayWorld w;
   BuildReplayWorld(w, seed);
   workload::ShardedReplayConfig cfg;
   cfg.shards = shards;
-  cfg.engine = ReplayEngineConfig();
+  cfg.engine = engine;
   const workload::LoadAwarePolicy policy{0.85};  // must outlive the replay
   workload::ShardedWorkloadReplay replay{
       w.sim, *w.edge, w.tunnel_pop, w.load, policy, trace, std::move(cfg)};
@@ -251,7 +255,11 @@ std::string RunShardedReplay(std::uint64_t seed, const workload::Trace& trace,
                  ? 1.0
                  : netsim::SecondsFromUs(trace.duration_us) + 25.0);
   if (stats != nullptr) *stats = replay.stats();
-  EXPECT_EQ(replay.Concurrent(), 0u) << "replay did not drain";
+  if (live_at_end != nullptr) {
+    *live_at_end = replay.Concurrent();
+  } else {
+    EXPECT_EQ(replay.Concurrent(), 0u) << "replay did not drain";
+  }
   return replay.CanonicalStats();
 }
 
@@ -444,6 +452,97 @@ TEST(ShardReplayEdge, CrossShardDeltasAtEpochEndMergeCanonically) {
   EXPECT_EQ(one, two);
   EXPECT_EQ(two_stats.started, 2u);
   EXPECT_EQ(two_stats.peak_concurrent, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// The expiry ring (DESIGN.md §13): a pin admitted at tick k lives in bucket
+// k .. k + 1 + max_duration_s / tick, and the ring has exactly that many
+// slots. Each case pins CanonicalStats() at every shard count to the hash
+// the per-tick bucket wheel it replaced produced; changing one is a
+// re-baseline.
+
+workload::EngineConfig EngineWith(double flow_bytes_per_s, double min_s,
+                                  double max_s) {
+  workload::EngineConfig ecfg;
+  ecfg.flow_bytes_per_s = flow_bytes_per_s;
+  ecfg.min_duration_s = min_s;
+  ecfg.max_duration_s = max_s;
+  return ecfg;
+}
+
+void ExpectPinnedAtEveryShardCount(const workload::Trace& trace,
+                                   const workload::EngineConfig& engine,
+                                   std::uint64_t hash) {
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    workload::WorkloadEngine::Stats stats;
+    EXPECT_EQ(Fnv1a(RunShardedReplay(5, trace, shards, &stats, engine)), hash)
+        << "shards " << shards;
+    EXPECT_EQ(stats.completed, stats.started) << "shards " << shards;
+  }
+}
+
+// One arrival on every tick boundary, each clamped to exactly
+// max_duration_s: admitted at tick k, it expires on the edge of bucket
+// k + 1 + 20, the farthest slot ahead of the tick.
+TEST(ShardRingPin, LifetimesOfExactlyMaxDuration) {
+  std::vector<workload::FlowEvent> events;
+  for (std::uint32_t k = 1; k <= 60; ++k) {
+    events.push_back(workload::FlowEvent{.start_us = k * 100'000ull,
+                                         .ug = 1 + k % 3,
+                                         .seq = k,
+                                         .bytes = 100'000ull + 997 * k});
+  }
+  std::sort(events.begin(), events.end());
+  const workload::Trace trace = HandTrace(std::move(events), 8'000'000);
+  ExpectPinnedAtEveryShardCount(trace, EngineWith(50.0e3, 1.0, 2.0),
+                                0x38b76449887dd5d2ULL);
+  // The generated trace with every flow at the cap (>= 2 kB at 100 B/s).
+  ExpectPinnedAtEveryShardCount(SmallTrace(3), EngineWith(100.0, 1.0, 2.0),
+                                0x6ade264162d4797eULL);
+}
+
+// Flows alive at the end of a 30 s trace under a 20 s cap expire past its
+// last bucket and are clamped into it; the final drain releases them.
+TEST(ShardRingPin, PostTraceExpiriesClampIntoTheLastBucket) {
+  ExpectPinnedAtEveryShardCount(SmallTrace(11), EngineWith(500.0, 1.0, 20.0),
+                                0x5c6731d91e789294ULL);
+}
+
+// A cap at least as long as the trace (one slot per bucket), and caps much
+// shorter than it, one of them not a whole number of ticks (3.5 and 25.5
+// ticks: rings of 5 and 27 slots wrap over 300 ticks).
+TEST(ShardRingPin, MaxDurationLongerAndMuchShorterThanTheTrace) {
+  const workload::Trace trace = SmallTrace(29);
+  ExpectPinnedAtEveryShardCount(trace, EngineWith(5.0e3, 1.0, 40.0),
+                                0x9f90baea7fc458e1ULL);
+  ExpectPinnedAtEveryShardCount(trace, EngineWith(50.0e3, 0.1, 0.35),
+                                0x21c8c950fc046ba0ULL);
+  ExpectPinnedAtEveryShardCount(trace, EngineWith(20.0e3, 0.5, 2.55),
+                                0x8de36547b9b28083ULL);
+}
+
+// A flow that starts after the trace's last bucket has drained is clamped
+// into that bucket behind the tick, so it is never released: it stays in
+// live_flows, as in the serial engine.
+TEST(ShardRingPin, FlowsStartingAfterTheLastBucketStayLive) {
+  const workload::Trace trace = HandTrace(
+      {workload::FlowEvent{
+           .start_us = 500'000, .ug = 1, .seq = 1, .bytes = 60'000},
+       workload::FlowEvent{
+           .start_us = 1'500'000, .ug = 1, .seq = 2, .bytes = 70'000},
+       workload::FlowEvent{
+           .start_us = 2'000'000, .ug = 2, .seq = 1, .bytes = 80'000}},
+      1'000'000);
+  for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
+    std::size_t live = 0;
+    workload::WorkloadEngine::Stats stats;
+    const std::string canonical = RunShardedReplay(
+        5, trace, shards, &stats, ReplayEngineConfig(), &live);
+    EXPECT_EQ(Fnv1a(canonical), 0xa112a7ac67eefb36ULL) << "shards " << shards;
+    EXPECT_EQ(stats.started, 3u) << "shards " << shards;
+    EXPECT_EQ(stats.completed, 1u) << "shards " << shards;
+    EXPECT_EQ(live, 2u) << "shards " << shards;
+  }
 }
 
 // ---------------------------------------------------------------------------

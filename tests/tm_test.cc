@@ -188,6 +188,45 @@ TEST(TmEdgeTest, NewFlowsUseNewBest) {
   EXPECT_EQ(stats.delivered, stats.sent);
 }
 
+// ProbeTunnel and SampleEvery reschedule themselves one interval ahead; an
+// interval that rounds to 0 µs would keep Run() at one instant forever.
+TEST(TmEdgeTest, ProbeIntervalRoundingToZeroThrows) {
+  for (const double interval : {0.0, 1e-7, 4.9e-7, -0.01}) {
+    TmEdge::Config cfg = EdgeFixture::DefaultCfg();
+    cfg.probe_interval_s = interval;
+    EXPECT_THROW(EdgeFixture({0.010}, cfg), std::invalid_argument)
+        << "probe_interval_s " << interval;
+  }
+  TmEdge::Config cfg = EdgeFixture::DefaultCfg();
+  cfg.probe_interval_s = 1e-6;  // the smallest interval on the µs grid
+  EXPECT_NO_THROW(EdgeFixture({0.010}, cfg));
+}
+
+TEST(TmEdgeTest, SampleIntervalRoundingToZeroThrows) {
+  EdgeFixture f{{0.010}};
+  EXPECT_THROW(f.edge_->SampleEvery(0.0, 1.0), std::invalid_argument);
+  EXPECT_THROW(f.edge_->SampleEvery(1e-7, 1.0), std::invalid_argument);
+  EXPECT_TRUE(f.edge_->samples().empty());
+  f.edge_->SampleEvery(0.25, 1.0);
+  f.sim_.Run(2.0);
+  EXPECT_EQ(f.edge_->samples().size(), 5u);  // t = 0, 0.25, ..., 1.0
+}
+
+// The probe round trip carries (tunnel, probe id) through the simulator and
+// the TM-PoP answers it directly: every probe a PoP answers is a probe
+// packet in its stats, and every answer the edge hears is a reply.
+TEST(TmEdgeTest, ProbesAreCountedAtThePopAndAnswered) {
+  EdgeFixture f{{0.010, 0.020}};
+  f.edge_->Start();
+  f.sim_.Run(1.0);
+  // 10 ms probes from t = 0 through t = 1.0 on each tunnel.
+  EXPECT_EQ(f.pops_[0]->stats().probe_packets, 100u);
+  EXPECT_EQ(f.pops_[1]->stats().probe_packets, 99u);
+  EXPECT_EQ(f.pops_[0]->nat().ActiveBindings(), 0u);
+  ASSERT_TRUE(f.edge_->TunnelRttMs(1).has_value());
+  EXPECT_DOUBLE_EQ(*f.edge_->TunnelRttMs(1), 40.0);
+}
+
 TEST(FailoverScenario, MatchesFig10Shape) {
   FailoverScenarioConfig cfg;
   const auto result = RunFailoverScenario(cfg);

@@ -5,7 +5,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "netsim/packet.h"
@@ -17,6 +19,7 @@
 #include "workload/engine.h"
 #include "workload/flow_store.h"
 #include "workload/load.h"
+#include "workload/sharded_engine.h"
 #include "workload/trace.h"
 
 namespace painter::workload {
@@ -321,6 +324,91 @@ TEST(EngineTest, ReplaysTraceAgainstEdgeAndDrains) {
   EXPECT_DOUBLE_EQ(load.OfferedBps(0), 0.0);
   EXPECT_DOUBLE_EQ(load.OfferedBps(1), 0.0);
   EXPECT_GT(s.max_utilization, 0.0);
+}
+
+// EngineConfig validation: TimingFor clamps a flow's duration into
+// [min_duration_s, max_duration_s] (undefined when min > max) and the
+// sharded replay sizes its expiry ring from max_duration_s, so both engines
+// reject a config TimingFor is not defined on before sizing anything.
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+class EngineConfigValidation : public ::testing::Test {
+ protected:
+  EngineConfigValidation() {
+    std::vector<tm::TunnelConfig> tunnels;
+    tunnels.push_back(tm::TunnelConfig{.name = "t0",
+                                       .remote_ip = 0x0a0a0a00u,
+                                       .path = netsim::PathModel::Fixed(0.010),
+                                       .pop = &pop_});
+    edge_ = std::make_unique<tm::TmEdge>(sim_, tm::TmEdge::Config{},
+                                         std::move(tunnels));
+    trace_.duration_us = 1'000'000;
+  }
+
+  // Expects both engine constructors to throw std::invalid_argument.
+  void ExpectRejected(const EngineConfig& config) {
+    EXPECT_THROW((WorkloadEngine{sim_, *edge_, {0}, load_, policy_, trace_,
+                                 config}),
+                 std::invalid_argument);
+    ShardedReplayConfig sharded;
+    sharded.shards = 2;
+    sharded.engine = config;
+    EXPECT_THROW((ShardedWorkloadReplay{sim_, *edge_, {0}, load_, policy_,
+                                        trace_, sharded}),
+                 std::invalid_argument);
+  }
+
+  netsim::Simulator sim_;
+  tm::TmPop pop_{sim_, "A", {0x02020202u}};
+  std::unique_ptr<tm::TmEdge> edge_;
+  LoadTracker load_{{1.0e6}};
+  const LatencyOnlyPolicy policy_;
+  Trace trace_;
+};
+
+TEST_F(EngineConfigValidation, AcceptsTheDefaultsAndAZeroLengthWindow) {
+  EXPECT_NO_THROW(ValidateEngineConfig(EngineConfig{}));
+  EngineConfig config;
+  config.min_duration_s = 0.0;
+  config.max_duration_s = 0.0;
+  EXPECT_NO_THROW((WorkloadEngine{sim_, *edge_, {0}, load_, policy_, trace_,
+                                  config}));
+  ShardedReplayConfig sharded;
+  sharded.engine = config;
+  EXPECT_NO_THROW((ShardedWorkloadReplay{sim_, *edge_, {0}, load_, policy_,
+                                         trace_, sharded}));
+}
+
+TEST_F(EngineConfigValidation, RejectsNonFiniteOrNonPositiveFlowRate) {
+  for (const double rate : {0.0, -1.0, kNaN, kInf}) {
+    EngineConfig config;
+    config.flow_bytes_per_s = rate;
+    ExpectRejected(config);
+  }
+}
+
+TEST_F(EngineConfigValidation, RejectsNegativeOrNonFiniteMinDuration) {
+  for (const double min : {-0.5, kNaN, -kInf, kInf}) {
+    EngineConfig config;
+    config.min_duration_s = min;
+    ExpectRejected(config);
+  }
+}
+
+TEST_F(EngineConfigValidation, RejectsNonFiniteMaxDuration) {
+  for (const double max : {kNaN, kInf}) {
+    EngineConfig config;
+    config.max_duration_s = max;
+    ExpectRejected(config);
+  }
+}
+
+TEST_F(EngineConfigValidation, RejectsMinDurationAboveMax) {
+  EngineConfig config;
+  config.min_duration_s = 10.0;
+  config.max_duration_s = 9.5;
+  ExpectRejected(config);
 }
 
 }  // namespace

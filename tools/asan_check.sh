@@ -8,9 +8,10 @@
 # `actionspace` advertisement/catchment suites, the `control`
 # always-on-control-plane suites and the `fuzz` parser fuzzers (minus
 # `slow`), which covers the observability registry, the orchestrator and
-# evaluator paths, the faultsim chaos properties, the sharded-replay
-# bit-identity suites, the DeltaBus/service reaction loop, and the
-# config_io and trace-loader mutation fuzzers. Any heap error, leak, or UB
+# evaluator paths, the simulator's in-place handler slots (netsim_test,
+# tm_test), the faultsim chaos properties, the sharded-replay bit-identity
+# suites, the DeltaBus/service reaction loop, and the config_io and
+# trace-loader mutation fuzzers. Any heap error, leak, or UB
 # report fails the job.
 #
 # Usage: tools/asan_check.sh [build-dir] [label-regex]

@@ -13,9 +13,12 @@
 #                 v2 config wire format, CELF golden schedules under the
 #                 widened variant table, catchment-predictor superset and
 #                 pruning-audit suites).
-#   4. workload — the workload-engine tier (ctest -L workload) plus a smoke
-#                 run of bench/workload_throughput (tiny trace, full pipeline:
-#                 generate -> pin-lookup -> policy replay -> sharded sweep).
+#   4. workload — the workload-engine tier (ctest -L workload, including
+#                 replay_alloc_test: a replay's heap allocations must not
+#                 grow with the trace) plus a smoke run of
+#                 bench/workload_throughput (tiny trace, full pipeline:
+#                 generate -> pin-lookup -> edge probe loop -> policy replay
+#                 -> sharded sweep).
 #   5. shard    — the sharded DES tier (ctest -L shard: epoch-barrier
 #                 protocol ordering, shards on the calling thread,
 #                 bit-identity across shard counts, the canonical-stats
@@ -46,10 +49,14 @@
 #                 tools/tsan_check.sh); ASan+UBSan also runs the `fuzz`
 #                 label, the seeded mutation fuzzer of the config_io
 #                 parser. The selection includes the faultsim chaos
-#                 properties, the sharded-replay suites and obs_test, whose
-#                 threads record into one counter and one histogram while
-#                 another exports the registry (the one multi-threaded
-#                 subject TSan has left).
+#                 properties, the sharded-replay suites, netsim_test and
+#                 tm_test (the simulator's in-place handler slots: growth
+#                 while a handler runs, throwing and pending handlers), and
+#                 obs_test, whose threads record into one counter and one
+#                 histogram while another exports the registry (the one
+#                 multi-threaded subject TSan has left). replay_alloc_test
+#                 replaces the global operator new and stays out of it
+#                 (the replay code it runs is in the selection anyway).
 #
 # Any stage failing aborts the pipeline with that stage's exit status.
 #

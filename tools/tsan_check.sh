@@ -12,8 +12,9 @@
 #
 # Configures a dedicated build tree with -fsanitize=thread and runs the
 # tests selected by ctest label (see tests/CMakeLists.txt for the tier/label
-# scheme): the `sanitize` set (obs_test among it) plus every `property`
-# suite, the `shard` epoch-barrier suite, the `actionspace`
+# scheme): the `sanitize` set (obs_test, and netsim_test and tm_test with
+# the simulator's hand-managed handler lifetimes, among it) plus every
+# `property` suite, the `shard` epoch-barrier suite, the `actionspace`
 # advertisement/catchment suites, and the `control` always-on control-plane
 # suites (minus `slow`). Any data race fails the job.
 #
