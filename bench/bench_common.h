@@ -10,6 +10,7 @@
 // keeping thousands of UGs and hundreds of sessions in play.
 #pragma once
 
+#include <cstddef>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -34,6 +35,16 @@ inline std::string ReportPath(const std::string& name) {
   std::string path = dir != nullptr ? std::string{dir} + "/" : std::string{};
   path += "BENCH_" + name + ".json";
   return path;
+}
+
+// Parses a --shards value into `shards`: a power of two in [1, 256], the
+// counts netsim::ShardedSimulator accepts. Returns false, leaving `shards`
+// as it was, on anything else (0 included).
+inline bool ParseShards(const char* arg, std::size_t& shards) {
+  const std::size_t n = std::strtoull(arg, nullptr, 10);
+  if (n == 0 || n > 256 || (n & (n - 1)) != 0) return false;
+  shards = n;
+  return true;
 }
 
 // The Internet is heap-allocated because the resolver/oracle hold pointers

@@ -4,7 +4,7 @@
 // plan-driven scenario engine, and verify the four machine-checkable
 // invariants (flow pinning, detection latency <= probe_interval + 1.3 RTT,
 // no silent blackholing, reconvergence after faults clear). A subset of
-// seeds re-runs under load: the workload engine drives a deterministic flow
+// seeds re-runs under load: the workload replay drives a deterministic flow
 // trace through the capacity-aware policy while the same faults play out
 // (same four invariants, plus the policy contract). Another subset replays
 // the plan's BGP events through the message-level simulation and checks
@@ -18,29 +18,28 @@
 //
 // The --under_load mode is the detection-latency SLO harness: each seed runs
 // its world twice — idle (two scripted flows) and loaded (the workload
-// engine keeping a full flow table through the capacity-aware policy) — and
+// replay keeping a full flow table through the capacity-aware policy) — and
 // the runner aggregates detection latency in RTTs of the dead path (the
 // paper's unit; §5.2.3 quotes ~1.3 RTT). The exit status asserts the SLO
 // (loaded p99 <= --slo_p99_rtts, default 8) on top of the invariant checks,
 // and the run report carries a painter.timeseries.v1 block from the first
-// loaded seed that is byte-identical across reruns (after
-// obs::StripVolatile). perf_check.sh gates this report against a
-// committed baseline.
+// loaded seed, including the replay's des.shard.* queue-depth/epoch-skew
+// series, that is byte-identical across reruns (after obs::StripVolatile).
+// perf_check.sh gates this report against a committed baseline.
 //
 // Usage:
 //   chaos_runner               # seeds 1..50
 //   chaos_runner --seeds 200   # seeds 1..200
 //   chaos_runner --seed 17     # just seed 17 (repro mode)
-//   chaos_runner --shards 4    # loaded runs use the sharded replay engine
-//                              # (0 = classic serial engine, the default)
+//   chaos_runner --shards 4    # loaded runs replay over 4 shard simulators
+//                              # (a power of two in [1, 256], default 1)
 //   chaos_runner --under_load [--seeds N] [--slo_p99_rtts X]
 //
-// With --shards N > 0 every loaded run replays through the sharded engine
-// (N shard simulators on one thread, DESIGN.md §13) under the same fault plans — the invariant checks
-// must still come back clean — and the --under_load report additionally
-// carries the des.shard.* queue-depth/epoch-skew series for the first loaded
-// seed. Reports are compared against baselines only at the default
-// --shards 0, so the flag never perturbs the committed baselines.
+// --shards N replays every loaded run over N shard simulators on one thread
+// (DESIGN.md §13) under the same fault plans; stdout is identical at every
+// count. Only the --under_load report's des.shard<i>.* series and gauges
+// depend on N, and reports are compared against baselines at the default
+// --shards 1.
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
@@ -158,9 +157,7 @@ int RunUnderLoadMode(std::uint64_t first_seed, std::uint64_t last_seed,
       cfg.shards = shards;
       if (seed == first_seed) {
         cfg.timeseries = &timeseries;
-        // Per-shard DES telemetry (des.shard.* queue depth / epoch skew)
-        // only exists on the sharded path.
-        if (shards > 0) cfg.shard_timeseries = &timeseries;
+        cfg.shard_timeseries = &timeseries;
       }
       const workload::ChaosLoadResult r =
           workload::RunChaosUnderLoad(seed, {}, cfg);
@@ -258,9 +255,10 @@ int main(int argc, char** argv) {
   std::uint64_t first_seed = 1;
   std::uint64_t last_seed = 50;
   bool under_load = false;
-  std::size_t shards = 0;
+  std::size_t shards = 1;
   double slo_p99_rtts = 8.0;
-  for (int i = 1; i < argc; ++i) {
+  bool bad_args = false;
+  for (int i = 1; i < argc && !bad_args; ++i) {
     if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
       last_seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
@@ -268,14 +266,18 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--under_load") == 0) {
       under_load = true;
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::strtoull(argv[++i], nullptr, 10);
+      bad_args = !bench::ParseShards(argv[++i], shards);
     } else if (std::strcmp(argv[i], "--slo_p99_rtts") == 0 && i + 1 < argc) {
       slo_p99_rtts = std::strtod(argv[++i], nullptr);
     } else {
-      std::cerr << "usage: chaos_runner [--seeds N | --seed S] [--under_load] "
-                   "[--shards N] [--slo_p99_rtts X]\n";
-      return 64;
+      bad_args = true;
     }
+  }
+  if (bad_args) {
+    std::cerr << "usage: chaos_runner [--seeds N | --seed S] [--under_load] "
+                 "[--shards N] [--slo_p99_rtts X]\n"
+                 "  --shards: a power of two in [1, 256] (default 1)\n";
+    return 64;
   }
   if (under_load) {
     return RunUnderLoadMode(first_seed, last_seed, shards, slo_p99_rtts);
@@ -312,7 +314,7 @@ int main(int argc, char** argv) {
   }
 
   // Chaos under load: every 5th seed re-runs its world and plan with the
-  // workload engine admitting a deterministic flow trace through the
+  // workload replay admitting a deterministic flow trace through the
   // capacity-aware policy while the faults play out. Checks the same four
   // invariants plus the policy contract (zero down-picks) and liveness
   // (the workload actually started flows).

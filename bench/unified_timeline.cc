@@ -18,8 +18,9 @@
 // Usage:
 //   unified_timeline                     # full run (seed 7)
 //   unified_timeline --seed 11
-//   unified_timeline --shards 4          # sharded workload engine
-//                                        # (0 = classic serial timeline)
+//   unified_timeline --shards 4          # replay shards: a power of two
+//                                        # in [1, 256], default 1; every
+//                                        # count prints the same output
 //   unified_timeline --smoke             # small world + short trace
 #include <cstdint>
 #include <cstring>
@@ -50,20 +51,24 @@ std::uint64_t Fnv64(const std::string& bytes) {
 
 int main(int argc, char** argv) {
   std::uint64_t seed = 7;
-  std::size_t shards = 0;
+  std::size_t shards = 1;
   bool smoke = false;
-  for (int i = 1; i < argc; ++i) {
+  bool bad_args = false;
+  for (int i = 1; i < argc && !bad_args; ++i) {
     if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
       seed = std::strtoull(argv[++i], nullptr, 10);
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
-      shards = std::strtoull(argv[++i], nullptr, 10);
+      bad_args = !bench::ParseShards(argv[++i], shards);
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else {
-      std::cerr << "usage: unified_timeline [--seed S] [--shards N] "
-                   "[--smoke]\n";
-      return 64;
+      bad_args = true;
     }
+  }
+  if (bad_args) {
+    std::cerr << "usage: unified_timeline [--seed S] [--shards N] [--smoke]\n"
+                 "  N: a power of two in [1, 256] (default 1)\n";
+    return 64;
   }
 
   util::PrintFigureHeader(
@@ -80,8 +85,7 @@ int main(int argc, char** argv) {
   timeline::UnifiedTimelineConfig cfg;
   cfg.seed = seed;
   // --shards is deliberately NOT recorded in the report: results are
-  // identical across all shard counts >= 1 (tests pin this), and --shards 0
-  // keeps the classic serial timeline — the committed baseline.
+  // identical across all shard counts (tests pin this).
   cfg.shards = shards;
   if (smoke) {
     cfg.stubs = 80;

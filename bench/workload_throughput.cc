@@ -1,4 +1,5 @@
-// Workload-engine throughput: a simulated day of traffic through the TM-Edge.
+// Workload-replay throughput: a simulated hour of traffic through the
+// TM-Edge.
 //
 // Phases:
 //   generate   — produce >= 1M flow arrivals from synthetic UG profiles and
@@ -10,25 +11,26 @@
 //   edge_probe_loop — the 8-tunnel TM-Edge alone over the trace horizon:
 //                the probe loop every replay below carries, reported as
 //                des_events and wall_des_ns_per_event.
-//   replay     — drive the full trace through a WorkloadEngine pinned to a
-//                TM-Edge (8 tunnels, 4 PoPs), once under the classic
-//                latency-only policy and once under the capacity-aware
-//                policy, and demand >= 100k concurrently pinned flows.
-//   sharded    — replay the same trace through the sharded engine (DESIGN.md
-//                §13; every shard on the calling thread) at every shard
-//                count in {1, 2, 4, 8}, print the per-count cost table, and
-//                demand the runs' canonical stats be byte-identical across
+//   replay     — drive the full trace through the replay (DESIGN.md §13)
+//                against a TM-Edge (8 tunnels, 4 PoPs): once at 1 shard
+//                under the classic latency-only policy, then under the
+//                capacity-aware policy at every shard count in {1, 2, 4, 8}
+//                (every shard on the calling thread). The 1-shard run gives
+//                the load-aware figures and must hold >= 100k concurrently
+//                pinned flows; the sweep prints the per-count cost table and
+//                demands the runs' canonical stats be byte-identical across
 //                shard counts.
 //
 // Determinism: every non-wall value in the report is a pure function of the
 // seed. Wall-clock results live in "wall_*" keys / phase wall_ms, which
 // obs::StripVolatile zeroes, so two runs at the same seed produce
-// byte-identical stripped reports. The sharded sweep always runs all four
-// shard counts regardless of --shards (the flag only selects which count
-// feeds the headline wall_replay_sharded_flows_per_s), so the report's key
-// set — and therefore the stripped report — is byte-identical across
-// --shards 1/2/4/8 too. Exit status is 0 only if the scale gates (events >=
-// 1M, peak concurrent >= 100k, zero down-picks, sharded bit-identity) hold.
+// byte-identical stripped reports. The sweep always runs all four shard
+// counts regardless of --shards (the flag only selects which count feeds
+// the headline wall_replay_sharded_flows_per_s), so the report's key set —
+// and therefore the stripped report — is byte-identical across --shards
+// 1/2/4/8 too. Exit status is 0 only if the scale gates (events >= 1M, peak
+// concurrent >= 100k, zero down-picks, bit-identity across shard counts)
+// hold.
 //
 // Usage:
 //   workload_throughput                # full-scale run (default seed 7)
@@ -113,17 +115,12 @@ std::unique_ptr<ReplayWorld> MakeReplayWorld(std::uint64_t seed) {
   }
   tm::TmEdge::Config ecfg;
   ecfg.seed = seed;
-  // The engine samples RTT views once per 100 ms tick; 10 ms probing would
+  // The replay samples RTT views once per 100 ms tick; 10 ms probing would
   // only burn DES events without sharpening those views.
   ecfg.probe_interval_s = 0.050;
   w->edge = std::make_unique<tm::TmEdge>(w->sim, ecfg, std::move(tunnels));
   return w;
 }
-
-struct ReplayOutcome {
-  workload::WorkloadEngine::Stats stats;
-  double wall_ms = 0.0;
-};
 
 workload::EngineConfig ReplayEngineConfig() {
   workload::EngineConfig ecfg;
@@ -136,30 +133,16 @@ workload::EngineConfig ReplayEngineConfig() {
   return ecfg;
 }
 
-ReplayOutcome Replay(std::uint64_t seed, const workload::Trace& trace,
-                     const workload::DestinationPolicy& policy,
-                     double pop_capacity_bps) {
-  auto w = MakeReplayWorld(seed);
-  workload::LoadTracker load{std::vector<double>(kPops, pop_capacity_bps)};
-  workload::WorkloadEngine engine{w->sim,  *w->edge, w->tunnel_pop,       load,
-                                  policy,  trace,    ReplayEngineConfig()};
-  const auto start = Clock::now();
-  w->edge->Start();
-  engine.Start();
-  w->sim.Run(static_cast<double>(trace.duration_us) / 1e6 + 2.0);
-  return ReplayOutcome{.stats = engine.stats(), .wall_ms = MsSince(start)};
-}
-
-struct ShardedOutcome {
-  workload::WorkloadEngine::Stats stats;
+struct ReplayOutcome {
+  workload::ShardedWorkloadReplay::Stats stats;
   std::string canonical;  // ShardedWorkloadReplay::CanonicalStats()
   netsim::ShardedSimulator::Stats des;
   double wall_ms = 0.0;
 };
 
-ShardedOutcome ReplaySharded(std::uint64_t seed, const workload::Trace& trace,
-                             const workload::DestinationPolicy& policy,
-                             double pop_capacity_bps, std::size_t shards) {
+ReplayOutcome Replay(std::uint64_t seed, const workload::Trace& trace,
+                     const workload::DestinationPolicy& policy,
+                     double pop_capacity_bps, std::size_t shards) {
   auto w = MakeReplayWorld(seed);
   workload::LoadTracker load{std::vector<double>(kPops, pop_capacity_bps)};
   workload::ShardedReplayConfig rcfg;
@@ -171,10 +154,10 @@ ShardedOutcome ReplaySharded(std::uint64_t seed, const workload::Trace& trace,
   w->edge->Start();
   replay.Start();
   replay.Run(static_cast<double>(trace.duration_us) / 1e6 + 2.0);
-  return ShardedOutcome{.stats = replay.stats(),
-                        .canonical = replay.CanonicalStats(),
-                        .des = replay.des().stats(),
-                        .wall_ms = MsSince(start)};
+  return ReplayOutcome{.stats = replay.stats(),
+                       .canonical = replay.CanonicalStats(),
+                       .des = replay.des().stats(),
+                       .wall_ms = MsSince(start)};
 }
 
 }  // namespace
@@ -248,7 +231,7 @@ int main(int argc, char** argv) {
     keys.reserve(working_set);
     for (std::size_t i = 0; i < working_set; ++i) {
       const netsim::FlowKey key =
-          workload::WorkloadEngine::KeyFor(trace.events[i]);
+          workload::ShardedWorkloadReplay::KeyFor(trace.events[i]);
       store.Upsert(key).bytes = trace.events[i].bytes;
       keys.push_back(key);
     }
@@ -306,20 +289,34 @@ int main(int argc, char** argv) {
   // 4 PoPs (4 MB/s total) but overloads any single one: latency-only piles
   // onto the closest PoP, the load-aware policy spreads under threshold.
   const double pop_capacity_bps = smoke ? 2.0e5 : 1.0e6;
-  workload::WorkloadEngine::Stats latency_stats;
+  workload::ShardedWorkloadReplay::Stats latency_stats;
   {
     const obs::RunReport::ScopedPhase phase{report, "replay_latency_only"};
     const workload::LatencyOnlyPolicy policy;
-    latency_stats = Replay(seed, trace, policy, pop_capacity_bps).stats;
+    latency_stats = Replay(seed, trace, policy, pop_capacity_bps, 1).stats;
   }
-  workload::WorkloadEngine::Stats aware_stats;
-  double replay_ms = 0.0;
-  {
-    const obs::RunReport::ScopedPhase phase{report, "replay_load_aware"};
+
+  // The load-aware sweep. Always run every shard count so the report's key
+  // set (and every stripped, non-wall value) is independent of --shards;
+  // the flag only selects which count becomes the
+  // wall_replay_sharded_flows_per_s headline. Canonical stats must be
+  // byte-identical across the sweep — that's the determinism contract of
+  // DESIGN.md §13, gated below. The 1-shard run gives the load-aware
+  // figures.
+  constexpr std::size_t kShardSweep[] = {1, 2, 4, 8};
+  std::vector<ReplayOutcome> sharded;
+  for (const std::size_t n : kShardSweep) {
+    const obs::RunReport::ScopedPhase phase{
+        report, "replay_sharded_s" + std::to_string(n)};
     const workload::LoadAwarePolicy policy{0.85};
-    const ReplayOutcome out = Replay(seed, trace, policy, pop_capacity_bps);
-    aware_stats = out.stats;
-    replay_ms = out.wall_ms;
+    sharded.push_back(Replay(seed, trace, policy, pop_capacity_bps, n));
+  }
+  const workload::ShardedWorkloadReplay::Stats& aware_stats =
+      sharded.front().stats;
+  bool sharded_identical = true;
+  for (const ReplayOutcome& out : sharded) {
+    sharded_identical =
+        sharded_identical && out.canonical == sharded.front().canonical;
   }
 
   report.AddConfig("pop_capacity_bps", pop_capacity_bps);
@@ -340,9 +337,6 @@ int main(int argc, char** argv) {
   report.AddValue("down_picks",
                   static_cast<double>(latency_stats.down_picks +
                                       aware_stats.down_picks));
-  report.AddValue("wall_replay_flows_per_s",
-                  static_cast<double>(aware_stats.started) /
-                      (replay_ms / 1e3));
 
   std::cout << "replay(latency_only): started " << latency_stats.started
             << ", max PoP utilization "
@@ -353,34 +347,15 @@ int main(int argc, char** argv) {
             << ", max PoP utilization "
             << util::Table::Num(aware_stats.max_utilization, 2)
             << ", saturated admissions " << aware_stats.saturated_assignments
-            << ", peak concurrent " << aware_stats.peak_concurrent << "\n";
+            << ", peak concurrent " << aware_stats.peak_concurrent
+            << ", canonical stats "
+            << (sharded_identical ? "identical" : "DIVERGED")
+            << " across shard counts\n";
 
-  // --- sharded sweep ----------------------------------------------------
-  // Always run every shard count so the report's key set (and every
-  // stripped, non-wall value) is independent of --shards; the flag only
-  // selects which count becomes the wall_replay_sharded_flows_per_s
-  // headline. Canonical stats must be byte-identical across the sweep —
-  // that's the determinism contract of DESIGN.md §13, gated below.
-  constexpr std::size_t kShardSweep[] = {1, 2, 4, 8};
-  std::vector<ShardedOutcome> sharded;
-  for (const std::size_t n : kShardSweep) {
-    const obs::RunReport::ScopedPhase phase{
-        report, "replay_sharded_s" + std::to_string(n)};
-    const workload::LoadAwarePolicy policy{0.85};
-    sharded.push_back(ReplaySharded(seed, trace, policy, pop_capacity_bps, n));
-  }
-  bool sharded_identical = true;
-  for (const ShardedOutcome& out : sharded) {
-    sharded_identical =
-        sharded_identical && out.canonical == sharded.front().canonical;
-  }
   double headline_sharded_flows_per_s = 0.0;
-  const double serial_flows_per_s =
-      static_cast<double>(aware_stats.started) / (replay_ms / 1e3);
-
-  util::Table scaling{{"shards", "wall_ms", "flows/s", "vs serial", "epochs"}};
+  util::Table scaling{{"shards", "wall_ms", "flows/s", "epochs"}};
   for (std::size_t i = 0; i < sharded.size(); ++i) {
-    const ShardedOutcome& out = sharded[i];
+    const ReplayOutcome& out = sharded[i];
     const double flows_per_s =
         static_cast<double>(out.stats.started) / (out.wall_ms / 1e3);
     if (kShardSweep[i] == headline_shards) {
@@ -392,23 +367,11 @@ int main(int argc, char** argv) {
     scaling.AddRow({std::to_string(kShardSweep[i]),
                     util::Table::Num(out.wall_ms, 1),
                     util::Table::Num(flows_per_s, 0),
-                    util::Table::Num(flows_per_s / serial_flows_per_s, 2) + "x",
                     std::to_string(out.des.epochs)});
   }
-  report.AddValue("sharded_started",
-                  static_cast<double>(sharded.front().stats.started));
-  report.AddValue("sharded_peak_concurrent",
-                  static_cast<double>(sharded.front().stats.peak_concurrent));
-  report.AddValue("sharded_down_picks",
-                  static_cast<double>(sharded.front().stats.down_picks));
   report.AddValue("sharded_identical", sharded_identical ? 1.0 : 0.0);
   report.AddValue("wall_replay_sharded_flows_per_s",
                   headline_sharded_flows_per_s);
-  std::cout << "replay(sharded):      started " << sharded.front().stats.started
-            << ", peak concurrent " << sharded.front().stats.peak_concurrent
-            << ", canonical stats "
-            << (sharded_identical ? "identical" : "DIVERGED")
-            << " across shard counts\n";
   scaling.Print(std::cout);
 
   report.AttachMetrics();
@@ -433,12 +396,7 @@ int main(int argc, char** argv) {
     ++failures;
   }
   if (!sharded_identical) {
-    std::cerr << "FAIL: sharded canonical stats diverged across shard "
-                 "counts\n";
-    ++failures;
-  }
-  if (sharded.front().stats.down_picks != 0) {
-    std::cerr << "FAIL: sharded replay picked a down tunnel\n";
+    std::cerr << "FAIL: canonical stats diverged across shard counts\n";
     ++failures;
   }
   return failures;

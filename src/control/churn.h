@@ -8,9 +8,8 @@
 // DeltaBus, so the ControlPlaneService learns about the change the same way
 // it would from real telemetry — never by peeking at this object.
 //
-// Used by the control-plane bench/tests as the ground-truth churn source;
-// production-shaped runs get the same deltas from the workload engine,
-// LoadTracker, and faultsim producers instead.
+// Used by the control-plane bench/tests as the ground-truth churn source,
+// and the library's one DeltaBus producer.
 #pragma once
 
 #include <cstdint>

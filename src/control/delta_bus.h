@@ -1,10 +1,10 @@
 // Typed streaming-delta bus between telemetry producers and the control
 // plane (DESIGN.md §15).
 //
-// Producers (workload ticks, the LoadTracker, faultsim scenarios, churn
-// environments) publish small typed records — "UG latency moved", "session
+// Producers publish small typed records — "UG latency moved", "session
 // went down", "PoP crossed a utilization band" — as they happen on the DES
-// timeline. The ControlPlaneService drains the bus at its wake events and
+// timeline. The library's producer is ChurnEnvironment (session flaps and
+// UG latency drift, control/churn.h); tests publish every kind directly. The ControlPlaneService drains the bus at its wake events and
 // translates each batch into targeted invalidation of the orchestrator's
 // incremental CELF state.
 //
@@ -16,7 +16,7 @@
 //    nonzero drop count as "my view may be stale" — the next full episode
 //    re-derives everything from the model anyway, so drops cost freshness,
 //    never correctness.
-//  - Null-safe producers: every producer takes a `DeltaBus*` defaulting to
+//  - Null-safe producers: ChurnEnvironment takes a `DeltaBus*` defaulting to
 //    nullptr and publishes nothing when unset, leaving the run byte-identical
 //    to a bus-less run.
 #pragma once
@@ -39,7 +39,7 @@ namespace painter::control {
 //   kTopology  — id = producer-scoped target (tunnel/PoP of a fault plan);
 //                value = 1 fault onset, 0 cleared.
 //   kCapacity  — id = PoP index; value = current utilization, published on
-//                coarse band crossings (LoadTracker::PublishCapacityDeltas).
+//                coarse utilization-band crossings.
 enum class DeltaKind : std::uint8_t {
   kUgLatency = 0,
   kPopLoad,

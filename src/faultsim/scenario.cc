@@ -4,7 +4,6 @@
 #include <cmath>
 #include <memory>
 
-#include "control/delta_bus.h"
 #include "netsim/sim.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -131,28 +130,6 @@ FaultScenarioResult RunFaultScenario(const FaultScenarioSpec& spec,
           obs::FlightRecorder::Record(
               sim.NowUs(), "faultsim", obs::Severity::kInfo, "fault_cleared",
               {{"target", static_cast<double>(ev.target)}});
-        });
-      }
-    }
-  }
-
-  // Control-plane feed: topology deltas at each plan event's onset and
-  // clear — the same instants the flight recorder journals. Scheduled only
-  // when a bus is attached, so a bus-less run's event sequence is untouched.
-  if (spec.delta_bus != nullptr) {
-    control::DeltaBus* bus = spec.delta_bus;
-    for (const FaultEvent& ev : plan.events) {
-      sim.Schedule(ev.start_s, [&sim, bus, ev]() {
-        bus->Publish(control::Delta{control::DeltaKind::kTopology, sim.NowUs(),
-                                    static_cast<std::uint32_t>(ev.target),
-                                    1.0});
-      });
-      if (std::isfinite(ev.end_s()) && ev.end_s() <= spec.run_for_s) {
-        sim.Schedule(ev.end_s(), [&sim, bus, ev]() {
-          bus->Publish(control::Delta{control::DeltaKind::kTopology,
-                                      sim.NowUs(),
-                                      static_cast<std::uint32_t>(ev.target),
-                                      0.0});
         });
       }
     }

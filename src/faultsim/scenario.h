@@ -30,10 +30,6 @@ namespace painter::obs {
 class TimeseriesRegistry;
 }  // namespace painter::obs
 
-namespace painter::control {
-class DeltaBus;
-}  // namespace painter::control
-
 namespace painter::faultsim {
 
 struct ScenarioTunnel {
@@ -91,13 +87,6 @@ struct FaultScenarioSpec {
   // null registry leaves the run's event sequence bit-identical (sampling
   // events are pure reads but do occupy queue slots).
   obs::TimeseriesRegistry* timeseries = nullptr;
-
-  // Optional control-plane feed (DESIGN.md §15). When set, every plan
-  // event's onset publishes a kTopology delta (id = the event's target,
-  // value = 1) at the moment it takes effect, and its clear publishes
-  // value = 0 — the same instants the flight recorder journals. The bus
-  // must outlive the run; null publishes nothing.
-  control::DeltaBus* delta_bus = nullptr;
 };
 
 struct FaultScenarioResult {

@@ -32,9 +32,9 @@
 // Epoch length: the epoch is the minimum cross-shard reaction latency — a
 // write merged at b_k is first visible to picks prepared at b_k (and used
 // in (b_k, b_{k+1}]). The workload replay uses its admission tick as the
-// epoch, since tunnel views and load were already snapshotted per tick in
-// the serial engine; anything coarser would change semantics, anything
-// finer would add barriers without adding information.
+// epoch, since it snapshots tunnel views and load once per tick anyway;
+// anything coarser would change semantics, anything finer would add
+// barriers without adding information.
 #pragma once
 
 #include <cstdint>

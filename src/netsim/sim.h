@@ -42,13 +42,16 @@ using SimTime = std::uint64_t;
 
 // Seconds -> µs, rounding to the nearest tick of the grid (never truncating:
 // a boundary computed as 0.999999999… s must land on the boundary, not one
-// µs early). Negative and non-finite inputs throw — a time that cannot be
-// placed on the grid is a caller bug, not something to clamp silently.
+// µs early). A time that cannot be placed on the grid throws — negative,
+// NaN, infinite, or 2^63 µs (~292,000 years) and beyond, where llround
+// saturates and far-apart times would share one instant. It is a caller
+// bug, not something to clamp silently.
 [[nodiscard]] inline SimTime UsFromSeconds(double seconds) {
-  if (!(seconds >= 0.0) || !std::isfinite(seconds)) {
-    throw std::invalid_argument{"UsFromSeconds: negative or non-finite time"};
+  const double us = seconds * 1e6;
+  if (!(us >= 0.0 && us < 0x1p63)) {
+    throw std::invalid_argument{"UsFromSeconds: time not on the µs grid"};
   }
-  return static_cast<SimTime>(std::llround(seconds * 1e6));
+  return static_cast<SimTime>(std::llround(us));
 }
 
 [[nodiscard]] constexpr double SecondsFromUs(SimTime us) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "cloudsim/deployment.h"
@@ -211,11 +210,11 @@ UnifiedTimelineResult RunUnifiedTimeline(const UnifiedTimelineConfig& config) {
 
   workload::LoadTracker load{std::vector<double>(kTmPops, kPopCapacityBps)};
   const workload::LoadAwarePolicy policy;
-  workload::EngineConfig wcfg;
-  wcfg.tick_s = config.tick_s;
-  wcfg.timeseries = config.timeseries;
-  wcfg.delta_bus = config.delta_bus;
-  wcfg.on_arrival = [&](const workload::FlowEvent& ev) {
+  workload::ShardedReplayConfig replay_cfg;
+  replay_cfg.shards = config.shards;
+  replay_cfg.engine.tick_s = config.tick_s;
+  replay_cfg.engine.timeseries = config.timeseries;
+  replay_cfg.engine.on_arrival = [&](const workload::FlowEvent& ev) {
     const double bytes = static_cast<double>(ev.bytes);
     const std::size_t bucket = std::min(
         static_cast<std::size_t>(ev.start_us / bucket_us), curve_buckets - 1);
@@ -238,38 +237,22 @@ UnifiedTimelineResult RunUnifiedTimeline(const UnifiedTimelineConfig& config) {
       total_stale_bytes += bytes;
     }
   };
-  std::optional<workload::WorkloadEngine> engine;
-  std::optional<workload::ShardedWorkloadReplay> replay;
-  if (config.shards == 0) {
-    engine.emplace(sim, edge, tunnel_pop, load, policy, trace, wcfg);
-  } else {
-    workload::ShardedReplayConfig scfg;
-    scfg.shards = config.shards;
-    scfg.engine = wcfg;
-    replay.emplace(sim, edge, tunnel_pop, load, policy, trace,
-                   std::move(scfg));
-  }
+  workload::ShardedWorkloadReplay replay{sim,    edge,  tunnel_pop,
+                                         load,   policy, trace,
+                                         std::move(replay_cfg)};
 
   edge.Start();
-  if (engine.has_value()) {
-    engine->Start();
-  } else {
-    replay->Start();
-  }
+  replay.Start();
   ttl.Start(horizon_s);
   rounds.Start();
   if (config.timeseries != nullptr) {
     ttl.RegisterTimeseries(*config.timeseries);
     config.timeseries->StartSampling(sim, horizon_s);
   }
-  if (engine.has_value()) {
-    sim.Run(horizon_s);
-  } else {
-    // The replay runs the control simulator and the shard simulators in
-    // epoch lock-step; on_arrival fires at barriers, in global trace order,
-    // against TTL/round state frozen at the tick boundary.
-    replay->Run(horizon_s);
-  }
+  // The replay runs the control simulator and the shard simulators in
+  // epoch lock-step; on_arrival fires at barriers, in global trace order,
+  // against TTL/round state frozen at the tick boundary.
+  replay.Run(horizon_s);
 
   // --- Reduce.
   for (std::size_t b = 0; b < curve_buckets; ++b) {
@@ -287,15 +270,13 @@ UnifiedTimelineResult RunUnifiedTimeline(const UnifiedTimelineConfig& config) {
   result.stale_byte_frac =
       total_bytes > 0.0 ? total_stale_bytes / total_bytes : 0.0;
   result.trace_checksum = workload::TraceChecksum(trace);
-  result.workload = engine.has_value() ? engine->stats() : replay->stats();
+  result.workload = replay.stats();
   result.ttl = ttl.stats();
-  // Sharded mode: control events + epoch count. Per-shard tick-event counts
-  // depend on the partition, but the control timeline and the barrier count
-  // are pure functions of (config, horizon) — shard-count-invariant, so the
+  // Control events + epoch count. Per-shard tick-event counts depend on the
+  // partition, but the control timeline and the barrier count are pure
+  // functions of (config, horizon) — shard-count-invariant, so the
   // canonical summary stays byte-identical across --shards values.
-  result.executed_events =
-      engine.has_value() ? sim.ExecutedEvents()
-                         : sim.ExecutedEvents() + replay->des().stats().epochs;
+  result.executed_events = sim.ExecutedEvents() + replay.des().stats().epochs;
   result.resolver_count = resolvers.resolver_count;
   result.ug_count = instance.UgCount();
   return result;

@@ -3,7 +3,7 @@
 // ROADMAP's "one timeline, one run": a single netsim::Simulator hosts, in
 // true timestamp order,
 //   - the TM-Edge's probes/failover and a deterministic fault plan,
-//   - the workload engine's admission/expiry ticks replaying a diurnal,
+//   - the workload replay's admission/expiry ticks replaying a diurnal,
 //     heavy-tailed flow trace,
 //   - per-resolver DNS TTL refresh events (dnssim::TtlCache),
 //   - the orchestrator's advertisement rounds (core::LearningTimeline).
@@ -29,28 +29,22 @@
 #include <vector>
 
 #include "dnssim/ttl_cache.h"
-#include "workload/engine.h"
+#include "workload/sharded_engine.h"
 
 namespace painter::obs {
 class TimeseriesRegistry;
 }  // namespace painter::obs
 
-namespace painter::control {
-class DeltaBus;
-}  // namespace painter::control
-
 namespace painter::timeline {
 
 struct UnifiedTimelineConfig {
   std::uint64_t seed = 7;
-  // 0 = the classic single-simulator timeline (byte-identical to before the
-  // sharded engine existed). >= 1 = the sharded timeline (DESIGN.md §13):
-  // the simulator above becomes the control shard and the workload replays
-  // on `shards` shard-local simulators under epoch barriers, all on the
-  // calling thread. Results are identical for every value >= 1 (the property
-  // suite pins 1/2/4/8) but not to the serial path — the sharded engine
-  // makes its destination decision once per tick, not once per arrival.
-  std::size_t shards = 0;
+  // The sharded timeline (DESIGN.md §13): the simulator becomes the control
+  // shard and the workload replays on `shards` shard-local simulators under
+  // epoch barriers, all on the calling thread. A power of two in [1, 256];
+  // results are identical for every value (the property suite pins
+  // 1/2/4).
+  std::size_t shards = 1;
 
   // Simulated-Internet world the advertisement rounds execute against.
   std::size_t stubs = 200;
@@ -81,18 +75,12 @@ struct UnifiedTimelineConfig {
   // everything else on the same queue.
   bool inject_faults = true;
 
-  // Optional streaming telemetry for the whole run: engine occupancy and
+  // Optional streaming telemetry for the whole run: replay occupancy and
   // utilization samplers, TTL staleness sampler, per-round
   // predicted/realized event series, sampled on the registry's grid for the
   // run's horizon. The registry must outlive the call. Null records nothing
   // and leaves the result byte-identical.
   obs::TimeseriesRegistry* timeseries = nullptr;
-
-  // Optional control-plane feed: handed to the workload engine so its ticks
-  // publish load/latency/capacity deltas for an external
-  // control::ControlPlaneService. Null (the default) publishes nothing and
-  // leaves the run byte-identical.
-  control::DeltaBus* delta_bus = nullptr;
 };
 
 struct UnifiedTimelineResult {
@@ -120,7 +108,7 @@ struct UnifiedTimelineResult {
   double stale_byte_frac = 0.0;
 
   std::uint64_t trace_checksum = 0;
-  workload::WorkloadEngine::Stats workload;
+  workload::ShardedWorkloadReplay::Stats workload;
   dnssim::TtlCache::Stats ttl;
   std::uint64_t executed_events = 0;
   std::size_t resolver_count = 0;

@@ -42,40 +42,29 @@ ChaosLoadResult RunChaosUnderLoad(std::uint64_t seed,
 
   spec.timeseries = config.timeseries;
 
-  EngineConfig ecfg = config.engine;
-  ecfg.timeseries = config.timeseries;
-  ecfg.place_edge_flows = true;
-  ecfg.flow_bytes_per_s = 1.0e3;  // B/s: a 5 kB..5 MB flow lives 5..600 s
-  ecfg.min_duration_s = 2.0;
-  ecfg.max_duration_s = 0.5 * spec.run_for_s;
+  ShardedReplayConfig rcfg;
+  rcfg.shards = config.shards;
+  rcfg.shard_timeseries = config.shard_timeseries;
+  rcfg.engine.timeseries = config.timeseries;
+  rcfg.engine.place_edge_flows = true;
+  // 1 kB/s of service: a 5 kB..5 MB flow lives 5..600 s.
+  rcfg.engine.flow_bytes_per_s = 1.0e3;
+  rcfg.engine.min_duration_s = 2.0;
+  rcfg.engine.max_duration_s = 0.5 * spec.run_for_s;
 
-  std::optional<WorkloadEngine> engine;
+  // The scenario simulator becomes the control shard (probes, faults,
+  // scripted flows, telemetry) and the replay drives it plus its shard
+  // simulators in epoch lock-step, so the scenario's own event loop is
+  // replaced via the drive hook.
   std::optional<ShardedWorkloadReplay> replay;
-  if (config.shards == 0) {
-    spec.attach = [&](netsim::Simulator& sim, tm::TmEdge& edge,
-                      const std::vector<int>& tunnel_pop) {
-      engine.emplace(sim, edge, tunnel_pop, load, policy, trace, ecfg);
-      engine->Start();
-    };
-  } else {
-    // Sharded timeline: the scenario simulator becomes the control shard
-    // (probes, faults, scripted flows, telemetry) and the replay drives it
-    // plus its shard simulators in epoch lock-step, so the scenario's own
-    // event loop is replaced via the drive hook.
-    spec.attach = [&](netsim::Simulator& sim, tm::TmEdge& edge,
-                      const std::vector<int>& tunnel_pop) {
-      ShardedReplayConfig rcfg;
-      rcfg.shards = config.shards;
-      rcfg.engine = ecfg;
-      rcfg.shard_timeseries = config.shard_timeseries;
-      replay.emplace(sim, edge, tunnel_pop, load, policy, trace,
-                     std::move(rcfg));
-      replay->Start();
-    };
-    spec.drive = [&](netsim::Simulator&, double run_for_s) {
-      replay->Run(run_for_s);
-    };
-  }
+  spec.attach = [&](netsim::Simulator& sim, tm::TmEdge& edge,
+                    const std::vector<int>& tunnel_pop) {
+    replay.emplace(sim, edge, tunnel_pop, load, policy, trace, rcfg);
+    replay->Start();
+  };
+  spec.drive = [&](netsim::Simulator&, double run_for_s) {
+    replay->Run(run_for_s);
+  };
 
   const faultsim::FaultScenarioResult result =
       faultsim::RunFaultScenario(spec, plan);
@@ -90,8 +79,8 @@ ChaosLoadResult RunChaosUnderLoad(std::uint64_t seed,
                                 d.rtt_s > 0.0 ? d.latency_s / d.rtt_s : 0.0);
     }
   }
-  if (engine.has_value() || replay.has_value()) {
-    out.load_stats = engine.has_value() ? engine->stats() : replay->stats();
+  if (replay.has_value()) {
+    out.load_stats = replay->stats();
     if (out.load_stats.down_picks > 0) {
       out.load_violations.push_back(
           "load: policy picked a perceived-down tunnel " +
@@ -104,7 +93,7 @@ ChaosLoadResult RunChaosUnderLoad(std::uint64_t seed,
           "]");
     }
   } else {
-    out.load_violations.push_back("load: engine never attached");
+    out.load_violations.push_back("load: replay never attached");
   }
   return out;
 }

@@ -1,11 +1,11 @@
-// Chaos-under-load: the faultsim plan engine with the workload engine
+// Chaos-under-load: the faultsim plan engine with the workload replay
 // driving traffic.
 //
 // The chaos runner's original sweep checks the four §5.2.3 invariants with
 // two scripted flows in play; this wrapper re-runs the same (seed -> world,
 // seed -> plan) construction with a deterministic trace of workload flows
 // admitted through the capacity-aware policy while the faults play out, and
-// the TM-Edge's scripted flows routed through the same policy (the engine
+// the TM-Edge's scripted flows routed through the same policy (the replay
 // installs itself as the edge's flow placer). Checked per seed:
 //
 //   - the four TM invariants (pinning, detection bound, no silent
@@ -23,7 +23,7 @@
 
 #include "faultsim/invariants.h"
 #include "faultsim/scenario.h"
-#include "workload/engine.h"
+#include "workload/sharded_engine.h"
 
 namespace painter::workload {
 
@@ -34,19 +34,14 @@ struct ChaosLoadConfig {
   // Small PoP capacities so the load-aware threshold actually binds.
   double pop_capacity_bps = 2.0e6;
   double utilization_threshold = 0.85;
-  // 0 = the serial WorkloadEngine on the scenario simulator (the classic
-  // path, byte-identical to before the sharded timeline existed). >= 1 =
-  // the sharded replay (DESIGN.md §13) with that many shard simulators,
-  // run on the calling thread; results are identical for every value >= 1
-  // but NOT to the serial path (per-tick instead of per-arrival policy
-  // decisions).
-  std::size_t shards = 0;
-  // Optional des.shard<i>.* series (sharded path only); see
-  // ShardedReplayConfig::shard_timeseries for the cross-shard-count caveat.
+  // Shard simulators of the replay (DESIGN.md §13), run on the calling
+  // thread: a power of two in [1, 256], results identical for every value.
+  std::size_t shards = 1;
+  // Optional des.shard<i>.* series; see ShardedReplayConfig::
+  // shard_timeseries for the cross-shard-count caveat.
   obs::TimeseriesRegistry* shard_timeseries = nullptr;
-  EngineConfig engine;
   // Optional streaming telemetry: threaded to both the scenario (edge
-  // samplers, switchover events) and the engine (occupancy, utilization),
+  // samplers, switchover events) and the replay (occupancy, utilization),
   // plus a `faultsim.detection_latency_rtts` event series — one point per
   // bounded detection, stamped at the fault onset. Null disables all of it.
   obs::TimeseriesRegistry* timeseries = nullptr;
@@ -54,7 +49,7 @@ struct ChaosLoadConfig {
 
 struct ChaosLoadResult {
   faultsim::InvariantReport invariants;
-  WorkloadEngine::Stats load_stats;
+  ShardedWorkloadReplay::Stats load_stats;
   std::vector<std::string> load_violations;  // policy-contract breaches
   std::size_t trace_events = 0;
 
@@ -63,7 +58,7 @@ struct ChaosLoadResult {
   }
 };
 
-// Runs seed's random world + random plan with the workload engine attached.
+// Runs seed's random world + random plan with the workload replay attached.
 [[nodiscard]] ChaosLoadResult RunChaosUnderLoad(
     std::uint64_t seed, const faultsim::WorldSpec& world = {},
     const ChaosLoadConfig& config = {});

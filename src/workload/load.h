@@ -24,10 +24,6 @@
 #include <string>
 #include <vector>
 
-namespace painter::control {
-class DeltaBus;
-}  // namespace painter::control
-
 namespace painter::workload {
 
 class LoadTracker {
@@ -49,14 +45,6 @@ class LoadTracker {
   // Publishes `<prefix>.pop<i>.utilization` gauges to the global registry.
   void ExportGauges(const std::string& prefix = "workload.load") const;
 
-  // Control-plane feed (DESIGN.md §15): publishes a kCapacity delta for
-  // every PoP whose utilization crossed into a different coarse band
-  // (band = floor(utilization / band_frac)) since the last call. The first
-  // call only baselines the bands — a PoP that never moves never publishes.
-  // Caller provides the timestamp (the workload tick's sim time).
-  void PublishCapacityDeltas(control::DeltaBus& bus, std::uint64_t t_us,
-                             double band_frac = 0.25);
-
  private:
   std::vector<double> capacity_;
   std::vector<double> offered_;
@@ -67,9 +55,6 @@ class LoadTracker {
   // the same ops in canonical trace order, but exactness should not hinge
   // on that).
   std::vector<std::uint64_t> active_;
-  // Last published capacity band per PoP (-1 = not yet baselined), lazily
-  // sized by PublishCapacityDeltas.
-  std::vector<int> capacity_band_;
   // Single-writer guard. The tracker is deliberately not thread-safe: under
   // the sharded timeline every mutation happens inside the epoch-barrier
   // merge, on the thread that runs the replay, and shard ticks only read

@@ -13,9 +13,7 @@
 namespace painter::workload {
 namespace {
 
-// Same counter names as the serial engine (engine.cc): both paths report
-// into the same registry entries, so dashboards and the metrics lint see one
-// workload.engine.* family regardless of which engine ran.
+// The workload.engine.* counter family, bumped once per epoch.
 struct ReplayMetrics {
   obs::Counter& started =
       obs::Metrics().GetCounter("workload.engine.flows_started");
@@ -60,9 +58,21 @@ ShardedWorkloadReplay::ShardedWorkloadReplay(
   ValidateEngineConfig(config_.engine);
 }
 
+netsim::FlowKey ShardedWorkloadReplay::KeyFor(const FlowEvent& event) {
+  // 20.0.0.0/8 client space, disjoint from the scripted scenario flows
+  // (192.168/16) and the tunnel outer tuples (10/8).
+  return netsim::FlowKey{
+      .src_ip = 0x14000000u | (event.ug & 0x00FFFFFFu),
+      .dst_ip = 0x08080808u,
+      .src_port = static_cast<netsim::Port>(event.seq & 0xFFFFu),
+      .dst_port = static_cast<netsim::Port>(0x2000u + ((event.seq >> 16) &
+                                                       0x0FFFu)),
+      .proto = 6};
+}
+
 std::size_t ShardedWorkloadReplay::BucketOf(std::uint64_t expiry_us) const {
-  // Identical to WorkloadEngine::BucketOf: bucket k drains at trace time
-  // (k+1) * tick_us_, the last bucket absorbs post-trace expiries.
+  // Bucket k drains at trace time (k+1) * tick_us_ >= every expiry in
+  // [k*tick, (k+1)*tick); the last bucket absorbs post-trace expiries.
   const auto bucket = static_cast<std::size_t>(expiry_us / tick_us_);
   return std::min(bucket, bucket_count_ - 1);
 }
@@ -95,12 +105,12 @@ void ShardedWorkloadReplay::Start() {
     owner_.resize(events.size());
     for (std::size_t i = 0; i < events.size(); ++i) {
       owner_[i] = static_cast<std::uint8_t>(des_.ShardOf(
-          netsim::FlowKeyFingerprint(WorkloadEngine::KeyFor(events[i]))));
+          netsim::FlowKeyFingerprint(KeyFor(events[i]))));
     }
   }
 
-  // The serial engine's bucket grid: one bucket per tick of the trace plus
-  // one that absorbs post-trace expiries. The live pins span at most
+  // The bucket grid: one bucket per tick of the trace plus one that
+  // absorbs post-trace expiries. The live pins span at most
   // max_duration_s / tick + 2 consecutive buckets, so a ring of that many
   // slots gives each live bucket its own (DESIGN.md §13). The cap is taken
   // at most the grid's length, where the ring has one slot per bucket.
@@ -131,7 +141,7 @@ void ShardedWorkloadReplay::Start() {
     });
   }
 
-  // Same series the serial engine registers; samplers run as control events
+  // Occupancy and utilization series; samplers run as control events
   // while the shards are parked at the barrier, and the values (total
   // occupancy, merged per-PoP utilization) are shard-count-invariant.
   if (config_.engine.timeseries != nullptr) {
@@ -227,8 +237,7 @@ void ShardedWorkloadReplay::FilePin(Shard& sh, std::uint32_t trace_idx,
   ++sh.live;
   const std::size_t bucket = BucketOf(timing.expiry_us);
   // Only a flow starting after the last bucket was released is clamped
-  // behind the tick: it stays live and is never released, as in the serial
-  // engine.
+  // behind the tick: it stays live and is never released (DESIGN.md §13).
   if (bucket < tick_index_) return;
   std::uint32_t node = sh.free_pin;
   if (node != kNoPin) {
@@ -291,7 +300,7 @@ void ShardedWorkloadReplay::Merge(std::uint64_t /*epoch*/,
   // walk the *global* trace range, so hook order, counts and the
   // floating-point fold order are independent of the partition. Every shard
   // admitted exactly its events of this range; in an admit epoch every event
-  // in it was pinned. Assigns before releases: the serial tick's structure.
+  // in it was pinned. Assigns before releases, as in a tick.
   for (std::size_t i = global_cursor_; i < due_end_; ++i) {
     const FlowEvent& event = events[i];
     if (config_.engine.on_arrival) config_.engine.on_arrival(event);
@@ -308,8 +317,8 @@ void ShardedWorkloadReplay::Merge(std::uint64_t /*epoch*/,
   stats_.arrivals += due;
   if (epoch_admit_) {
     // Offered load only grew since the last release, so the post-assign
-    // utilization is the epoch's high-water mark — one read replaces the
-    // serial engine's per-admission watermark, bit-exactly.
+    // utilization is the epoch's high-water mark — one read replaces a
+    // per-admission watermark, bit-exactly.
     stats_.max_utilization =
         std::max(stats_.max_utilization, load_->Utilization(epoch_pop_));
   }
@@ -318,8 +327,9 @@ void ShardedWorkloadReplay::Merge(std::uint64_t /*epoch*/,
       stats_.started += due;
       ReplayMetrics::Get().started.Add(due);
     } else if (epoch_pick_ >= 0) {
-      // Policy contract breach (picked an unusable tunnel) — same loud
-      // accounting as the serial engine, batched per epoch.
+      // Policy contract breach (picked an unusable tunnel) — counted loudly
+      // instead of crashing, batched per epoch; the chaos sweep turns a
+      // non-zero count into a violation.
       stats_.down_picks += due;
       stats_.rejected += due;
       ReplayMetrics::Get().down_picks.Add(due);
@@ -334,8 +344,8 @@ void ShardedWorkloadReplay::Merge(std::uint64_t /*epoch*/,
     }
   }
 
-  // Occupancy after the admissions, before the expiries: the serial
-  // engine's peak point. (In the final epoch nothing was admitted, so this
+  // Occupancy after the admissions, before the expiries: the tick's peak
+  // point. (In the final epoch nothing was admitted, so this
   // reads the previous tick's post-release count, already below the peak.)
   stats_.peak_concurrent = std::max<std::uint64_t>(
       stats_.peak_concurrent, static_cast<std::uint64_t>(Concurrent()));
@@ -345,7 +355,7 @@ void ShardedWorkloadReplay::Merge(std::uint64_t /*epoch*/,
   }
 
   // Releases: the tick's bucket, or in the final epoch every bucket that
-  // can still hold a pin, bucket-major (the serial engine's final drain).
+  // can still hold a pin, bucket-major.
   std::uint64_t released = 0;
   if (epoch_final_) {
     const std::size_t end =
@@ -375,8 +385,8 @@ void ShardedWorkloadReplay::Merge(std::uint64_t /*epoch*/,
     const bool drained = Concurrent() == 0;
     const bool past_end = now_us >= trace_->duration_us + 1'000'000u;
     if (trace_done && (drained || past_end)) {
-      // Decided here, executed next tick (one tick later than the serial
-      // engine's same-tick drain; shard-count-invariant either way).
+      // Decided here at the barrier (a global, shard-count-invariant
+      // condition), executed next tick.
       final_requested_ = true;
     }
   }

@@ -1,28 +1,42 @@
-// Sharded workload replay: the WorkloadEngine's tick loop split across N
-// shard-local simulators under deterministic epoch barriers (DESIGN.md §13).
+// Workload replay: drives a flow trace through a TM-Edge at scale — the
+// reproduction's one replay engine (DESIGN.md §10, §13).
 //
-// Partitioning: a flow belongs to shard `FlowKeyFingerprint(key) >> (64 -
-// log2 N)` — the flow store's own high-bit rule — so a flow is admitted by
-// one shard and its pin never migrates. Start() records each trace event's
-// shard in one owner byte; a shard's tick (an event on the shard's own
-// simulator) walks the epoch's due range and pins the events it owns. A
-// pin is one node of the shard's pool, which carries all its release
-// needs, linked under its expiry bucket in a ring as long as the longest
-// pin lifetime: a shard keeps no flow table, only a count of its live
-// pins. Once the pools have reached the shards' peak live counts, an epoch
-// allocates nothing.
+// Workload flows get no per-packet dynamics (a million flows a day at
+// per-packet granularity would drown the DES). The replay advances in fixed
+// ticks on an absolute integer-µs grid anchored at Start() — tick k at
+// exactly start + (k+1) * tick_us, re-derived from k, never accumulated —
+// and per tick:
 //
-// The epoch is the admission tick. The serial engine already snapshots
-// tunnel views once per tick; the sharded engine moves the *load* reads to
-// the same boundary, which is the one semantic change versus the serial
-// WorkloadEngine: the destination policy is consulted once per tick against
-// the tick-start LoadTracker state, and every arrival in that tick shares
-// the decision, instead of each arrival seeing the loads updated by the
-// arrivals admitted just before it. Decisions become pure functions of
-// (epoch snapshot, trace) — independent of how flows are spread over
-// shards — which is what makes the result bit-identical at any shard count.
-// Load shaping is unaffected in practice: a tick is 100 ms and single-digit
-// arrivals, far finer than the diurnal swings the threshold reacts to.
+//   1. decides once: snapshots the TM-Edge's tunnel views (probed-up state +
+//      RTT EWMA) and asks the DestinationPolicy for one destination against
+//      the LoadTracker state at the tick boundary. Every arrival due by the
+//      tick (`start_us <= now_us` on the integer clock, so an arrival
+//      exactly on a boundary is admitted in that tick) shares that Pick;
+//   2. pins those arrivals: a pin never changes destination (§3.2), adds
+//      its service rate to its PoP's load, and is filed under its expiry
+//      bucket (expiry_us / tick_us, the same arithmetic progression);
+//   3. releases the tick's expiry bucket — a bucket drain, never a scan.
+//
+// Decisions are pure functions of (tick snapshot, trace), independent of
+// how flows are spread over shards, which is what makes the result
+// bit-identical at any shard count. Stats::max_tick_skew_us watermarks
+// |actual - expected| tick time and stays 0. The replay draws no
+// randomness and only reads edge state, so a run is a pure function of
+// (trace, world, config) and rides along fault injection without
+// perturbing the TM-Edge's event sequence. Optionally (place_edge_flows)
+// it installs itself as the TM-Edge's flow placer, so scripted per-packet
+// flows get the same capacity-aware destination selection.
+//
+// Partitioning: a flow belongs to shard `FlowKeyFingerprint(KeyFor(event))
+// >> (64 - log2 N)` — the flow store's own high-bit rule — so a flow is
+// admitted by one shard and its pin never migrates. Start() records each
+// trace event's shard in one owner byte; a shard's tick (an event on the
+// shard's own simulator) walks the epoch's due range and pins the events
+// it owns. A pin is one node of the shard's pool, which carries all its
+// release needs, linked under its expiry bucket in a ring as long as the
+// longest pin lifetime: a shard keeps no flow table, only a count of its
+// live pins. Once the pools have reached the shards' peak live counts, an
+// epoch allocates nothing.
 //
 // Cross-shard effects: shards never touch the shared LoadTracker. The merge
 // applies an epoch's assigns while it walks the global due range of the
@@ -36,12 +50,8 @@
 // control-shard state (DNS TTL versions, advertisement rounds) frozen at
 // the boundary.
 //
-// The per-flow hot path is also simply cheaper than the serial engine's:
-// one policy Pick per tick instead of per arrival, no flow-table insert,
-// lookup or erase (a pin is one 24-byte pool node), and per-epoch instead
-// of per-flow metrics increments — so `--shards 1` is a faster serial
-// engine. Every shard runs on the calling thread; more shards partition
-// the same work, they do not parallelize it.
+// Every shard runs on the calling thread; more shards partition the same
+// work, they do not parallelize it.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +59,7 @@
 #include <string>
 #include <vector>
 
+#include "netsim/packet.h"
 #include "netsim/shard.h"
 #include "netsim/sim.h"
 #include "tm/tm_edge.h"
@@ -59,12 +70,11 @@
 namespace painter::workload {
 
 struct ShardedReplayConfig {
-  // Power of two in [1, 256]. 1 = the serial semantics of this engine (NOT
-  // byte-identical to WorkloadEngine: see the snapshot-decision note above).
+  // Power of two in [1, 256]; anything else throws (ShardedSimulator). The
+  // result is identical at every count.
   std::size_t shards = 1;
-  // Tick/duration/policy-hook configuration, shared with the serial engine.
-  // `engine.timeseries` registers the same occupancy/utilization samplers
-  // the serial engine registers (shard-count-invariant values).
+  // Tick/duration/policy-hook configuration. `engine.timeseries` registers
+  // the occupancy/utilization samplers (shard-count-invariant values).
   EngineConfig engine;
   // Optional des.shard<i>.* queue-depth / epoch-skew series. The key set
   // depends on the shard count by construction, so never attach a registry
@@ -72,13 +82,36 @@ struct ShardedReplayConfig {
   obs::TimeseriesRegistry* shard_timeseries = nullptr;
 };
 
-// Drives a trace through a TM-Edge exactly like WorkloadEngine, but over
-// `shards` shard-local simulators synchronized on the control simulator's
-// tick grid. The edge, tunnels, faults, and samplers stay on `control`.
+// Drives a trace through a TM-Edge over `shards` shard-local simulators
+// synchronized on the control simulator's tick grid. The edge, tunnels,
+// faults, and samplers stay on `control`.
 class ShardedWorkloadReplay {
  public:
-  using Stats = WorkloadEngine::Stats;
+  struct Stats {
+    std::uint64_t arrivals = 0;   // trace events consumed
+    std::uint64_t started = 0;    // pinned successfully
+    std::uint64_t rejected = 0;   // no usable tunnel at admission
+    std::uint64_t completed = 0;  // expired and released
+    std::uint64_t peak_concurrent = 0;
+    // Policy-contract violations: picks of a tunnel whose view was unusable.
+    // Must stay 0; the chaos-under-load sweep asserts it.
+    std::uint64_t down_picks = 0;
+    // Admissions onto a PoP already at/over the load-aware threshold-like
+    // utilization of 1.0 (i.e. saturated at admission time).
+    std::uint64_t saturated_assignments = 0;
+    double bytes_offered = 0.0;
+    double max_utilization = 0.0;  // high-water mark across PoPs and ticks
+    // Largest |tick fire time - its absolute-grid slot| seen, in µs. Always
+    // 0 on the ScheduleAtUs grid; nonzero means tick scheduling drifted off
+    // the expiry-bucket grid. Pinned to 0 by tests/timeline_test.cc.
+    std::uint64_t max_tick_skew_us = 0;
+  };
 
+  // `tunnel_pop[i]` maps the edge's tunnel i to a LoadTracker PoP index.
+  // All references must outlive the replay; the trace must stay alive and
+  // unmodified while it runs. Throws std::invalid_argument on a config
+  // ValidateEngineConfig rejects, a tick below 1 µs, or a shard count
+  // ShardedSimulator rejects.
   ShardedWorkloadReplay(netsim::Simulator& control, tm::TmEdge& edge,
                         std::vector<int> tunnel_pop, LoadTracker& load,
                         const DestinationPolicy& policy, const Trace& trace,
@@ -114,6 +147,10 @@ class ShardedWorkloadReplay {
   // summed. Two runs are behaviourally identical iff their canonical stats
   // are byte-identical; the property suite diffs this across shard counts.
   [[nodiscard]] std::string CanonicalStats() const;
+
+  // The 5-tuple a trace event is pinned under; injective in (ug, seq) below
+  // kTraceUgLimit and kTraceSeqLimit, which LoadTrace enforces.
+  [[nodiscard]] static netsim::FlowKey KeyFor(const FlowEvent& event);
 
  private:
   static constexpr std::uint32_t kNoPin = ~std::uint32_t{0};
@@ -206,5 +243,9 @@ class ShardedWorkloadReplay {
   bool ticks_stopped_ = false;
   Stats stats_;
 };
+
+// The serial engine's name, kept while perfbench/src/diurnal_replay.cc
+// spells KeyFor through it.
+using WorkloadEngine = ShardedWorkloadReplay;
 
 }  // namespace painter::workload

@@ -26,7 +26,8 @@
 
 namespace painter::workload {
 
-// Exclusive bounds on FlowEvent::ug and ::seq (WorkloadEngine::KeyFor's bits).
+// Exclusive bounds on FlowEvent::ug and ::seq (ShardedWorkloadReplay::KeyFor's
+// bits).
 inline constexpr std::uint32_t kTraceUgLimit = std::uint32_t{1} << 24;
 inline constexpr std::uint32_t kTraceSeqLimit = std::uint32_t{1} << 28;
 

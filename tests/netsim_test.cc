@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -88,7 +90,20 @@ TEST(SimulatorTest, IntegerClockQuantizesToNearestMicrosecond) {
 
   EXPECT_EQ(UsFromSeconds(0.1), 100'000u);
   EXPECT_EQ(UsFromSeconds(0.9999999999999999), 1'000'000u);  // round, not trunc
-  EXPECT_THROW(UsFromSeconds(-0.5), std::invalid_argument);
+  // The grid ends below 2^63 µs. Past it llround saturates, so two
+  // far-apart times would land on one instant: they throw instead, like
+  // negative times, NaN and ±inf.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double s : {-0.5, 1e13, 0x1p63 / 1e6, kInf, -kInf,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(static_cast<void>(UsFromSeconds(s)), std::invalid_argument)
+        << s;
+  }
+  // The largest placeable time, 2^-9 s below 2^63 µs, maps onto the grid
+  // and back without loss.
+  const double largest = std::nextafter(0x1p63 / 1e6, 0.0);
+  EXPECT_EQ(UsFromSeconds(largest), 9'223'372'036'854'773'760u);
+  EXPECT_EQ(SecondsFromUs(UsFromSeconds(largest)), largest);
 }
 
 TEST(SimulatorTest, ScheduleAtUsRunsOnExactGrid) {

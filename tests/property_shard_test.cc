@@ -8,10 +8,12 @@
 // landing exactly on a barrier belongs to the epoch that ends there, and
 // cross-shard load deltas merged at the barrier land in canonical trace
 // order. And the live-pin count, the replay's only record of occupancy,
-// agrees with the serial engine's pin table.
+// agrees with a reference pin table.
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -179,7 +181,7 @@ TEST(ShardedSimulatorTest, StatsMeasureSkewAndQueueDepth) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedWorkloadReplay: serial-vs-sharded bit-identity.
+// ShardedWorkloadReplay: bit-identity across shard counts.
 
 struct ReplayWorld {
   netsim::Simulator sim;
@@ -238,7 +240,7 @@ workload::EngineConfig ReplayEngineConfig() {
 // released unless `live_at_end` asks for the count instead.
 std::string RunShardedReplay(
     std::uint64_t seed, const workload::Trace& trace, std::size_t shards,
-    workload::WorkloadEngine::Stats* stats = nullptr,
+    workload::ShardedWorkloadReplay::Stats* stats = nullptr,
     const workload::EngineConfig& engine = ReplayEngineConfig(),
     std::size_t* live_at_end = nullptr) {
   ReplayWorld w;
@@ -267,7 +269,7 @@ TEST(ShardReplayProperty, BitIdenticalAcrossShardCounts) {
   for (const std::uint64_t seed : {3ull, 11ull, 29ull}) {
     const workload::Trace trace = SmallTrace(seed);
     ASSERT_GT(trace.events.size(), 100u);
-    workload::WorkloadEngine::Stats base_stats;
+    workload::ShardedWorkloadReplay::Stats base_stats;
     const std::string base = RunShardedReplay(seed, trace, 1, &base_stats);
     EXPECT_EQ(base_stats.arrivals, trace.events.size());
     EXPECT_GT(base_stats.started, 0u);
@@ -287,10 +289,10 @@ TEST(ShardReplayProperty, RerunIsByteIdentical) {
   EXPECT_EQ(RunShardedReplay(seed, trace, 4), RunShardedReplay(seed, trace, 4));
 }
 
-// One record per pin: the sharded replay keeps no flow table, only a count
-// of live pins per shard. Under LatencyOnlyPolicy the per-tick decision does
-// not read load, so the serial WorkloadEngine, whose pins live in a real
-// FlowStore, must start, complete and peak on exactly the same flows.
+// One record per pin: the replay keeps no flow table, only a count of live
+// pins per shard. Under LatencyOnlyPolicy the per-tick decision does not
+// read load, so a plain reference pin table must start, complete and peak
+// on exactly the same flows.
 struct PinCounts {
   std::uint64_t started = 0;
   std::uint64_t completed = 0;
@@ -298,53 +300,88 @@ struct PinCounts {
   std::size_t concurrent_at_end = 0;
 };
 
-// `shards` = 0 runs the serial WorkloadEngine.
 PinCounts RunLatencyOnly(std::uint64_t seed, const workload::Trace& trace,
                          std::size_t shards) {
   ReplayWorld w;
   BuildReplayWorld(w, seed);
   const workload::LatencyOnlyPolicy policy;
-  const double until_s = netsim::SecondsFromUs(trace.duration_us) + 25.0;
-  w.edge->Start();
-  const auto counts = [](const workload::WorkloadEngine::Stats& st,
-                         std::size_t concurrent) {
-    return PinCounts{st.started, st.completed, st.peak_concurrent, concurrent};
-  };
-  if (shards == 0) {
-    workload::WorkloadEngine engine{w.sim,  *w.edge, w.tunnel_pop,
-                                    w.load, policy,  trace,
-                                    ReplayEngineConfig()};
-    engine.Start();
-    w.sim.Run(until_s);
-    return counts(engine.stats(), engine.Concurrent());
-  }
   workload::ShardedReplayConfig cfg;
   cfg.shards = shards;
   cfg.engine = ReplayEngineConfig();
   workload::ShardedWorkloadReplay replay{
       w.sim, *w.edge, w.tunnel_pop, w.load, policy, trace, std::move(cfg)};
+  w.edge->Start();
   replay.Start();
-  replay.Run(until_s);
-  return counts(replay.stats(), replay.Concurrent());
+  replay.Run(netsim::SecondsFromUs(trace.duration_us) + 25.0);
+  const auto& st = replay.stats();
+  return PinCounts{st.started, st.completed, st.peak_concurrent,
+                   replay.Concurrent()};
 }
 
-TEST(ShardReplayProperty, LiveCountMatchesSerialPinTable) {
+// The reference: the replay's tick loop with none of its machinery — no
+// shards, pool or ring. It ticks on its own world's simulator at
+// start + (k+1)·tick, admits every arrival due by then when LatencyOnlyPolicy
+// picks a tunnel from SnapshotViews, keeps its pins in a std::map by expiry
+// bucket, and after the admissions releases every bucket up to k.
+PinCounts RunReferencePinTable(std::uint64_t seed,
+                               const workload::Trace& trace) {
+  ReplayWorld w;
+  BuildReplayWorld(w, seed);
+  const workload::LatencyOnlyPolicy policy;
+  const workload::EngineConfig config = ReplayEngineConfig();
+  const netsim::SimTime tick_us = netsim::UsFromSeconds(config.tick_s);
+  std::map<std::uint64_t, std::uint64_t> pins;  // expiry bucket -> pins
+  std::vector<workload::TunnelView> views;
+  PinCounts counts;
+  std::size_t cursor = 0;
+  std::uint64_t k = 0;
+  std::function<void()> tick = [&] {
+    const std::uint64_t now_us = (k + 1) * tick_us;
+    workload::SnapshotViews(*w.edge, w.tunnel_pop, views);
+    const bool admit = policy.Pick(views, w.load) >= 0;
+    const std::vector<workload::FlowEvent>& events = trace.events;
+    for (; cursor < events.size() && events[cursor].start_us <= now_us;
+         ++cursor) {
+      if (!admit) continue;
+      ++pins[workload::TimingFor(events[cursor], config).expiry_us / tick_us];
+      ++counts.started;
+      ++counts.concurrent_at_end;
+    }
+    counts.peak_concurrent = std::max<std::uint64_t>(
+        counts.peak_concurrent, counts.concurrent_at_end);
+    while (!pins.empty() && pins.begin()->first <= k) {
+      counts.completed += pins.begin()->second;
+      counts.concurrent_at_end -= pins.begin()->second;
+      pins.erase(pins.begin());
+    }
+    ++k;
+    if (cursor < events.size() || !pins.empty()) {
+      w.sim.ScheduleAtUs((k + 1) * tick_us, [&tick] { tick(); });
+    }
+  };
+  w.edge->Start();
+  w.sim.ScheduleAtUs(tick_us, [&tick] { tick(); });
+  w.sim.Run(netsim::SecondsFromUs(trace.duration_us) + 25.0);
+  return counts;
+}
+
+TEST(ShardReplayProperty, LiveCountMatchesReferencePinTable) {
   for (const std::uint64_t seed : {3ull, 11ull}) {
     const workload::Trace trace = SmallTrace(seed);
-    const PinCounts serial = RunLatencyOnly(seed, trace, 0);
-    EXPECT_GT(serial.started, trace.events.size() / 2) << "seed " << seed;
-    EXPECT_EQ(serial.completed, serial.started) << "seed " << seed;
-    EXPECT_GT(serial.peak_concurrent, 100u) << "seed " << seed;
-    EXPECT_EQ(serial.concurrent_at_end, 0u) << "seed " << seed;
+    const PinCounts reference = RunReferencePinTable(seed, trace);
+    EXPECT_GT(reference.started, trace.events.size() / 2) << "seed " << seed;
+    EXPECT_EQ(reference.completed, reference.started) << "seed " << seed;
+    EXPECT_GT(reference.peak_concurrent, 100u) << "seed " << seed;
+    EXPECT_EQ(reference.concurrent_at_end, 0u) << "seed " << seed;
     for (const std::size_t shards : {1u, 4u}) {
-      const PinCounts sharded = RunLatencyOnly(seed, trace, shards);
-      EXPECT_EQ(sharded.started, serial.started)
+      const PinCounts replay = RunLatencyOnly(seed, trace, shards);
+      EXPECT_EQ(replay.started, reference.started)
           << "seed " << seed << " shards " << shards;
-      EXPECT_EQ(sharded.completed, serial.completed)
+      EXPECT_EQ(replay.completed, reference.completed)
           << "seed " << seed << " shards " << shards;
-      EXPECT_EQ(sharded.peak_concurrent, serial.peak_concurrent)
+      EXPECT_EQ(replay.peak_concurrent, reference.peak_concurrent)
           << "seed " << seed << " shards " << shards;
-      EXPECT_EQ(sharded.concurrent_at_end, 0u)
+      EXPECT_EQ(replay.concurrent_at_end, 0u)
           << "seed " << seed << " shards " << shards;
     }
   }
@@ -388,7 +425,7 @@ workload::Trace HandTrace(std::vector<workload::FlowEvent> events,
 }
 
 std::string RunHandTrace(const workload::Trace& trace, std::size_t shards,
-                         workload::WorkloadEngine::Stats* stats) {
+                         workload::ShardedWorkloadReplay::Stats* stats) {
   return RunShardedReplay(5, trace, shards, stats);
 }
 
@@ -400,7 +437,7 @@ TEST(ShardReplayEdge, ArrivalExactlyOnTickBoundaryIsAdmittedThatTick) {
       {workload::FlowEvent{
           .start_us = 100'000, .ug = 1, .seq = 1, .bytes = 50'000}},
       300'000);
-  workload::WorkloadEngine::Stats stats;
+  workload::ShardedWorkloadReplay::Stats stats;
   RunHandTrace(trace, 2, &stats);
   EXPECT_EQ(stats.arrivals, 1u);
   EXPECT_EQ(stats.started, 1u);
@@ -417,7 +454,7 @@ TEST(ShardReplayEdge, ExpiryExactlyOnBucketEdgeReleasesOnce) {
       {workload::FlowEvent{
           .start_us = 100'000, .ug = 2, .seq = 9, .bytes = 50'000}},
       2'000'000);
-  workload::WorkloadEngine::Stats stats;
+  workload::ShardedWorkloadReplay::Stats stats;
   RunHandTrace(trace, 4, &stats);
   EXPECT_EQ(stats.started, 1u);
   EXPECT_EQ(stats.completed, 1u);
@@ -437,7 +474,7 @@ TEST(ShardReplayEdge, CrossShardDeltasAtEpochEndMergeCanonically) {
     const workload::FlowEvent ev{
         .start_us = 40'000, .ug = 3, .seq = ++seq, .bytes = 80'000};
     const std::size_t s = des.ShardOf(
-        netsim::FlowKeyFingerprint(workload::WorkloadEngine::KeyFor(ev)));
+        netsim::FlowKeyFingerprint(workload::ShardedWorkloadReplay::KeyFor(ev)));
     if (have[s]) continue;
     have[s] = true;
     events.push_back(ev);
@@ -445,8 +482,8 @@ TEST(ShardReplayEdge, CrossShardDeltasAtEpochEndMergeCanonically) {
   std::sort(events.begin(), events.end());
   const workload::Trace trace = HandTrace(std::move(events), 300'000);
 
-  workload::WorkloadEngine::Stats one_stats;
-  workload::WorkloadEngine::Stats two_stats;
+  workload::ShardedWorkloadReplay::Stats one_stats;
+  workload::ShardedWorkloadReplay::Stats two_stats;
   const std::string one = RunHandTrace(trace, 1, &one_stats);
   const std::string two = RunHandTrace(trace, 2, &two_stats);
   EXPECT_EQ(one, two);
@@ -474,7 +511,7 @@ void ExpectPinnedAtEveryShardCount(const workload::Trace& trace,
                                    const workload::EngineConfig& engine,
                                    std::uint64_t hash) {
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
-    workload::WorkloadEngine::Stats stats;
+    workload::ShardedWorkloadReplay::Stats stats;
     EXPECT_EQ(Fnv1a(RunShardedReplay(5, trace, shards, &stats, engine)), hash)
         << "shards " << shards;
     EXPECT_EQ(stats.completed, stats.started) << "shards " << shards;
@@ -523,7 +560,7 @@ TEST(ShardRingPin, MaxDurationLongerAndMuchShorterThanTheTrace) {
 
 // A flow that starts after the trace's last bucket has drained is clamped
 // into that bucket behind the tick, so it is never released: it stays in
-// live_flows, as in the serial engine.
+// live_flows.
 TEST(ShardRingPin, FlowsStartingAfterTheLastBucketStayLive) {
   const workload::Trace trace = HandTrace(
       {workload::FlowEvent{
@@ -535,7 +572,7 @@ TEST(ShardRingPin, FlowsStartingAfterTheLastBucketStayLive) {
       1'000'000);
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
     std::size_t live = 0;
-    workload::WorkloadEngine::Stats stats;
+    workload::ShardedWorkloadReplay::Stats stats;
     const std::string canonical = RunShardedReplay(
         5, trace, shards, &stats, ReplayEngineConfig(), &live);
     EXPECT_EQ(Fnv1a(canonical), 0xa112a7ac67eefb36ULL) << "shards " << shards;

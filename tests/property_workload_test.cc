@@ -16,7 +16,7 @@
 //    down, across randomized view sets and load states.
 //  - Engine determinism: two runs of the same replay produce identical
 //    stats.
-//  - Chaos under load: random fault plans with the workload engine driving
+//  - Chaos under load: random fault plans with the workload replay driving
 //    traffic keep all four §5.2.3 invariants and the policy contract.
 #include <gtest/gtest.h>
 
@@ -41,6 +41,7 @@
 #include "workload/engine.h"
 #include "workload/flow_store.h"
 #include "workload/load.h"
+#include "workload/sharded_engine.h"
 #include "workload/trace.h"
 
 namespace painter::workload {
@@ -332,7 +333,7 @@ TEST(PolicyProperty, NeverPicksADownTunnel) {
   }
 }
 
-WorkloadEngine::Stats RunReplayOnce(std::uint64_t seed) {
+ShardedWorkloadReplay::Stats RunReplayOnce(std::uint64_t seed) {
   netsim::Simulator sim;
   tm::TmPop pop_a{sim, "A", {0x02020202u}};
   tm::TmPop pop_b{sim, "B", {0x03030303u}};
@@ -356,21 +357,21 @@ WorkloadEngine::Stats RunReplayOnce(std::uint64_t seed) {
 
   LoadTracker load{{2.0e5, 2.0e5}};
   const LoadAwarePolicy policy{0.85};
-  EngineConfig ecfg;
-  ecfg.flow_bytes_per_s = 20.0e3;
-  ecfg.min_duration_s = 1.0;
-  ecfg.max_duration_s = 8.0;
-  WorkloadEngine engine{sim, edge, {0, 1}, load, policy, trace, ecfg};
+  ShardedReplayConfig cfg;
+  cfg.engine.flow_bytes_per_s = 20.0e3;
+  cfg.engine.min_duration_s = 1.0;
+  cfg.engine.max_duration_s = 8.0;
+  ShardedWorkloadReplay replay{sim, edge, {0, 1}, load, policy, trace, cfg};
   edge.Start();
-  engine.Start();
-  sim.Run(tc.duration_s + 15.0);
-  return engine.stats();
+  replay.Start();
+  replay.Run(tc.duration_s + 15.0);
+  return replay.stats();
 }
 
 TEST(EngineProperty, ReplayIsSeedDeterministic) {
   for (std::uint64_t seed : {2ULL, 9ULL}) {
-    const WorkloadEngine::Stats a = RunReplayOnce(seed);
-    const WorkloadEngine::Stats b = RunReplayOnce(seed);
+    const ShardedWorkloadReplay::Stats a = RunReplayOnce(seed);
+    const ShardedWorkloadReplay::Stats b = RunReplayOnce(seed);
     EXPECT_GT(a.started, 0u);
     EXPECT_EQ(a.arrivals, b.arrivals);
     EXPECT_EQ(a.started, b.started);
@@ -383,7 +384,7 @@ TEST(EngineProperty, ReplayIsSeedDeterministic) {
   }
 }
 
-// Random fault plans with the workload engine attached: the four §5.2.3
+// Random fault plans with the workload replay attached: the four §5.2.3
 // invariants and the policy contract must hold, and the run must actually
 // exercise load (flows admitted, trace non-empty).
 TEST(ChaosLoadProperty, InvariantsHoldUnderWorkload) {

@@ -47,7 +47,7 @@ namespace {
 
 struct Replay {
   std::uint64_t allocations = 0;  // in Start() + Run()
-  workload::WorkloadEngine::Stats stats;
+  workload::ShardedWorkloadReplay::Stats stats;
   std::size_t control_events = 0;
 };
 

@@ -1,7 +1,7 @@
 // Unified-timeline regression suite (DESIGN.md §11).
 //
 // Pins the three properties the integer-µs clock was built for:
-//  - tick/bucket alignment: workload ticks sit exactly on the absolute
+//  - tick/bucket alignment: replay ticks sit exactly on the absolute
 //    expiry-bucket grid over arbitrarily long traces (the old relative
 //    rescheduling accumulated float error, so tick N fired at a drifted
 //    sum while BucketOf indexed the exact grid — max_tick_skew_us > 0);
@@ -37,14 +37,14 @@
 #include "topo/generator.h"
 #include "util/hashmix.h"
 #include "util/rng.h"
-#include "workload/engine.h"
 #include "workload/load.h"
+#include "workload/sharded_engine.h"
 #include "workload/trace.h"
 
 namespace painter {
 namespace {
 
-// Minimal TM world for engine tests: 4 tunnels over 2 PoPs, fixed delays.
+// Minimal TM world for replay tests: 4 tunnels over 2 PoPs, fixed delays.
 struct EngineWorld {
   netsim::Simulator sim;
   std::vector<std::unique_ptr<tm::TmPop>> pops;
@@ -93,16 +93,16 @@ TEST(WorkloadTickGrid, LongTraceStaysOnAbsoluteGridWithExactCounts) {
   ASSERT_GT(trace.events.size(), 50'000u);
 
   auto w = MakeEngineWorld(5);
-  workload::EngineConfig ecfg;
-  ecfg.tick_s = 0.1;
-  workload::WorkloadEngine engine{w->sim,    *w->edge, w->tunnel_pop,
-                                  w->load,   w->policy, trace,
-                                  ecfg};
+  workload::ShardedReplayConfig cfg;
+  cfg.engine.tick_s = 0.1;
+  workload::ShardedWorkloadReplay replay{w->sim,  *w->edge,  w->tunnel_pop,
+                                         w->load, w->policy, trace,
+                                         cfg};
   w->edge->Start();
-  engine.Start();
-  w->sim.Run(tc.duration_s + 700.0);
+  replay.Start();
+  replay.Run(tc.duration_s + 700.0);
 
-  const auto& s = engine.stats();
+  const auto& s = replay.stats();
   EXPECT_EQ(s.max_tick_skew_us, 0u);
   // Every trace event consumed, every admitted flow eventually expired.
   EXPECT_EQ(s.arrivals, trace.events.size());
@@ -112,11 +112,12 @@ TEST(WorkloadTickGrid, LongTraceStaysOnAbsoluteGridWithExactCounts) {
 }
 
 TEST(WorkloadTickGrid, BoundaryArrivalAdmittedInItsExactTick) {
-  // Arrivals placed exactly on tick boundaries. The engine admits with
+  // Arrivals placed exactly on tick boundaries. The replay admits with
   // `start_us <= NowUs()` on the integer clock, so each must be admitted at
   // precisely its own boundary — the old float path (ten 0.1 s hops sum to
   // 0.9999999999999999, truncated to 999999 µs) admitted the 1.0 s arrival
-  // one full tick late.
+  // one full tick late. on_arrival runs at the barrier of the admitting
+  // tick, where the control clock reads the tick boundary.
   workload::Trace trace;
   trace.seed = 1;
   trace.duration_us = 3'000'000;
@@ -130,26 +131,27 @@ TEST(WorkloadTickGrid, BoundaryArrivalAdmittedInItsExactTick) {
   };
 
   auto w = MakeEngineWorld(6);
-  workload::EngineConfig ecfg;
-  ecfg.tick_s = 0.1;
+  workload::ShardedReplayConfig cfg;
+  cfg.engine.tick_s = 0.1;
   std::vector<std::uint64_t> admit_at_us;
-  ecfg.on_arrival = [&](const workload::FlowEvent&) {
+  cfg.engine.on_arrival = [&](const workload::FlowEvent&) {
     admit_at_us.push_back(w->sim.NowUs());
   };
-  workload::WorkloadEngine engine{w->sim,    *w->edge, w->tunnel_pop,
-                                  w->load,   w->policy, trace,
-                                  ecfg};
+  workload::ShardedWorkloadReplay replay{w->sim,  *w->edge,  w->tunnel_pop,
+                                         w->load, w->policy, trace,
+                                         cfg};
   w->edge->Start();
-  engine.Start();
-  w->sim.Run(10.0);
+  replay.Start();
+  replay.Run(10.0);
 
   // Admission tick time == arrival time, exactly, for on-grid arrivals.
   ASSERT_EQ(admit_at_us.size(), 3u);
   EXPECT_EQ(admit_at_us[0], 1'000'000u);
   EXPECT_EQ(admit_at_us[1], 2'000'000u);
   EXPECT_EQ(admit_at_us[2], 2'100'000u);
-  EXPECT_EQ(engine.stats().max_tick_skew_us, 0u);
-  EXPECT_EQ(engine.stats().completed, engine.stats().started);
+  EXPECT_EQ(replay.stats().started, 3u);
+  EXPECT_EQ(replay.stats().max_tick_skew_us, 0u);
+  EXPECT_EQ(replay.stats().completed, replay.stats().started);
 }
 
 TEST(TtlCacheTest, ResolversConvergeWithinOneTtlOfPublish) {

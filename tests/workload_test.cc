@@ -1,6 +1,6 @@
 // Unit tests for the workload layer: the sharded flow-pinning store, the
 // trace generator's distributions, capacity accounting, destination
-// policies, and an end-to-end engine smoke run against a small TM-Edge.
+// policies, and an end-to-end replay smoke run against a small TM-Edge.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -268,9 +268,9 @@ TEST(PolicyTest, LoadAwareSkipsSaturatedPopAndFallsBack) {
 }
 
 TEST(EngineTest, KeyForIsInjectiveOverUgAndSeq) {
-  const auto a = WorkloadEngine::KeyFor(FlowEvent{.ug = 1, .seq = 2});
-  const auto b = WorkloadEngine::KeyFor(FlowEvent{.ug = 1, .seq = 3});
-  const auto c = WorkloadEngine::KeyFor(FlowEvent{.ug = 2, .seq = 2});
+  const auto a = ShardedWorkloadReplay::KeyFor(FlowEvent{.ug = 1, .seq = 2});
+  const auto b = ShardedWorkloadReplay::KeyFor(FlowEvent{.ug = 1, .seq = 3});
+  const auto c = ShardedWorkloadReplay::KeyFor(FlowEvent{.ug = 2, .seq = 2});
   EXPECT_NE(a, b);
   EXPECT_NE(a, c);
   EXPECT_NE(b, c);
@@ -304,22 +304,22 @@ TEST(EngineTest, ReplaysTraceAgainstEdgeAndDrains) {
 
   LoadTracker load{{5.0e5, 5.0e5}};
   const LoadAwarePolicy policy{0.85};
-  EngineConfig ecfg;
-  ecfg.flow_bytes_per_s = 50.0e3;
-  ecfg.min_duration_s = 0.5;
-  ecfg.max_duration_s = 4.0;
-  WorkloadEngine engine{sim, edge, {0, 1}, load, policy, trace, ecfg};
+  ShardedReplayConfig cfg;
+  cfg.engine.flow_bytes_per_s = 50.0e3;
+  cfg.engine.min_duration_s = 0.5;
+  cfg.engine.max_duration_s = 4.0;
+  ShardedWorkloadReplay replay{sim, edge, {0, 1}, load, policy, trace, cfg};
   edge.Start();
-  engine.Start();
-  sim.Run(tc.duration_s + 10.0);
+  replay.Start();
+  replay.Run(tc.duration_s + 10.0);
 
-  const WorkloadEngine::Stats& s = engine.stats();
+  const ShardedWorkloadReplay::Stats& s = replay.stats();
   EXPECT_EQ(s.arrivals, trace.events.size());
   EXPECT_EQ(s.started + s.rejected, s.arrivals);
   EXPECT_GT(s.started, 0u);
   EXPECT_EQ(s.down_picks, 0u);
   EXPECT_EQ(s.completed, s.started);  // final drain released everything
-  EXPECT_EQ(engine.Concurrent(), 0u);
+  EXPECT_EQ(replay.Concurrent(), 0u);
   EXPECT_GT(s.peak_concurrent, 0u);
   EXPECT_DOUBLE_EQ(load.OfferedBps(0), 0.0);
   EXPECT_DOUBLE_EQ(load.OfferedBps(1), 0.0);
@@ -327,9 +327,10 @@ TEST(EngineTest, ReplaysTraceAgainstEdgeAndDrains) {
 }
 
 // EngineConfig validation: TimingFor clamps a flow's duration into
-// [min_duration_s, max_duration_s] (undefined when min > max) and the
-// sharded replay sizes its expiry ring from max_duration_s, so both engines
-// reject a config TimingFor is not defined on before sizing anything.
+// [min_duration_s, max_duration_s] (undefined when min > max), places it
+// on the µs grid, and the replay sizes its expiry ring from max_duration_s,
+// so the replay rejects a config TimingFor is not defined on before sizing
+// anything.
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
@@ -346,11 +347,8 @@ class EngineConfigValidation : public ::testing::Test {
     trace_.duration_us = 1'000'000;
   }
 
-  // Expects both engine constructors to throw std::invalid_argument.
+  // Expects the replay constructor to throw std::invalid_argument.
   void ExpectRejected(const EngineConfig& config) {
-    EXPECT_THROW((WorkloadEngine{sim_, *edge_, {0}, load_, policy_, trace_,
-                                 config}),
-                 std::invalid_argument);
     ShardedReplayConfig sharded;
     sharded.shards = 2;
     sharded.engine = config;
@@ -372,8 +370,6 @@ TEST_F(EngineConfigValidation, AcceptsTheDefaultsAndAZeroLengthWindow) {
   EngineConfig config;
   config.min_duration_s = 0.0;
   config.max_duration_s = 0.0;
-  EXPECT_NO_THROW((WorkloadEngine{sim_, *edge_, {0}, load_, policy_, trace_,
-                                  config}));
   ShardedReplayConfig sharded;
   sharded.engine = config;
   EXPECT_NO_THROW((ShardedWorkloadReplay{sim_, *edge_, {0}, load_, policy_,
@@ -396,8 +392,9 @@ TEST_F(EngineConfigValidation, RejectsNegativeOrNonFiniteMinDuration) {
   }
 }
 
-TEST_F(EngineConfigValidation, RejectsNonFiniteMaxDuration) {
-  for (const double max : {kNaN, kInf}) {
+// 1e13 s is past the end of the µs grid (2^63 µs, ~9.22e12 s).
+TEST_F(EngineConfigValidation, RejectsMaxDurationOffTheGrid) {
+  for (const double max : {kNaN, kInf, 1e13}) {
     EngineConfig config;
     config.max_duration_s = max;
     ExpectRejected(config);

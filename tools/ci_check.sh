@@ -17,8 +17,8 @@
 #                 replay_alloc_test: a replay's heap allocations must not
 #                 grow with the trace) plus a smoke run of
 #                 bench/workload_throughput (tiny trace, full pipeline:
-#                 generate -> pin-lookup -> edge probe loop -> policy replay
-#                 -> sharded sweep).
+#                 generate -> pin-lookup -> edge probe loop -> latency-only
+#                 replay -> load-aware sweep over shard counts).
 #   5. shard    — the sharded DES tier (ctest -L shard: epoch-barrier
 #                 protocol ordering, shards on the calling thread,
 #                 bit-identity across shard counts, the canonical-stats

@@ -2,9 +2,10 @@
 # Golden stdout of every deterministic bench, with the suite's wall time.
 #
 # Reruns every deterministic bench (all but workload_throughput, which
-# prints timings, and micro_orchestrator) at its defaults, plus
-# unified_timeline --shards 4 and chaos_runner --under_load --shards 4 (the
-# sharded replay), and diffs each stdout against
+# prints timings, and micro_orchestrator) at its defaults, which replay at 1
+# shard, plus unified_timeline --shards 4 and chaos_runner --under_load
+# --shards 4 (the replay over 4 shard simulators, whose stdout matches
+# every other shard count), and diffs each stdout against
 # bench/results/golden/<name>.stdout. Their stdout carries no timings, so
 # any byte that moves is a change in what the planner, the evaluators, the
 # control plane, the TM-Edge probe loop or the replay computed; a change
