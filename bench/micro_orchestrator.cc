@@ -70,23 +70,24 @@ void BM_Expectation(benchmark::State& state) {
 }
 BENCHMARK(BM_Expectation);
 
-// Args: {stub count, incremental_celf}. Compare rows at the same stub count
-// to read the incremental-vs-naive speedup of the CELF engine (last arg 0
-// disables the cross-round marginal cache and the surviving-set probes).
-// Results are bit-identical across every row at the same stub count — see
-// the golden-schedule and property tests.
+// Args: {stub count, incremental}. Compare rows at the same stub count to
+// read the speedup of the incremental CELF engine (ComputeConfig) over the
+// from-scratch reference (ComputeConfigUncached, last arg 0). Results are
+// bit-identical across every row at the same stub count — see the
+// golden-schedule and property tests.
 void BM_OrchestratorPerPrefix(benchmark::State& state) {
   const auto& inst = SharedInstance(static_cast<std::size_t>(state.range(0)));
   core::OrchestratorConfig cfg;
   cfg.prefix_budget = 8;
-  cfg.incremental_celf = state.range(1) != 0;
+  const bool incremental = state.range(1) != 0;
   for (auto _ : state) {
     core::Orchestrator orch{inst, cfg};
-    benchmark::DoNotOptimize(orch.ComputeConfig());
+    benchmark::DoNotOptimize(incremental ? orch.ComputeConfig()
+                                         : orch.ComputeConfigUncached());
   }
   state.counters["ugs"] = static_cast<double>(inst.UgCount());
   state.counters["sessions"] = static_cast<double>(inst.peering_count);
-  state.counters["incremental"] = cfg.incremental_celf ? 1.0 : 0.0;
+  state.counters["incremental"] = incremental ? 1.0 : 0.0;
   state.counters["s_per_prefix"] = benchmark::Counter(
       8.0, benchmark::Counter::kIsIterationInvariantRate |
                benchmark::Counter::kInvert);
@@ -136,12 +137,12 @@ void WriteRunReport() {
   auto time_compute = [&](bool incremental, const char* phase_name) {
     core::OrchestratorConfig cfg;
     cfg.prefix_budget = kBudget;
-    cfg.incremental_celf = incremental;
     double best_ms = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < 3; ++rep) {
       core::Orchestrator orch{*inst, cfg};
       const auto start = std::chrono::steady_clock::now();
-      const auto config = orch.ComputeConfig();
+      const auto config = incremental ? orch.ComputeConfig()
+                                      : orch.ComputeConfigUncached();
       const auto elapsed = std::chrono::steady_clock::now() - start;
       best_ms = std::min(
           best_ms, std::chrono::duration<double, std::milli>(elapsed).count());

@@ -23,8 +23,6 @@ struct ServiceMetrics {
       obs::Metrics().GetCounter("control.invalidations.ug");
   obs::Counter& inval_peering =
       obs::Metrics().GetCounter("control.invalidations.peering");
-  obs::Counter& inval_full =
-      obs::Metrics().GetCounter("control.invalidations.full");
   obs::Histogram& reaction = obs::Metrics().GetHistogram(
       "control.reaction.latency_ms",
       obs::HistogramSpec{.min_bound = 1.0, .growth = 2.0, .buckets = 32});
@@ -41,14 +39,8 @@ obs::Counter& DeltaCounter(DeltaKind kind) {
   switch (kind) {
     case DeltaKind::kUgLatency:
       return obs::Metrics().GetCounter("control.deltas.ug_latency");
-    case DeltaKind::kPopLoad:
-      return obs::Metrics().GetCounter("control.deltas.pop_load");
     case DeltaKind::kSession:
       return obs::Metrics().GetCounter("control.deltas.session");
-    case DeltaKind::kTopology:
-      return obs::Metrics().GetCounter("control.deltas.topology");
-    case DeltaKind::kCapacity:
-      return obs::Metrics().GetCounter("control.deltas.capacity");
   }
   return obs::Metrics().GetCounter("control.deltas.ug_latency");
 }
@@ -111,7 +103,7 @@ bool ControlPlaneService::TranslateBatch(const std::vector<Delta>& batch) {
     DeltaCounter(d.kind).Add();
     switch (d.kind) {
       case DeltaKind::kUgLatency:
-        if (d.value >= config_.min_latency_delta_ms &&
+        if (d.value >= kMinLatencyDeltaMs &&
             orchestrator_->InvalidateUg(d.id)) {
           ++stats_.invalidated_ugs;
           m.inval_ug.Add();
@@ -122,29 +114,10 @@ bool ControlPlaneService::TranslateBatch(const std::vector<Delta>& batch) {
         if (orchestrator_->SetPeeringAvailable(util::PeeringId{d.id}, !down)) {
           ++stats_.invalidated_peerings;
           m.inval_peering.Add();
-          // A lost session is urgent only if some UG could actually ingress
-          // through it — the catchment scopes the alarm.
-          if (down && (config_.catchment == nullptr ||
-                       config_.catchment->CatchmentSize(util::PeeringId{
-                           d.id}) > 0)) {
-            mark_urgent(d);
-          }
+          if (down) mark_urgent(d);
         }
         break;
       }
-      case DeltaKind::kTopology:
-        // Fault plans move tunnels/PoPs underneath the model; no targeted
-        // mapping exists, so the whole seed cache is suspect (both on onset
-        // and on clear — the world changed both times).
-        orchestrator_->InvalidateAll();
-        ++stats_.full_invalidations;
-        m.inval_full.Add();
-        if (d.value != 0.0) mark_urgent(d);
-        break;
-      case DeltaKind::kPopLoad:
-      case DeltaKind::kCapacity:
-        if (d.value >= config_.overload_utilization) mark_urgent(d);
-        break;
     }
   }
   return urgent;
@@ -175,11 +148,7 @@ void ControlPlaneService::Wake() {
   }
 
   ++wake_index_;
-  const netsim::SimTime next = anchor_us_ + wake_index_ * wake_us_;
-  if (config_.horizon_s <= 0.0 ||
-      next <= anchor_us_ + netsim::UsFromSeconds(config_.horizon_s)) {
-    sim_->ScheduleAtUs(next, [this]() { Wake(); });
-  }
+  sim_->ScheduleAtUs(anchor_us_ + wake_index_ * wake_us_, [this]() { Wake(); });
 }
 
 void ControlPlaneService::OnRound(
@@ -234,7 +203,6 @@ std::string ControlPlaneService::CanonicalStats() const {
   out += " urgent=" + std::to_string(stats_.urgent_deltas);
   out += " inval_ug=" + std::to_string(stats_.invalidated_ugs);
   out += " inval_peering=" + std::to_string(stats_.invalidated_peerings);
-  out += " inval_full=" + std::to_string(stats_.full_invalidations);
   out += " episodes=" + std::to_string(stats_.episodes_triggered);
   out += " rounds=" + std::to_string(stats_.rounds_run);
   out += " commits=" + std::to_string(stats_.commits_applied);

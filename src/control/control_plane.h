@@ -23,7 +23,8 @@
 // orchestrator's cross-call seed cache, so a quiet world costs almost
 // nothing and a churned world re-evaluates only the dirtied catchments. The
 // `seed_cache_audit` orchestrator flag independently asserts every
-// incremental round is byte-identical to a full recompute.
+// incremental round is byte-identical to the from-scratch reference
+// (Orchestrator::ComputeConfigUncached).
 #pragma once
 
 #include <cstddef>
@@ -36,7 +37,6 @@
 
 #include "control/config_diff.h"
 #include "control/delta_bus.h"
-#include "core/catchment.h"
 #include "core/learning_timeline.h"
 #include "core/orchestrator.h"
 #include "netsim/sim.h"
@@ -47,12 +47,14 @@ class TimeseriesRegistry;
 
 namespace painter::control {
 
+// kUgLatency deltas below this magnitude are noise and invalidate nothing.
+inline constexpr double kMinLatencyDeltaMs = 1.0;
+
 struct ControlPlaneConfig {
+  // The wake chain never ends on its own: the caller bounds the run with
+  // Simulator::Run / RunUntilUs.
   double start_s = 0.0;          // first wake, relative to Start()
   double wake_interval_s = 5.0;  // bus-drain cadence on the absolute grid
-  // Stop rescheduling wakes after this horizon (relative to Start());
-  // 0 = keep waking forever, the caller bounds the run with RunUntilUs.
-  double horizon_s = 0.0;
 
   // Episode shape, forwarded to the embedded (re-armable) LearningTimeline:
   // each triggered episode runs at most `max_rounds_per_episode` rounds
@@ -61,16 +63,12 @@ struct ControlPlaneConfig {
   std::size_t max_rounds_per_episode = 2;
 
   // Trigger damping. An episode starts when the batch carried an URGENT
-  // delta (session/topology loss touching a non-empty catchment, or an
-  // overloaded PoP) — urgency bypasses the cooldown — or when at least
-  // `min_dirty_ugs` UGs are dirty and `cooldown_s` has passed since the last
-  // trigger. The bootstrap episode (nothing committed yet) always runs.
+  // delta (a session going down) — urgency bypasses the cooldown — or when
+  // at least `min_dirty_ugs` UGs are dirty and `cooldown_s` has passed since
+  // the last trigger. The bootstrap episode (nothing committed yet) always
+  // runs.
   double cooldown_s = 30.0;
   std::size_t min_dirty_ugs = 1;
-  // kUgLatency deltas below this magnitude are noise and invalidate nothing.
-  double min_latency_delta_ms = 1.0;
-  // kPopLoad/kCapacity at or above this utilization are urgent.
-  double overload_utilization = 1.0;
 
   // Hysteresis: at most `max_commits_per_window` commits per sliding
   // `commit_window_s` window; further non-empty diffs are suppressed (the
@@ -79,9 +77,6 @@ struct ControlPlaneConfig {
   std::size_t max_commits_per_window = 4;
   double commit_window_s = 60.0;
 
-  // Optional: scopes session-loss urgency to sessions whose catchment is
-  // non-empty (a session no UG can ingress through cannot shift traffic).
-  const core::CatchmentPredictor* catchment = nullptr;
   // Optional: commits append `control.reaction.latency_ms` /
   // `control.reaction.flips` event series. Must outlive the service.
   obs::TimeseriesRegistry* timeseries = nullptr;
@@ -109,7 +104,6 @@ class ControlPlaneService {
     std::uint64_t urgent_deltas = 0;
     std::uint64_t invalidated_ugs = 0;       // targeted UG invalidations
     std::uint64_t invalidated_peerings = 0;  // session availability flips
-    std::uint64_t full_invalidations = 0;    // topology deltas
     std::uint64_t episodes_triggered = 0;
     std::uint64_t rounds_run = 0;
     std::uint64_t commits_applied = 0;

@@ -23,14 +23,8 @@ const char* DeltaKindName(DeltaKind kind) {
   switch (kind) {
     case DeltaKind::kUgLatency:
       return "ug_latency";
-    case DeltaKind::kPopLoad:
-      return "pop_load";
     case DeltaKind::kSession:
       return "session";
-    case DeltaKind::kTopology:
-      return "topology";
-    case DeltaKind::kCapacity:
-      return "capacity";
   }
   return "unknown";
 }

@@ -2,11 +2,11 @@
 // plane (DESIGN.md §15).
 //
 // Producers publish small typed records — "UG latency moved", "session
-// went down", "PoP crossed a utilization band" — as they happen on the DES
-// timeline. The library's producer is ChurnEnvironment (session flaps and
-// UG latency drift, control/churn.h); tests publish every kind directly. The ControlPlaneService drains the bus at its wake events and
-// translates each batch into targeted invalidation of the orchestrator's
-// incremental CELF state.
+// went down" — as they happen on the DES timeline. The library's producer is
+// ChurnEnvironment (session flaps and UG latency drift, control/churn.h);
+// tests publish both kinds directly. The ControlPlaneService drains the bus
+// at its wake events and translates each batch into targeted invalidation
+// of the orchestrator's incremental CELF state.
 //
 // Contract:
 //  - Single-threaded, DES-ordered: publishes and drains happen from simulator
@@ -32,22 +32,14 @@ namespace painter::control {
 
 // What kind of world change a record describes. The `id` and `value` fields
 // of Delta are interpreted per kind:
-//   kUgLatency — id = UG (or tunnel, for TM-side producers); value = |Δrtt|
-//                in ms since the producer's last published measurement.
-//   kPopLoad   — id = PoP index; value = current utilization (offered/cap).
+//   kUgLatency — id = UG; value = |Δrtt| in ms since the producer's last
+//                published measurement.
 //   kSession   — id = peering session; value = 1 down, 0 back up.
-//   kTopology  — id = producer-scoped target (tunnel/PoP of a fault plan);
-//                value = 1 fault onset, 0 cleared.
-//   kCapacity  — id = PoP index; value = current utilization, published on
-//                coarse utilization-band crossings.
 enum class DeltaKind : std::uint8_t {
   kUgLatency = 0,
-  kPopLoad,
   kSession,
-  kTopology,
-  kCapacity,
 };
-inline constexpr std::size_t kDeltaKindCount = 5;
+inline constexpr std::size_t kDeltaKindCount = 2;
 
 [[nodiscard]] const char* DeltaKindName(DeltaKind kind);
 

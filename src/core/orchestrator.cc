@@ -213,14 +213,13 @@ bool Orchestrator::SetPeeringAvailable(util::PeeringId peering, bool up) {
 }
 
 AdvertisementConfig Orchestrator::ComputeConfig() const {
-  const bool cross = config_.cross_call_seed_cache && config_.incremental_celf;
-  AdvertisementConfig cc = ComputeConfigImpl(cross);
-  if (cross && config_.seed_cache_audit) {
+  AdvertisementConfig cc = ComputeConfigImpl(/*reference=*/false);
+  if (config_.seed_cache_audit) {
     OrchestratorMetrics& metrics = OrchestratorMetrics::Get();
     metrics.seed_cache_audit_checks.Add();
-    // Same model state, same availability mask, no cache: the reference
-    // result the incremental service must match byte-for-byte.
-    const AdvertisementConfig full = ComputeConfigImpl(false);
+    // Same model state, same availability mask, from scratch: the result
+    // the engine must match byte-for-byte.
+    const AdvertisementConfig full = ComputeConfigImpl(/*reference=*/true);
     if (ConfigToString(full) != ConfigToString(cc)) {
       metrics.seed_cache_audit_mismatches.Add();
     }
@@ -229,21 +228,18 @@ AdvertisementConfig Orchestrator::ComputeConfig() const {
 }
 
 AdvertisementConfig Orchestrator::ComputeConfigUncached() const {
-  return ComputeConfigImpl(false);
+  return ComputeConfigImpl(/*reference=*/true);
 }
 
-AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const {
+AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
   const obs::TraceSpan span{"orchestrator.ComputeConfig"};
   OrchestratorMetrics& metrics = OrchestratorMetrics::Get();
   const ProblemInstance& inst = *instance_;
   const ExpectationParams params = config_.Expectation();
   const std::size_t n_ug = inst.UgCount();
-  const bool incremental = config_.incremental_celf;
-  // Pruning rides the incremental engine's dirty/cached machinery; the naive
-  // path re-evaluates everything by definition.
-  const bool pruning = config_.catchment_pruning && incremental;
-  // Cross-call seed reuse likewise rides the incremental machinery.
-  const bool cross = use_cross_cache && incremental;
+  // The reference pass skips the engine's seed cache, pruning, probe gate
+  // and surviving-set probes: it re-evaluates everything by definition.
+  const bool cross = !reference && config_.cross_call_seed_cache;
 
   // Variant table: the advertisement attributes Algorithm 1 may pick per
   // (peering, prefix). Variant 0 is always the plain announcement, so the
@@ -289,7 +285,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
   // The incremental engine's probe gate: per UG, the effective RTT an entry
   // must undercut for its Eq. 1 term to be possibly non-zero on the prefix
   // under construction (see the prefix-round reset below).
-  std::vector<double> gate(incremental ? n_ug : 0);
+  std::vector<double> gate(reference ? 0 : n_ug);
 
   // Effective single-candidate RTT per flat-index entry: the measured RTT
   // when the model has one, else the instance estimate — exactly the value
@@ -380,15 +376,15 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
   // reads the two directed dominance bits of opt against the list; unless
   // opt kills a survivor, the grown surviving set follows from the kept
   // aggregates in O(1). Sums stay in candidate order with opt last, so every
-  // branch is the reference's mean bit for bit. The naive engine runs the
-  // reference itself.
+  // branch is the reference's mean bit for bit. The reference pass runs
+  // ComputeExpectationFromCandidates itself.
   std::vector<const IngressOption*> trial;  // probe scratch, reused
   UgPrefixState grown;
   auto expected_with = [&](std::uint32_t u, std::size_t i) {
     const UgPrefixState& s = state[u];
     const IngressOption* opt = flat_.option[i];
     const double rtt = eff_rtt[i];
-    if (!incremental) {
+    if (reference) {
       trial.clear();
       for (const UgPrefixState::Cand& c : s.cands) trial.push_back(c.opt);
       trial.push_back(opt);
@@ -491,7 +487,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
       if (nx && !flat_.option[i]->in_peer_cone) continue;
       ++probes;
       // The gate: this term is +0.0, and adding it changes no bit.
-      if (incremental && !(eff_rtt[i] < gate[u])) {
+      if (!reference && !(eff_rtt[i] < gate[u])) {
         ++gated;
         continue;
       }
@@ -552,11 +548,11 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
     std::priority_queue<Scored> heap;
     std::uint64_t round = 0;
     {
-      // Seed the CELF heap in peering order. With the incremental engine,
-      // only dirty peerings are re-evaluated — the rest reuse the cached
-      // marginal from the previous round, which a fresh evaluation would
-      // reproduce bit-for-bit.
-      if (incremental) {
+      // Seed the CELF heap in peering order. The engine re-evaluates only
+      // dirty peerings — the rest reuse the cached marginal from the
+      // previous round, which a fresh evaluation would reproduce
+      // bit-for-bit; the reference pass re-evaluates every peering.
+      if (!reference) {
         std::uint64_t hits = 0;
         std::uint64_t invalidations = 0;
         for (std::size_t g = 0; g < inst.peering_count; ++g) {
@@ -577,12 +573,12 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
         // advertised — in the cached AND the audit pass alike, so the two
         // see the same world.
         if (!peering_up_[g]) continue;
-        if (incremental && !seed_dirty[g]) continue;  // cache hit
+        if (!reference && !seed_dirty[g]) continue;  // cache hit
         const util::PeeringId gid{static_cast<std::uint32_t>(g)};
         // Catchment-predicted pruning: the cached value upper-bounds the
         // fresh one (see seed_evaluated above), so ≤ 0 means the peering's
         // catchment holds no improvable UG — skip.
-        if (pruning && seed_evaluated[g] && seed_delta[g] <= 0.0) {
+        if (!reference && seed_evaluated[g] && seed_delta[g] <= 0.0) {
           metrics.celf_pruned_seed_evals.Add();
           if (config_.catchment_audit) {
             metrics.celf_pruned_audit_checks.Add();
@@ -592,7 +588,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
           seed_delta[g] = marginal_of(gid, SessionAttr{});
         }
         if (aspace.enable_no_export) {
-          if (pruning && seed_evaluated[g] && seed_delta_nx[g] <= 0.0) {
+          if (!reference && seed_evaluated[g] && seed_delta_nx[g] <= 0.0) {
             metrics.celf_pruned_seed_evals.Add();
             if (config_.catchment_audit) {
               metrics.celf_pruned_audit_checks.Add();
@@ -684,7 +680,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool use_cross_cache) const 
         cur_e[u] = expected_with_attr(u, i, attr);
         state[u].Append(model_, u, opt, eff_rtt[i], local_at(i),
                         params.d_reuse_km);
-        if (incremental && eff_rtt[i] < gate[u]) gate[u] = kInf;
+        if (!reference && eff_rtt[i] < gate[u]) gate[u] = kInf;
         if (wide) {
           cand_attrs[u].push_back(attr);
           if (!attr.IsDefault()) cand_attributed[u] = 1;
@@ -811,11 +807,9 @@ void Orchestrator::Absorb(
       // Cross-call dirtiness: only UGs whose model entries actually moved
       // invalidate their peerings' cached seed marginals — a steady-state
       // absorb (same ingresses, same RTTs) leaves the cache fully warm.
-      if (changed && config_.cross_call_seed_cache) {
-        if (!ug_dirty_[u]) {
-          ug_dirty_[u] = 1;
-          ++dirty_ug_count_;
-        }
+      if (changed && !ug_dirty_[u]) {
+        ug_dirty_[u] = 1;
+        ++dirty_ug_count_;
       }
       ++absorbed;
     }
@@ -874,7 +868,7 @@ Orchestrator::IterationReport Orchestrator::RunLearningIteration(
   // and land in the deterministic section of the metrics export.
   //
   // Registry growth is bounded: per-slot `iterN` gauges stop at
-  // max_iter_metric_series (historical names kept below the cap), while the
+  // kMaxIterMetricSeries (historical names kept below the cap), while the
   // rolling `last.*` family is overwritten every iteration — a run of any
   // length leaves O(cap) gauges behind, never O(iterations). Iteration 0
   // unsets the slots an earlier run filled, so the export holds one run's
@@ -889,7 +883,7 @@ Orchestrator::IterationReport Orchestrator::RunLearningIteration(
     obs::Metrics().GetGauge(prefix + "prefixes_used")
         .Set(static_cast<double>(report.prefixes_used));
   };
-  const bool per_slot = iter < config_.max_iter_metric_series;
+  const bool per_slot = iter < kMaxIterMetricSeries;
   const std::string iter_prefix =
       "orchestrator.learn.iter" + std::to_string(iter) + ".";
   if (per_slot) emit(iter_prefix);
@@ -923,8 +917,7 @@ bool Orchestrator::LearningComplete(
   realized.reserve(reports.size());
   for (const IterationReport& r : reports) realized.push_back(r.realized_ms);
   return LearningShouldStop(realized, config_.learning_stop_frac,
-                            config_.learning_abs_epsilon_ms,
-                            config_.learning_patience);
+                            kLearningAbsEpsilonMs, config_.learning_patience);
 }
 
 std::vector<Orchestrator::IterationReport> Orchestrator::Learn(

@@ -48,46 +48,39 @@ struct ActionSpaceConfig {
   }
 };
 
+// Absolute floor of the learning loop's improvement margin: keeps the
+// patience rule meaningful when the best benefit is zero or negative, where
+// a purely multiplicative margin degenerates.
+inline constexpr double kLearningAbsEpsilonMs = 1e-3;
+
+// Cap on per-iteration `orchestrator.learn.iterN.*` gauge families in the
+// global metrics registry. Iterations < the cap keep the historical
+// per-slot names; beyond it only the rolling `orchestrator.learn.last.*`
+// gauges (emitted every iteration) advance, so an arbitrarily long learning
+// run adds O(1) registry entries instead of O(iterations). Iteration 0
+// unsets every per-slot gauge an earlier run set, so the export holds one
+// run's series.
+inline constexpr std::size_t kMaxIterMetricSeries = 64;
+
 struct OrchestratorConfig {
   std::size_t prefix_budget = 25;
   double d_reuse_km = 3000.0;
-  double inflation_decay_km = 4000.0;
 
   std::size_t max_learning_iterations = 8;
   // Stop learning when the best realized benefit so far has not improved by
-  // at least max(|best| * learning_stop_frac, learning_abs_epsilon_ms) for
+  // at least max(|best| * learning_stop_frac, kLearningAbsEpsilonMs) for
   // `learning_patience` consecutive iterations (§3.1: "terminate learning
-  // when little marginal benefit increase"). The absolute epsilon keeps the
-  // tolerance meaningful when the best benefit is zero or negative, where a
-  // purely multiplicative margin degenerates.
+  // when little marginal benefit increase").
   double learning_stop_frac = 0.01;
-  double learning_abs_epsilon_ms = 1e-3;
   std::size_t learning_patience = 2;
-
-  // Incremental CELF engine (DESIGN.md "Incremental CELF evaluation"):
-  // per-peering seed marginals are cached across prefix rounds and
-  // invalidated through the dirty-UG rule, and grown-by-one candidate lists
-  // are evaluated from a per-UG surviving set instead of re-walking the
-  // list. Bit-identical to the from-scratch engine (the property and
-  // golden-schedule tests prove it); false forces the naive path for
-  // testing and benchmarking.
-  bool incremental_celf = true;
 
   // Advertisement variants ComputeConfig may pick (default: legacy binary).
   ActionSpaceConfig action_space;
 
-  // Catchment-predicted seed pruning (DESIGN.md §14): a dirty peering whose
-  // cached seed marginal is already ≤ 0 skips re-evaluation — base_best only
-  // decreases across prefix rounds, so the fresh marginal is bounded above
-  // by the cached one and could never enter the heap. Provably
-  // schedule-preserving (the golden test sweeps this flag); only active with
-  // incremental_celf. False forces every dirty peering to re-evaluate.
-  bool catchment_pruning = true;
-
-  // Test/audit hook: when set, every pruned seed evaluation ALSO runs the
-  // skipped from-scratch marginal and reports it here so tests can assert it
-  // is ≤ 0 (zero false negatives). Called from the seeding scan, in peering
-  // order. The extra audit evaluations count toward
+  // Test/audit hook: when set, every pruned seed evaluation (DESIGN.md §14)
+  // ALSO runs the skipped from-scratch marginal and reports it here so tests
+  // can assert it is ≤ 0 (zero false negatives). Called from the seeding
+  // scan, in peering order. The extra audit evaluations count toward
   // orchestrator.celf.evaluations.
   std::function<void(util::PeeringId, double fresh_marginal)> catchment_audit;
 
@@ -97,8 +90,7 @@ struct OrchestratorConfig {
   // it is byte-exact to reuse until one of those UGs' model entries changes
   // — which Absorb and the Invalidate*/SetPeeringAvailable API track as
   // external dirtiness. The always-on control plane runs with this enabled
-  // so a steady-state re-optimization round skips the full seeding scan;
-  // requires incremental_celf (silently off otherwise).
+  // so a steady-state re-optimization round skips the full seeding scan.
   bool cross_call_seed_cache = false;
 
   // Noise floor for measured-RTT model updates (RoutingModel::ObserveLatency
@@ -109,29 +101,19 @@ struct OrchestratorConfig {
   // steady-state absorb leaves the cache warm.
   double model_update_epsilon_ms = 0.0;
 
-  // Audit mode: every cached ComputeConfig ALSO runs a from-scratch pass on
-  // the same model state and counts a mismatch if the two configurations
-  // differ byte-for-byte (orchestrator.celf.seed_cache_audit_mismatches —
-  // asserted zero by the control tests and bench/control_loop). Roughly
-  // doubles the cost of each call; only meaningful with cross_call_seed_cache.
+  // Audit mode: every ComputeConfig ALSO runs ComputeConfigUncached() on the
+  // same model state and counts a mismatch if the two configurations differ
+  // byte-for-byte (orchestrator.celf.seed_cache_audit_mismatches — asserted
+  // zero by the control tests and bench/control_loop). The reference pass
+  // costs several engine passes.
   bool seed_cache_audit = false;
 
   // Ablations.
   bool enable_reuse = true;     // false: one peering per prefix (no reuse)
   bool enable_learning = true;  // false: never update the routing model
 
-  // Cap on per-iteration `orchestrator.learn.iterN.*` gauge families in the
-  // global metrics registry. Iterations < the cap keep the historical
-  // per-slot names; beyond it only the rolling `orchestrator.learn.last.*`
-  // gauges (emitted every iteration) advance, so an arbitrarily long
-  // learning run adds O(1) registry entries instead of O(iterations).
-  // Iteration 0 unsets every per-slot gauge an earlier run set, so the
-  // export holds one run's series.
-  std::size_t max_iter_metric_series = 64;
-
   [[nodiscard]] ExpectationParams Expectation() const {
-    return ExpectationParams{.d_reuse_km = d_reuse_km,
-                             .inflation_decay_km = inflation_decay_km};
+    return ExpectationParams{.d_reuse_km = d_reuse_km};
   }
 };
 
@@ -171,16 +153,23 @@ class Orchestrator {
   Orchestrator(const ProblemInstance& instance, OrchestratorConfig config);
 
   // One greedy pass (the body of Algorithm 1's learning iteration) under the
-  // current routing model. With cross_call_seed_cache, round-0 seed
-  // marginals of peerings untouched since the previous call are served from
-  // the cross-call cache (and the external dirtiness is consumed); with
-  // seed_cache_audit a from-scratch pass additionally verifies the result.
+  // current routing model, on the incremental engine (DESIGN.md §8, §14):
+  // seed marginals cached across prefix rounds and pruned once the cached
+  // value is ≤ 0, Eq. 2 probes answered from per-UG surviving sets, and
+  // probes that cannot undercut base_best gated out. With
+  // cross_call_seed_cache, round-0 seed marginals of peerings untouched
+  // since the previous call are served from the cross-call cache (and the
+  // external dirtiness is consumed); with seed_cache_audit,
+  // ComputeConfigUncached() additionally verifies the result.
   [[nodiscard]] AdvertisementConfig ComputeConfig() const;
 
-  // The from-scratch pass ComputeConfig is audited against: ignores and does
-  // not touch the cross-call cache or the dirtiness bookkeeping (the
-  // availability mask from SetPeeringAvailable still applies). Exposed for
-  // tests and benchmarks.
+  // The from-scratch reference ComputeConfig is audited and tested against:
+  // every prefix round re-evaluates every seed marginal, and every Eq. 2
+  // probe runs ComputeExpectationFromCandidates over the whole candidate
+  // list. No probe gate, no seed pruning, no cross-call cache; it consumes
+  // no dirtiness (the availability mask from SetPeeringAvailable still
+  // applies). The golden and property tests prove both give the same
+  // schedule.
   [[nodiscard]] AdvertisementConfig ComputeConfigUncached() const;
 
   // --- External dirtiness API (the control plane's invalidation surface) ---
@@ -266,10 +255,9 @@ class Orchestrator {
   [[nodiscard]] const OrchestratorConfig& config() const { return config_; }
 
  private:
-  // The greedy pass. `use_cross_cache` selects whether primed cross-call
-  // seed marginals are consumed (and the cache re-primed / dirt cleared);
-  // false is the reference from-scratch pass the audit compares against.
-  [[nodiscard]] AdvertisementConfig ComputeConfigImpl(bool use_cross_cache) const;
+  // The greedy pass: the incremental engine, or with `reference` the
+  // from-scratch pass of ComputeConfigUncached.
+  [[nodiscard]] AdvertisementConfig ComputeConfigImpl(bool reference) const;
 
   const ProblemInstance* instance_;
   OrchestratorConfig config_;

@@ -254,7 +254,7 @@ PrefixExpectation ComputeExpectationFromCandidates(
     out.upper_rtt = std::max(out.upper_rtt, c.rtt);
     sum += c.rtt;
     const double w =
-        std::exp(-(c.opt->distance_km - min_km) / params.inflation_decay_km);
+        std::exp(-(c.opt->distance_km - min_km) / kInflationDecayKm);
     wsum += w * c.rtt;
     wnorm += w;
   }

@@ -229,13 +229,14 @@ class RoutingModel {
   std::size_t preference_count_ = 0;
 };
 
+// Decay constant for the inflation-likelihood weights of the "estimated"
+// range: weight ∝ exp(-excess_km / this).
+inline constexpr double kInflationDecayKm = 4000.0;
+
 struct ExpectationParams {
   // Minimum reuse distance D_reuse (km): candidates whose PoP is more than
   // this much farther than the closest candidate PoP are assumed unused.
   double d_reuse_km = 3000.0;
-  // Decay constant for the inflation-likelihood weights of the "estimated"
-  // range: weight ∝ exp(-excess_km / this).
-  double inflation_decay_km = 4000.0;
 };
 
 struct PrefixExpectation {

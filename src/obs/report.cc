@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "obs/json.h"
 #include "obs/timeseries.h"
@@ -103,7 +104,8 @@ std::string RunReport::ToJson() const {
 
 void RunReport::Write(const std::string& path) const {
   std::ofstream os(path, std::ios::trunc);
-  os << ToJson() << '\n';
+  if (os) os << ToJson() << '\n' << std::flush;
+  if (!os) throw std::runtime_error{"RunReport: cannot write " + path};
 }
 
 namespace {

@@ -80,7 +80,9 @@ class RunReport {
 
   [[nodiscard]] std::string ToJson() const;
 
-  // Writes ToJson() to `path` (e.g. "BENCH_orchestrator.json").
+  // Writes ToJson() to `path` (e.g. "BENCH_orchestrator.json"). Throws
+  // std::runtime_error naming `path` when the file cannot be opened or
+  // written.
   void Write(const std::string& path) const;
 
  private:

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/catchment.h"
@@ -104,7 +103,6 @@ TEST(CatchmentPruning, AuditedSkipsAreFromScratchZero) {
   std::vector<double> audited;
   OrchestratorConfig cfg;
   cfg.prefix_budget = 8;
-  cfg.catchment_pruning = true;
   cfg.catchment_audit = [&](util::PeeringId, double fresh) {
     audited.push_back(fresh);
   };
@@ -117,29 +115,30 @@ TEST(CatchmentPruning, AuditedSkipsAreFromScratchZero) {
 TEST(CatchmentPruning, ReducesEvaluationsAndPreservesConfig) {
   const test::World& w = test::SharedWorld();
   const auto inst = test::MakeInstance(w);
-  const auto run = [&](bool pruning) {
-    OrchestratorConfig cfg;
-    cfg.prefix_budget = 8;
-    cfg.catchment_pruning = pruning;
-    // Widened space too: pruning must hold beyond the legacy variant table.
-    cfg.action_space = ActionSpaceConfig{.max_prepend = 1,
-                                         .enable_lower_pref = true,
-                                         .enable_no_export = true};
-    const Orchestrator orch{inst, cfg};
-    const std::uint64_t before =
-        obs::Metrics().CounterValue("orchestrator.celf.evaluations");
-    const std::string text = ConfigToString(orch.ComputeConfig());
-    const std::uint64_t after =
-        obs::Metrics().CounterValue("orchestrator.celf.evaluations");
-    return std::pair<std::string, std::uint64_t>{text, after - before};
-  };
-  const auto [text_off, evals_off] = run(false);
-  const auto [text_on, evals_on] = run(true);
-  EXPECT_EQ(text_on, text_off) << "pruning changed the computed config";
-  EXPECT_LT(evals_on, evals_off) << "pruning skipped no evaluations";
+  OrchestratorConfig cfg;
+  cfg.prefix_budget = 8;
+  // Widened space too: pruning must hold beyond the legacy variant table.
+  cfg.action_space = ActionSpaceConfig{.max_prepend = 1,
+                                       .enable_lower_pref = true,
+                                       .enable_no_export = true};
+  const Orchestrator orch{inst, cfg};
+  const std::uint64_t evals0 =
+      obs::Metrics().CounterValue("orchestrator.celf.evaluations");
+  const std::uint64_t pruned0 =
+      obs::Metrics().CounterValue("celf.pruned.seed_evals");
+  const std::string text = ConfigToString(orch.ComputeConfig());
+  const std::uint64_t evals =
+      obs::Metrics().CounterValue("orchestrator.celf.evaluations") - evals0;
+  const std::uint64_t pruned =
+      obs::Metrics().CounterValue("celf.pruned.seed_evals") - pruned0;
+  EXPECT_EQ(text, ConfigToString(orch.ComputeConfigUncached()))
+      << "the pruned engine's config differs from the reference's";
+  EXPECT_GT(pruned, 0u) << "pruning skipped no evaluations";
+  // Each pruned seed skips exactly one evaluation, so evals + pruned is
+  // what the engine would have spent unpruned.
   ::testing::Test::RecordProperty(
       "pruning_saved_frac",
-      1.0 - static_cast<double>(evals_on) / static_cast<double>(evals_off));
+      static_cast<double>(pruned) / static_cast<double>(evals + pruned));
 }
 
 }  // namespace

@@ -2,12 +2,13 @@
 //
 // The schedules below were produced by the pre-incremental from-scratch
 // engine (every seeding scan re-evaluates every peering, every expectation
-// re-walks its candidate list) on the fixture worlds. The incremental engine
-// — cross-round seed-marginal caching with dirty-UG invalidation, running
-// per-UG aggregates, flat hot-path layouts — is required to reproduce them
-// byte-for-byte, in both engine modes. A mismatch here
-// means the "bit-identical" contract of OrchestratorConfig::incremental_celf
-// broke, even if the result is still a valid greedy schedule.
+// re-walks its candidate list) on the fixture worlds. Both ComputeConfig —
+// the incremental engine: cross-round seed-marginal caching with dirty-UG
+// invalidation, catchment pruning, the probe gate, running per-UG
+// aggregates — and ComputeConfigUncached, the from-scratch reference, are
+// required to reproduce them byte-for-byte. A mismatch here means the
+// engine's "bit-identical" contract broke, even if the result is still a
+// valid greedy schedule.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -22,12 +23,9 @@ namespace {
 using Schedule = std::vector<std::vector<std::uint32_t>>;
 
 Schedule ComputeSchedule(const ProblemInstance& inst, std::size_t budget,
-                         bool incremental, bool pruning,
-                         bool explicit_legacy_space) {
+                         bool reference, bool explicit_legacy_space) {
   OrchestratorConfig cfg;
   cfg.prefix_budget = budget;
-  cfg.incremental_celf = incremental;
-  cfg.catchment_pruning = pruning;
   if (explicit_legacy_space) {
     // A spelled-out budget-only action space must take the exact legacy
     // single-variant path (ActionSpaceConfig::Legacy() == true).
@@ -36,7 +34,8 @@ Schedule ComputeSchedule(const ProblemInstance& inst, std::size_t budget,
                                          .enable_no_export = false};
   }
   const Orchestrator orch{inst, cfg};
-  const auto config = orch.ComputeConfig();
+  const auto config =
+      reference ? orch.ComputeConfigUncached() : orch.ComputeConfig();
   EXPECT_TRUE(config.AllAttrsDefault());
   Schedule out;
   for (std::size_t p = 0; p < config.PrefixCount(); ++p) {
@@ -48,21 +47,15 @@ Schedule ComputeSchedule(const ProblemInstance& inst, std::size_t budget,
 
 void ExpectGolden(const ProblemInstance& inst, std::size_t budget,
                   const Schedule& golden) {
-  // Catchment pruning (and an explicitly spelled-out legacy action space)
-  // must be schedule-preserving: every combination reproduces the golden
-  // pick sequence byte for byte.
-  for (const bool incremental : {true, false}) {
-    for (const bool pruning : {true, false}) {
-      const Schedule got =
-          ComputeSchedule(inst, budget, incremental, pruning,
-                          /*explicit_legacy_space=*/false);
-      EXPECT_EQ(got, golden) << "incremental=" << incremental
-                             << " pruning=" << pruning;
-    }
+  // The engine, the reference and an explicitly spelled-out legacy action
+  // space must each reproduce the golden pick sequence byte for byte.
+  for (const bool reference : {false, true}) {
+    const Schedule got = ComputeSchedule(inst, budget, reference,
+                                         /*explicit_legacy_space=*/false);
+    EXPECT_EQ(got, golden) << "reference=" << reference;
   }
-  const Schedule explicit_space =
-      ComputeSchedule(inst, budget, /*incremental=*/true, /*pruning=*/true,
-                      /*explicit_legacy_space=*/true);
+  const Schedule explicit_space = ComputeSchedule(
+      inst, budget, /*reference=*/false, /*explicit_legacy_space=*/true);
   EXPECT_EQ(explicit_space, golden) << "explicit legacy action space";
 }
 

@@ -31,7 +31,7 @@ TEST(DeltaBusTest, DrainsInPublishOrder) {
   DeltaBus bus{8};
   bus.Publish(Delta{DeltaKind::kSession, 10, 1, 1.0});
   bus.Publish(Delta{DeltaKind::kUgLatency, 20, 2, 3.5});
-  bus.Publish(Delta{DeltaKind::kTopology, 30, 3, 1.0});
+  bus.Publish(Delta{DeltaKind::kSession, 30, 3, 0.0});
   EXPECT_EQ(bus.Size(), 3u);
 
   std::vector<Delta> out;
@@ -40,14 +40,15 @@ TEST(DeltaBusTest, DrainsInPublishOrder) {
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].kind, DeltaKind::kSession);
   EXPECT_EQ(out[1].kind, DeltaKind::kUgLatency);
-  EXPECT_EQ(out[2].kind, DeltaKind::kTopology);
+  EXPECT_EQ(out[2].kind, DeltaKind::kSession);
   EXPECT_EQ(out[1].id, 2u);
   EXPECT_DOUBLE_EQ(out[1].value, 3.5);
+  EXPECT_EQ(out[2].id, 3u);
 
   EXPECT_EQ(bus.stats().drained, 3u);
   EXPECT_EQ(bus.stats().dropped, 0u);
   EXPECT_EQ(bus.stats().published[static_cast<std::size_t>(DeltaKind::kSession)],
-            1u);
+            2u);
   EXPECT_EQ(
       bus.stats().published[static_cast<std::size_t>(DeltaKind::kUgLatency)],
       1u);
@@ -70,12 +71,12 @@ TEST(DeltaBusTest, OverflowDropsOldest) {
 
 TEST(DeltaBusTest, DrainIntoAppends) {
   DeltaBus bus;
-  bus.Publish(Delta{DeltaKind::kCapacity, 5, 0, 0.5});
-  std::vector<Delta> out{Delta{DeltaKind::kPopLoad, 1, 9, 0.1}};
+  bus.Publish(Delta{DeltaKind::kUgLatency, 5, 0, 0.5});
+  std::vector<Delta> out{Delta{DeltaKind::kSession, 1, 9, 1.0}};
   EXPECT_EQ(bus.DrainInto(out), 1u);
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].kind, DeltaKind::kPopLoad);  // pre-existing entry kept
-  EXPECT_EQ(out[1].kind, DeltaKind::kCapacity);
+  EXPECT_EQ(out[0].kind, DeltaKind::kSession);  // pre-existing entry kept
+  EXPECT_EQ(out[1].kind, DeltaKind::kUgLatency);
 }
 
 TEST(DeltaBusTest, KindNamesAreDistinct) {

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/config_io.h"
 #include "core/evaluate.h"
 #include "core/orchestrator.h"
 #include "core/sim_environment.h"
@@ -240,6 +244,63 @@ TEST_F(OrchestratorTest, ZeroBudgetYieldsEmptyConfig) {
   EXPECT_DOUBLE_EQ(orch.Predict(cfg).mean_ms, 0.0);
 }
 
+// ComputeConfigUncached is the from-scratch reference even when the engine
+// has a primed cross-call cache: it evaluates seeds, touches none of the
+// engine's shortcuts (probe gate, seed cache, pruning, cross-call cache) and
+// consumes no dirtiness. The engine call after it shows those shortcuts
+// were there to take.
+TEST_F(OrchestratorTest, ReferenceRunsFromScratch) {
+  OrchestratorConfig cfg = Cfg(8);
+  cfg.cross_call_seed_cache = true;
+  Orchestrator orch{inst_, cfg};
+  (void)orch.ComputeConfig();  // primes the cross-call cache
+  ASSERT_EQ(orch.DirtyUgCount(), 0u);
+  ASSERT_TRUE(orch.InvalidateUg(0));
+  ASSERT_TRUE(orch.InvalidateUg(1));
+
+  const char* const names[] = {
+      "orchestrator.celf.evaluations", "orchestrator.celf.gated_probes",
+      "orchestrator.celf.cache_hits", "celf.pruned.seed_evals",
+      "orchestrator.celf.cross_seed_hits"};
+  const auto snapshot = [&] {
+    std::vector<std::uint64_t> v;
+    for (const char* name : names) {
+      v.push_back(obs::Metrics().CounterValue(name));
+    }
+    return v;
+  };
+  const std::vector<std::uint64_t> before = snapshot();
+  const std::string reference = ConfigToString(orch.ComputeConfigUncached());
+  const std::vector<std::uint64_t> after_ref = snapshot();
+  EXPECT_GT(after_ref[0], before[0]) << names[0];
+  for (std::size_t k = 1; k < std::size(names); ++k) {
+    EXPECT_EQ(after_ref[k], before[k]) << names[k];
+  }
+  EXPECT_EQ(orch.DirtyUgCount(), 2u);
+
+  EXPECT_EQ(ConfigToString(orch.ComputeConfig()), reference);
+  const std::vector<std::uint64_t> after_engine = snapshot();
+  for (std::size_t k = 0; k < std::size(names); ++k) {
+    EXPECT_GT(after_engine[k], after_ref[k]) << names[k];
+  }
+  EXPECT_EQ(orch.DirtyUgCount(), 0u);
+}
+
+// The audit needs no cross-call cache: every ComputeConfig is checked.
+TEST_F(OrchestratorTest, SeedCacheAuditRunsWithoutCrossCallCache) {
+  OrchestratorConfig cfg = Cfg(5);
+  cfg.seed_cache_audit = true;
+  const Orchestrator orch{inst_, cfg};
+  const char* const checks = "orchestrator.celf.seed_cache_audit_checks";
+  const char* const mismatches =
+      "orchestrator.celf.seed_cache_audit_mismatches";
+  const std::uint64_t checks0 = obs::Metrics().CounterValue(checks);
+  const std::uint64_t mismatches0 = obs::Metrics().CounterValue(mismatches);
+  (void)orch.ComputeConfig();
+  EXPECT_EQ(obs::Metrics().CounterValue(checks) - checks0, 1u);
+  EXPECT_EQ(obs::Metrics().CounterValue(mismatches) - mismatches0, 0u);
+}
+
 TEST(LearningTerminationTest, NegativeButImprovingDoesNotStop) {
   // Regression: with `best` initialized to 0 and a multiplicative-only
   // margin, an all-negative benefit sequence never advanced the best marker
@@ -280,7 +341,7 @@ TEST(LearningTerminationTest, RealImprovementResetsPatience) {
 // Hand-made instances drive the incremental engine's per-UG surviving set
 // (DESIGN.md §8) through probe branches the fixture worlds reach only by
 // chance. Each schedule is traced by hand in the test's comment and checked
-// against the naive engine, which runs the reference expectation; the
+// against ComputeConfigUncached, which runs the reference expectation; the
 // counter deltas show which probes answered in O(1) and which walked the
 // candidate list.
 
@@ -313,15 +374,16 @@ IngressOption Opt(std::uint32_t peering, double rtt_ms, double km) {
                        .distance_km = km};
 }
 
-// One ComputeConfig call with its CELF evaluations and its Eq. 2 probes that
-// walked the candidate list.
+// One ComputeConfig call (ComputeConfigUncached with `reference`) with its
+// CELF evaluations and its Eq. 2 probes that walked the candidate list.
 struct CountedConfig {
   AdvertisementConfig config;
   std::uint64_t evaluations = 0;
   std::uint64_t walks = 0;
 };
 
-CountedConfig ComputeCounted(const Orchestrator& orch) {
+CountedConfig ComputeCounted(const Orchestrator& orch,
+                             bool reference = false) {
   obs::Counter& evals =
       obs::Metrics().GetCounter("orchestrator.celf.evaluations");
   obs::Counter& walks =
@@ -329,7 +391,7 @@ CountedConfig ComputeCounted(const Orchestrator& orch) {
   const std::uint64_t evals0 = evals.Value();
   const std::uint64_t walks0 = walks.Value();
   CountedConfig out;
-  out.config = orch.ComputeConfig();
+  out.config = reference ? orch.ComputeConfigUncached() : orch.ComputeConfig();
   out.evaluations = evals.Value() - evals0;
   out.walks = walks.Value() - walks0;
   return out;
@@ -369,11 +431,8 @@ TEST(SurvivingSetProbeTest, PreferenceCycleMakesUgUnusable) {
   };
   OrchestratorConfig cfg;
   cfg.prefix_budget = 2;
-  Orchestrator fast{inst, cfg};
-  learn_cycle(fast.mutable_model());
-  cfg.incremental_celf = false;
-  Orchestrator naive{inst, cfg};
-  learn_cycle(naive.mutable_model());
+  Orchestrator orch{inst, cfg};
+  learn_cycle(orch.mutable_model());
 
   // Prefix 0 seeds c (116) > a (80) > b (78) > d (1.5) and commits c.
   // Round 1: a is dominated by c and kills nothing (O(1), UG0 keeps 14); b
@@ -384,17 +443,17 @@ TEST(SurvivingSetProbeTest, PreferenceCycleMakesUgUnusable) {
   // survivor (O(1), UG0 48.5) and commits (O(1)). Prefix 1 seeds a (38.5) >
   // b (36.5) > c (34.5), d adds nothing, and a commits; b is dominated by a
   // (O(1)) and c kills a (walk 5, 14 ms > 10 ms): both are rejected.
-  const CountedConfig got = ComputeCounted(fast);
+  const CountedConfig got = ComputeCounted(orch);
   const std::vector<std::vector<util::PeeringId>> want{{a, b, c, d}, {a}};
   EXPECT_EQ(Schedule(got.config), want);
-  EXPECT_EQ(Schedule(naive.ComputeConfig()), want);
+  EXPECT_EQ(Schedule(orch.ComputeConfigUncached()), want);
   EXPECT_EQ(got.evaluations, 14u);
   EXPECT_EQ(got.walks, 5u);
-  const ExpectationParams params = fast.config().Expectation();
+  const ExpectationParams params = orch.config().Expectation();
   const util::PeeringId cycle[] = {a, b, c};
-  EXPECT_FALSE(ComputeExpectation(inst, fast.model(), 0, cycle, params).usable);
+  EXPECT_FALSE(ComputeExpectation(inst, orch.model(), 0, cycle, params).usable);
   const PrefixExpectation e =
-      ComputeExpectation(inst, fast.model(), 0, got.config.Sessions(0), params);
+      ComputeExpectation(inst, orch.model(), 0, got.config.Sessions(0), params);
   ASSERT_TRUE(e.usable);
   EXPECT_EQ(e.candidate_count, 1u);
   EXPECT_EQ(e.mean_rtt, 48.5);
@@ -416,24 +475,22 @@ TEST(SurvivingSetProbeTest, WindowShiftDropsPartOfSurvivingSet) {
   OrchestratorConfig cfg;
   cfg.prefix_budget = 1;
   cfg.d_reuse_km = 1000.0;
-  Orchestrator fast{inst, cfg};
-  cfg.incremental_celf = false;
-  Orchestrator naive{inst, cfg};
+  const Orchestrator orch{inst, cfg};
 
   // Seeds a (70) > b (68) > c (60); a commits. Round 1: b lands inside the
   // window (O(1), UG0 21); c undercuts it but every survivor stays within
   // 1000 km of c (O(1), UG0 25); b commits (O(1)). Round 2: c moves the
   // window's lower edge to 1500 km, past b at 2800 km but not a (walk 1,
   // UG0 (20 + 30) / 2 = 25), and commits (walk 2).
-  const CountedConfig got = ComputeCounted(fast);
+  const CountedConfig got = ComputeCounted(orch);
   const std::vector<std::vector<util::PeeringId>> want{{a, b, c}};
   EXPECT_EQ(Schedule(got.config), want);
-  EXPECT_EQ(Schedule(naive.ComputeConfig()), want);
+  EXPECT_EQ(Schedule(orch.ComputeConfigUncached()), want);
   EXPECT_EQ(got.evaluations, 6u);
   EXPECT_EQ(got.walks, 2u);
   const PrefixExpectation e =
-      ComputeExpectation(inst, fast.model(), 0, got.config.Sessions(0),
-                         fast.config().Expectation());
+      ComputeExpectation(inst, orch.model(), 0, got.config.Sessions(0),
+                         orch.config().Expectation());
   ASSERT_TRUE(e.usable);
   EXPECT_EQ(e.candidate_count, 2u);
   EXPECT_EQ(e.mean_rtt, 25.0);
@@ -455,14 +512,12 @@ TEST(ProbeGateTest, RoundingResidueBelowBaseBestStillCounts) {
           {1.0, 100.0, {Opt(1, 10.0, 100.0)}}});
   OrchestratorConfig cfg;
   cfg.prefix_budget = 1;
-  Orchestrator fast{inst, cfg};
-  cfg.incremental_celf = false;
-  Orchestrator naive{inst, cfg};
+  const Orchestrator orch{inst, cfg};
   const ExpectationParams params = cfg.Expectation();
   const util::PeeringId abc[] = {a, b, c};
   const util::PeeringId ab[] = {a, b};
-  ASSERT_EQ(ComputeExpectation(inst, naive.model(), 0, ab, params).mean_rtt, m);
-  ASSERT_LT(ComputeExpectation(inst, naive.model(), 0, abc, params).mean_rtt,
+  ASSERT_EQ(ComputeExpectation(inst, orch.model(), 0, ab, params).mean_rtt, m);
+  ASSERT_LT(ComputeExpectation(inst, orch.model(), 0, abc, params).mean_rtt,
             m);
 
   // Seeds a (130) = b (130) > c (80); a commits, then b (130 again: UG0's
@@ -473,16 +528,16 @@ TEST(ProbeGateTest, RoundingResidueBelowBaseBestStillCounts) {
   obs::Counter& gated =
       obs::Metrics().GetCounter("orchestrator.celf.gated_probes");
   const std::uint64_t gated0 = gated.Value();
-  const CountedConfig got = ComputeCounted(fast);
+  const CountedConfig got = ComputeCounted(orch);
   EXPECT_EQ(gated.Value() - gated0, 0u);
-  const CountedConfig ref = ComputeCounted(naive);
+  const CountedConfig ref = ComputeCounted(orch, /*reference=*/true);
   const std::vector<std::vector<util::PeeringId>> want{{a, b, c}};
   EXPECT_EQ(Schedule(got.config), want);
   EXPECT_EQ(Schedule(ref.config), want);
   EXPECT_EQ(got.evaluations, 5u);
   EXPECT_EQ(ref.evaluations, 5u);
-  const Orchestrator::Prediction pf = fast.Predict(got.config);
-  const Orchestrator::Prediction pn = naive.Predict(ref.config);
+  const Orchestrator::Prediction pf = orch.Predict(got.config);
+  const Orchestrator::Prediction pn = orch.Predict(ref.config);
   EXPECT_EQ(pf.mean_ms, pn.mean_ms);
   EXPECT_EQ(pf.lower_ms, pn.lower_ms);
   EXPECT_EQ(pf.upper_ms, pn.upper_ms);

@@ -6,6 +6,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -284,6 +285,26 @@ TEST(RunReportTest, SchemaAndContents) {
   EXPECT_EQ(phases[1].At("name").AsString(), "work");
   EXPECT_DOUBLE_EQ(doc.At("values").At("speedup").AsNumber(), 2.0);
   EXPECT_EQ(doc.At("metrics").At("counters").At("c").AsNumber(), 5.0);
+}
+
+TEST(RunReportTest, WriteRoundTripsAndThrowsOnMissingDirectory) {
+  RunReport report{"unit"};
+  report.AddValue("speedup", 2.0);
+  const std::string path = ::testing::TempDir() + "obs_report_write.json";
+  report.Write(path);
+  EXPECT_EQ(ReadFile(path), report.ToJson() + "\n");
+
+  // A bench pointed at a report directory that does not exist must fail
+  // loudly, not announce a file that was never written.
+  const std::string missing =
+      ::testing::TempDir() + "obs_no_such_dir/BENCH_unit.json";
+  try {
+    report.Write(missing);
+    ADD_FAILURE() << "Write to a missing directory did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find(missing), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(StripVolatileTest, ZeroesWallClockFieldsOnly) {

@@ -110,15 +110,18 @@ ProblemInstance TieHeavy(ProblemInstance inst) {
   return inst;
 }
 
-void ExpectSamePlan(const Orchestrator& fast, const AdvertisementConfig& ca,
-                    const Orchestrator& naive, const AdvertisementConfig& cb,
-                    const std::string& where) {
+// `ca`, the engine's plan, must equal the from-scratch reference's plan on
+// the same model, prefix for prefix, and predict the same benefit.
+void ExpectMatchesReference(const Orchestrator& orch,
+                            const AdvertisementConfig& ca,
+                            const std::string& where) {
+  const AdvertisementConfig cb = orch.ComputeConfigUncached();
   ASSERT_EQ(ca.PrefixCount(), cb.PrefixCount()) << where;
   for (std::size_t p = 0; p < ca.PrefixCount(); ++p) {
     EXPECT_EQ(ca.Sessions(p), cb.Sessions(p)) << where << " prefix=" << p;
   }
-  const Orchestrator::Prediction pa = fast.Predict(ca);
-  const Orchestrator::Prediction pb = naive.Predict(cb);
+  const Orchestrator::Prediction pa = orch.Predict(ca);
+  const Orchestrator::Prediction pb = orch.Predict(cb);
   EXPECT_EQ(pa.lower_ms, pb.lower_ms) << where;
   EXPECT_EQ(pa.mean_ms, pb.mean_ms) << where;
   EXPECT_EQ(pa.estimated_ms, pb.estimated_ms) << where;
@@ -139,16 +142,12 @@ TEST_P(OrchestratorPropertyTest, IncrementalMatchesNaiveRecompute) {
   for (const ProblemInstance* inst : inputs) {
     const std::uint64_t gated0 = gated.Value();
     for (const std::size_t budget : {2u, 4u, 7u}) {
-      OrchestratorConfig fast;
-      fast.prefix_budget = budget;
-      fast.incremental_celf = true;
-      OrchestratorConfig slow = fast;
-      slow.incremental_celf = false;
-      Orchestrator a{*inst, fast};
-      Orchestrator b{*inst, slow};
-      ExpectSamePlan(a, a.ComputeConfig(), b, b.ComputeConfig(),
-                     (inst == &ties ? "ties budget=" : "budget=") +
-                         std::to_string(budget));
+      OrchestratorConfig cfg;
+      cfg.prefix_budget = budget;
+      const Orchestrator orch{*inst, cfg};
+      ExpectMatchesReference(orch, orch.ComputeConfig(),
+                             (inst == &ties ? "ties budget=" : "budget=") +
+                                 std::to_string(budget));
     }
     if (inst == &ties) {
       EXPECT_GT(gated.Value() - gated0, 0u);
@@ -178,21 +177,17 @@ TEST_P(OrchestratorPropertyTest, IncrementalMatchesNaiveWithLearnedModel) {
       cfg.prefix_budget = 6;
       cfg.d_reuse_km = d_reuse;
       Orchestrator learned{*inst, cfg};
-      OrchestratorConfig naive_cfg = cfg;
-      naive_cfg.incremental_celf = false;
-      Orchestrator naive{*inst, naive_cfg};
       SimEnvironment env{*w_.resolver, *w_.oracle, util::Rng{GetParam() + 9}};
       std::uint64_t walk_count = 0;
       for (std::size_t iter = 0; iter < 3; ++iter) {
         (void)learned.RunLearningIteration(env, iter);
-        naive.mutable_model() = learned.model();
         const std::uint64_t walks0 = walks.Value();
         const auto ca = learned.ComputeConfig();
         walk_count += walks.Value() - walks0;
-        ExpectSamePlan(learned, ca, naive, naive.ComputeConfig(),
-                       std::string{inst == &ties ? "ties " : ""} +
-                           "d_reuse=" + std::to_string(d_reuse) +
-                           " iter=" + std::to_string(iter));
+        ExpectMatchesReference(learned, ca,
+                               std::string{inst == &ties ? "ties " : ""} +
+                                   "d_reuse=" + std::to_string(d_reuse) +
+                                   " iter=" + std::to_string(iter));
       }
       ASSERT_GT(learned.model().PreferenceCount(), 0u);
       EXPECT_GT(walk_count, 0u) << "d_reuse=" << d_reuse;

@@ -79,11 +79,8 @@ CLOSED_FAMILIES = {
     # means a new documented behavior — closed like the families above.
     "control": {
         "control.bus.published", "control.bus.dropped", "control.bus.drained",
-        "control.deltas.ug_latency", "control.deltas.pop_load",
-        "control.deltas.session", "control.deltas.topology",
-        "control.deltas.capacity",
+        "control.deltas.ug_latency", "control.deltas.session",
         "control.invalidations.ug", "control.invalidations.peering",
-        "control.invalidations.full",
         "control.episodes.triggered", "control.rounds.run",
         "control.commits.applied", "control.commits.suppressed",
         "control.commits.flips",

