@@ -3,7 +3,9 @@
 //     roughly linearly with deployment size;
 // (b) raising the minimum reuse distance D_reuse lowers benefit uncertainty
 //     (fewer risky reuse assumptions) but costs more prefixes.
+#include <algorithm>
 #include <iostream>
+#include <vector>
 
 #include "bench/strategy_eval.h"
 #include "util/table.h"
@@ -62,19 +64,18 @@ int main() {
         return !keep[o.peering.value()];
       });
     }
-    for (std::size_t g = 0; g < inst.peering_count; ++g) {
-      if (!keep[g]) inst.ugs_with_peering[g].clear();
-    }
     return inst;
   };
 
   util::Table scale{{"peers (%)", "sessions", "90% benefit", "95%", "99%"}};
   for (const double frac : {0.2, 0.4, 0.6, 0.8, 1.0}) {
     const auto inst = filter_instance(frac);
-    std::size_t sessions = 0;
-    for (const auto& list : inst.ugs_with_peering) {
-      sessions += list.empty() ? 0 : 1;
+    // Sessions some UG still has as an option.
+    std::vector<bool> used(inst.peering_count, false);
+    for (const auto& opts : inst.options) {
+      for (const core::IngressOption& o : opts) used[o.peering.value()] = true;
     }
+    const auto sessions = std::count(used.begin(), used.end(), true);
     const auto full = bench::SolvePainter(inst, inst.peering_count);
     scale.AddRow({util::Table::Num(100.0 * frac, 0),
                   std::to_string(sessions),

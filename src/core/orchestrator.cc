@@ -6,6 +6,7 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <queue>
@@ -82,10 +83,55 @@ struct OrchestratorMetrics {
   }
 };
 
+// The surviving set of one UG's candidates on the prefix under construction:
+// the candidates neither dominated by a learned preference nor more than
+// D_reuse farther than the nearest non-dominated PoP — exactly those
+// ComputeExpectationFromCandidates keeps (DESIGN.md §8). Kept as the RTTs
+// summed in candidate order (so sum / count is the reference's mean bit for
+// bit), its size, and its PoP distance range; min_km is also the nearest
+// non-dominated PoP. Both distances are +inf when count == 0.
+struct SurvivingSet {
+  double sum = 0.0;
+  std::uint32_t count = 0;
+  double min_km = kInf;
+  double max_km = kInf;
+
+  [[nodiscard]] double Mean() const {
+    return count == 0 ? kInf : sum / static_cast<double>(count);
+  }
+
+  // Grows the set by a new last candidate at `km` with RTT `rtt` that is
+  // preferred over no survivor (DESIGN.md §8's table). Returns false,
+  // changing nothing, when the new lower window edge falls inside the set:
+  // only re-deriving the set from the candidates answers that case. Both the
+  // probes and the commits run this one case analysis.
+  [[nodiscard]] bool Grow(bool dominated, double km, double rtt,
+                          double d_reuse_km) {
+    if (dominated) return true;  // it joins no set
+    // Alone: no survivor yet, or every survivor drops out of its window.
+    if (count == 0 || min_km - km > d_reuse_km) {
+      *this = SurvivingSet{rtt, 1, km, km};
+      return true;
+    }
+    if (km >= min_km) {
+      // The window keeps its lower edge: the candidate is inside it or out.
+      if (!(km - min_km > d_reuse_km)) {
+        sum += rtt;
+        ++count;
+        max_km = std::max(max_km, km);
+      }
+      return true;
+    }
+    if (max_km - km > d_reuse_km) return false;  // edge moves past a part
+    sum += rtt;  // every survivor stays
+    ++count;
+    min_km = km;
+    return true;
+  }
+};
+
 // One UG's candidates on the prefix under construction, in commit order, and
-// their surviving set: the candidates neither dominated by a learned
-// preference nor more than D_reuse farther than the nearest non-dominated
-// PoP — exactly those ComputeExpectationFromCandidates keeps (DESIGN.md §8).
+// their surviving set.
 struct UgPrefixState {
   struct Cand {
     const IngressOption* opt;
@@ -96,61 +142,82 @@ struct UgPrefixState {
     bool wins;       // it has a loser row (it may have won a pair)
   };
   std::vector<Cand> cands;
-  // The surviving set: RTTs summed in candidate order (so sum / count is the
-  // reference's mean bit for bit), its size, and its PoP distance range.
-  // min_km is also the nearest non-dominated PoP. Unset when count == 0.
-  double sum = 0.0;
-  std::uint32_t count = 0;
-  double min_km = 0.0;
-  double max_km = 0.0;
+  SurvivingSet set;
 
   void Clear() {
     cands.clear();
-    sum = 0.0;
-    count = 0;
+    set = SurvivingSet{};
   }
 
-  [[nodiscard]] double Mean() const {
-    return count == 0 ? kInf : sum / static_cast<double>(count);
+  // A new option's two directed dominance bits against the list.
+  struct Dominance {
+    const std::uint64_t* row = nullptr;  // its loser row, if it has one
+    bool dominated = false;  // a candidate is known-preferred over it
+    bool kills = false;      // it is known-preferred over a survivor
+  };
+  // Reads the bits for `local`, only for ingresses with a loser row: the
+  // option's row, and the candidates' flags from their commit. An ingress
+  // the UG never observed can neither dominate nor be dominated. A kill can
+  // move the nearest PoP and re-admit far candidates, so it re-derives the
+  // set.
+  [[nodiscard]] Dominance Scan(const RoutingModel& model, std::uint32_t ug,
+                               std::uint32_t local, double d_reuse_km) const {
+    Dominance out;
+    if (local == RoutingModel::kUnobserved || !model.HasPreferences(ug)) {
+      return out;
+    }
+    out.row = model.LoserRow(ug, local);
+    for (const Cand& c : cands) {
+      if (c.wins && !out.dominated && model.PrefersLocal(ug, c.local, local)) {
+        out.dominated = true;
+      }
+      if (out.row != nullptr && !out.kills && !c.dominated &&
+          !(c.km - set.min_km > d_reuse_km) &&
+          c.local != RoutingModel::kUnobserved &&
+          RoutingModel::RowHas(out.row, c.local)) {
+        out.kills = true;
+      }
+      if (out.dominated && (out.kills || out.row == nullptr)) break;
+    }
+    return out;
   }
 
-  // Appends `opt` (local index `local`): both directed dominance bits
-  // against the list, read only for ingresses with a loser row (a dominated
-  // candidate still dominates others, as in the reference), then one pass
-  // for the nearest non-dominated PoP and one for the window.
+  // Appends `opt` (local index `local`) as the last candidate: flags the
+  // candidates it is preferred over as dominated (a dominated candidate
+  // still dominates others, as in the reference), then grows the set in
+  // O(1), or re-derives it on a kill or a partial lower-edge move.
   void Append(const RoutingModel& model, std::uint32_t ug,
               const IngressOption* opt, double rtt, std::uint32_t local,
               double d_reuse_km) {
-    bool opt_dominated = false;
-    const std::uint64_t* opt_row = nullptr;
-    if (local != RoutingModel::kUnobserved && model.HasPreferences(ug)) {
-      opt_row = model.LoserRow(ug, local);
+    const Dominance dom = Scan(model, ug, local, d_reuse_km);
+    if (dom.row != nullptr) {
       for (Cand& c : cands) {
-        if (opt_row != nullptr && !c.dominated &&
-            c.local != RoutingModel::kUnobserved &&
-            RoutingModel::RowHas(opt_row, c.local)) {
+        if (c.local != RoutingModel::kUnobserved &&
+            RoutingModel::RowHas(dom.row, c.local)) {
           c.dominated = true;
-        }
-        if (c.wins && !opt_dominated &&
-            model.PrefersLocal(ug, c.local, local)) {
-          opt_dominated = true;
         }
       }
     }
-    cands.push_back(Cand{opt, rtt, opt->distance_km, local, opt_dominated,
-                         opt_row != nullptr});
-    min_km = kInf;
+    cands.push_back(Cand{opt, rtt, opt->distance_km, local, dom.dominated,
+                         dom.row != nullptr});
+    if (dom.kills || !set.Grow(dom.dominated, opt->distance_km, rtt,
+                               d_reuse_km)) {
+      Rederive(d_reuse_km);
+    }
+  }
+
+  // One pass for the nearest non-dominated PoP and one for the window.
+  void Rederive(double d_reuse_km) {
+    double min_km = kInf;
     for (const Cand& c : cands) {
       if (!c.dominated) min_km = std::min(min_km, c.km);
     }
-    sum = 0.0;
-    count = 0;
-    max_km = min_km;
+    set = SurvivingSet{0.0, 0, min_km, min_km};
     for (const Cand& c : cands) {
       if (c.dominated || c.km - min_km > d_reuse_km) continue;
-      sum += c.rtt;
-      ++count;
-      max_km = std::max(max_km, c.km);
+      set.sum += c.rtt;
+      ++set.count;
+      set.max_km = std::max(set.max_km, c.km);
     }
   }
 };
@@ -174,6 +241,13 @@ Orchestrator::Orchestrator(const ProblemInstance& instance,
   if (instance.peering_count > RoutingModel::kMaxSessions) {
     throw std::invalid_argument{
         "Orchestrator: more than 65,536 sessions in the instance"};
+  }
+  // The engine's lone candidate is exclusion-free and its empty surviving
+  // set means every candidate is dominated only while D_reuse >= 0; a NaN
+  // window would exclude nothing, like +inf, without saying so.
+  if (!(config_.d_reuse_km >= 0.0)) {
+    throw std::invalid_argument{
+        "Orchestrator: d_reuse_km must be a number >= 0"};
   }
 }
 
@@ -273,7 +347,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
   std::vector<SessionAttr> session_attrs;  // parallel to `sessions` when wide
   // Per-UG state of the in-progress prefix: the UG's compliant options among
   // `sessions` and their surviving set, maintained at commit so a probe
-  // rarely walks the list. On the plain path cur_e[u] == state[u].Mean().
+  // rarely walks the list. On the plain path cur_e[u] == state[u].set.Mean().
   std::vector<UgPrefixState> state(n_ug);
   // Attribute each candidate was committed under (parallel to
   // state[u].cands) and a per-UG flag set once any candidate carries a
@@ -286,6 +360,15 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
   // must undercut for its Eq. 1 term to be possibly non-zero on the prefix
   // under construction (see the prefix-round reset below).
   std::vector<double> gate(reference ? 0 : n_ug);
+  // The engine's sparse probe sets, one bit per flat-index entry
+  // (DESIGN.md §8). `live` starts full and loses an entry the first time the
+  // gate skips it: the round-start gate only falls, so such an entry stays
+  // gated for the rest of the call while its UG is closed. `open` holds the
+  // entries of every UG opened on the prefix under construction. A marginal
+  // walks only `live | open`.
+  const std::size_t words = reference ? 0 : (flat_.EntryCount() + 63) / 64;
+  std::vector<std::uint64_t> live(words, ~std::uint64_t{0});
+  std::vector<std::uint64_t> open(words, 0);
 
   // Effective single-candidate RTT per flat-index entry: the measured RTT
   // when the model has one, else the instance estimate — exactly the value
@@ -304,6 +387,14 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
     eff_rtt[i] =
         model_.MeasuredRttLocal(flat_.ug[i], local).value_or(opt->rtt_ms);
     if (!local_of.empty()) local_of[i] = RoutingModel::PackLocal(local);
+  }
+  // Per peering, the in-cone entries a no-export marginal covers.
+  std::vector<std::uint32_t> cone_count(
+      aspace.enable_no_export ? inst.peering_count : 0, 0);
+  for (std::size_t g = 0; g < cone_count.size(); ++g) {
+    for (std::size_t i = flat_.offset[g]; i < flat_.offset[g + 1]; ++i) {
+      if (flat_.option[i]->in_peer_cone) ++cone_count[g];
+    }
   }
   const auto local_at = [&](std::size_t i) {
     return local_of.empty()
@@ -394,50 +485,20 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
     }
     if (s.cands.empty()) return rtt;  // a lone candidate is exclusion-free
     const std::uint32_t local = local_at(i);
+    const UgPrefixState::Dominance dom =
+        s.Scan(model_, u, local, params.d_reuse_km);
+    SurvivingSet set = s.set;
+    if (!dom.kills &&
+        set.Grow(dom.dominated, opt->distance_km, rtt, params.d_reuse_km)) {
+      return set.Mean();
+    }
     // The walk: re-derive the grown list's surviving set from the stored
     // entries — no id lookups, no k² dominance tests.
-    const auto walk = [&] {
-      metrics.celf_expectation_fallbacks.Add();
-      grown.cands.assign(s.cands.begin(), s.cands.end());
-      grown.Append(model_, u, opt, rtt, local, params.d_reuse_km);
-      return grown.Mean();
-    };
-    const double d_reuse = params.d_reuse_km;
-    bool opt_dominated = false;
-    // An ingress the UG never observed can neither dominate nor be dominated.
-    if (local != RoutingModel::kUnobserved && model_.HasPreferences(u)) {
-      // Only ingresses with a loser row can dominate: opt's row, and the
-      // candidates' flags from their commit.
-      const std::uint64_t* opt_row = model_.LoserRow(u, local);
-      for (const UgPrefixState::Cand& c : s.cands) {
-        if (c.wins && !opt_dominated &&
-            model_.PrefersLocal(u, c.local, local)) {
-          opt_dominated = true;
-          if (opt_row == nullptr) break;  // settled: opt can kill nothing
-        }
-        if (opt_row != nullptr && !c.dominated &&
-            !(c.km - s.min_km > d_reuse) &&
-            c.local != RoutingModel::kUnobserved &&
-            RoutingModel::RowHas(opt_row, c.local)) {
-          return walk();  // opt kills a survivor
-        }
-      }
-    }
-    // opt kills no survivor, so the set can only gain opt or lose members
-    // to a lower window edge.
-    if (opt_dominated) return cur_e[u];  // opt joins no set
-    if (s.count == 0) return rtt;  // every existing candidate is dominated
-    const auto with_opt = [&] {
-      return (s.sum + rtt) / static_cast<double>(s.count + 1);
-    };
-    const double d = opt->distance_km;
-    if (d >= s.min_km) {
-      // The window keeps its lower edge: opt is inside it or excluded.
-      return d - s.min_km > d_reuse ? cur_e[u] : with_opt();
-    }
-    if (s.min_km - d > d_reuse) return rtt;  // every survivor drops out
-    if (s.max_km - d <= d_reuse) return with_opt();  // every survivor stays
-    return walk();  // the lower edge moves past part of the set
+    metrics.celf_expectation_fallbacks.Add();
+    grown.cands.assign(s.cands.begin(), s.cands.end());
+    grown.set = s.set;
+    grown.Append(model_, u, opt, rtt, local, params.d_reuse_km);
+    return grown.set.Mean();
   };
 
   // Attributed probe: Eq. 2 mean of the list + (opt announced under `attr`).
@@ -471,33 +532,56 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
   };
 
   // Eq. 1 marginal benefit of adding `gid` under `attr` to the in-progress
-  // prefix.
+  // prefix. The reference probes every entry; the engine walks the set bits
+  // of `live | open` in ascending order, so it adds the same non-zero terms
+  // in the same order, and drops from `live` each entry the gate skips.
   auto marginal_of = [&](util::PeeringId gid, const SessionAttr& attr) {
     metrics.celf_evals.Add();
+    // A no-export announcement never reaches out-of-cone UGs: exact zero
+    // contribution, no probe.
     const bool nx = attr.community == bgpsim::Community::kNoExportUp;
+    const std::size_t g = gid.value();
+    const std::size_t lo = flat_.offset[g];
+    const std::size_t hi = flat_.offset[g + 1];
     double delta = 0.0;
-    std::uint64_t probes = 0;
-    std::uint64_t gated = 0;
-    const std::size_t lo = flat_.offset[gid.value()];
-    const std::size_t hi = flat_.offset[gid.value() + 1];
-    for (std::size_t i = lo; i < hi; ++i) {
+    std::uint64_t probed = 0;
+    const auto probe = [&](std::size_t i) {
       const std::uint32_t u = flat_.ug[i];
-      // A no-export announcement never reaches out-of-cone UGs: exact zero
-      // contribution, skip the probe.
-      if (nx && !flat_.option[i]->in_peer_cone) continue;
-      ++probes;
-      // The gate: this term is +0.0, and adding it changes no bit.
-      if (!reference && !(eff_rtt[i] < gate[u])) {
-        ++gated;
-        continue;
-      }
       const double new_e = expected_with_attr(u, i, attr);
       const double old_best = std::min(base_best[u], cur_e[u]);
       const double new_best = std::min(base_best[u], new_e);
       delta += inst.ug_weight[u] * (old_best - new_best);
+      ++probed;
+    };
+    std::uint64_t probes = 0;
+    if (reference) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        if (nx && !flat_.option[i]->in_peer_cone) continue;
+        ++probes;
+        probe(i);
+      }
+    } else if (lo < hi) {
+      probes = nx ? cone_count[g] : hi - lo;
+      const std::size_t last = (hi - 1) >> 6;
+      for (std::size_t w = lo >> 6; w <= last; ++w) {
+        std::uint64_t bits = live[w] | open[w];
+        if (w == lo >> 6) bits &= ~std::uint64_t{0} << (lo & 63);
+        if (w == last) bits &= ~std::uint64_t{0} >> (63 - ((hi - 1) & 63));
+        for (; bits != 0; bits &= bits - 1) {
+          const int b = std::countr_zero(bits);
+          const std::size_t i = (w << 6) + static_cast<std::size_t>(b);
+          if (nx && !flat_.option[i]->in_peer_cone) continue;
+          // The gate: this term is +0.0, and adding it changes no bit.
+          if (!(eff_rtt[i] < gate[flat_.ug[i]])) {
+            live[w] &= ~(std::uint64_t{1} << b);
+            continue;
+          }
+          probe(i);
+        }
+      }
     }
     metrics.celf_probes.Add(probes);
-    metrics.celf_gated_probes.Add(gated);
+    metrics.celf_gated_probes.Add(probes - probed);
     return delta;
   };
 
@@ -506,6 +590,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
     session_attrs.clear();
     std::fill(cur_e.begin(), cur_e.end(), kInf);
     for (UgPrefixState& s : state) s.Clear();
+    std::fill(open.begin(), open.end(), 0);
     for (auto& a : cand_attrs) a.clear();
     std::fill(cand_attributed.begin(), cand_attributed.end(),
               static_cast<std::uint8_t>(0));
@@ -518,7 +603,8 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
     // fl(m + m + m) / 3 can read below m. Both mins then return
     // base_best[u], and dropping w·(+0.0) from a sum that starts at +0.0
     // changes no bit. Assumes finite weights and finite non-negative RTTs,
-    // as every instance builder makes them. A commit below the gate opens u.
+    // as every instance builder makes them. A commit below the gate opens u
+    // and puts its entries in `open`.
     for (std::size_t u = 0; u < gate.size(); ++u) {
       gate[u] = base_best[u] + std::abs(base_best[u]) * 0x1p-32;
     }
@@ -680,7 +766,16 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
         cur_e[u] = expected_with_attr(u, i, attr);
         state[u].Append(model_, u, opt, eff_rtt[i], local_at(i),
                         params.d_reuse_km);
-        if (!reference && eff_rtt[i] < gate[u]) gate[u] = kInf;
+        if (!reference && eff_rtt[i] < gate[u]) {
+          if (gate[u] != kInf) {
+            for (std::uint32_t k = flat_.ug_first[u]; k < flat_.ug_first[u + 1];
+                 ++k) {
+              const std::uint32_t e = flat_.entry[k];
+              open[e >> 6] |= std::uint64_t{1} << (e & 63);
+            }
+          }
+          gate[u] = kInf;
+        }
         if (wide) {
           cand_attrs[u].push_back(attr);
           if (!attr.IsDefault()) cand_attributed[u] = 1;

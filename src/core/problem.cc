@@ -1,6 +1,8 @@
 #include "core/problem.h"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 #include "obs/trace.h"
 
@@ -50,7 +52,6 @@ bool InPeerCone(const topo::Internet& internet,
 
 void Finalize(ProblemInstance& inst, const cloudsim::Deployment& deployment) {
   inst.peering_count = deployment.peerings().size();
-  inst.ugs_with_peering.assign(inst.peering_count, {});
   inst.total_weight = 0.0;
   for (std::uint32_t u = 0; u < inst.UgCount(); ++u) {
     inst.total_weight += inst.ug_weight[u];
@@ -58,9 +59,6 @@ void Finalize(ProblemInstance& inst, const cloudsim::Deployment& deployment) {
               [](const IngressOption& a, const IngressOption& b) {
                 return a.peering < b.peering;
               });
-    for (const IngressOption& opt : inst.options[u]) {
-      inst.ugs_with_peering[opt.peering.value()].push_back(u);
-    }
   }
 }
 
@@ -97,15 +95,22 @@ FlatPeeringIndex::FlatPeeringIndex(const ProblemInstance& instance) {
     }
   }
   for (std::size_t g = 1; g < offset.size(); ++g) offset[g] += offset[g - 1];
+  if (offset.back() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error{"FlatPeeringIndex: more than 2^32 - 1 entries"};
+  }
   ug.resize(offset.back());
   option.resize(offset.back());
+  ug_first.assign(instance.UgCount() + 1, 0);
+  entry.reserve(offset.back());
   std::vector<std::size_t> cursor(offset.begin(), offset.end() - 1);
   for (std::uint32_t u = 0; u < instance.UgCount(); ++u) {
     for (const IngressOption& opt : instance.options[u]) {
       const std::size_t slot = cursor[opt.peering.value()]++;
       ug[slot] = u;
       option[slot] = &opt;
+      entry.push_back(static_cast<std::uint32_t>(slot));
     }
+    ug_first[u + 1] = static_cast<std::uint32_t>(entry.size());
   }
 }
 

@@ -39,11 +39,9 @@ struct ProblemInstance {
   // Indexed by UG id value.
   std::vector<double> ug_weight;
   std::vector<double> anycast_rtt_ms;
-  // Per UG: compliant ingress options, sorted by peering id.
+  // Per UG: compliant ingress options, sorted by peering id. The inverted
+  // index (peering -> UGs) is FlatPeeringIndex, built from these.
   std::vector<std::vector<IngressOption>> options;
-
-  // Inverted index: peering id value -> UG id values having that option.
-  std::vector<std::vector<std::uint32_t>> ugs_with_peering;
 
   std::size_t peering_count = 0;
   double total_weight = 0.0;
@@ -60,19 +58,23 @@ struct ProblemInstance {
   [[nodiscard]] double TotalPossibleBenefitMs() const;
 };
 
-// Flat, contiguous view of the inverted index for the orchestrator's hot
-// loops: entries for peering g live in [offset[g], offset[g+1]) of the
-// parallel arrays `ug` / `option`, listing each UG that has g among its
-// compliant options (ascending UG id, matching ugs_with_peering order) and a
-// pointer to that option entry. Built from `options` alone, so it stays
-// consistent for instances filtered after construction (fig15's peer
-// subsampling erases options and rebuilds orchestrators).
+// The inverted index, flat and contiguous for the orchestrator's hot loops:
+// one entry per (UG, compliant option). Peering g's entries live in
+// [offset[g], offset[g+1]) of the parallel arrays `ug` / `option`, listing
+// each UG that has g among its compliant options (ascending UG id) and a
+// pointer to that option entry. The UG-major view lists the same entries by
+// UG: UG u's are entry[ug_first[u] .. ug_first[u+1]), in the order of its
+// options. Built from `options` alone, so it stays consistent for instances
+// filtered after construction (fig15's peer subsampling erases options and
+// rebuilds orchestrators). Throws std::length_error past 2^32 - 1 entries.
 struct FlatPeeringIndex {
   explicit FlatPeeringIndex(const ProblemInstance& instance);
 
   std::vector<std::size_t> offset;           // peering_count + 1 entries
   std::vector<std::uint32_t> ug;             // UG id value per entry
   std::vector<const IngressOption*> option;  // the (ug, peering) option
+  std::vector<std::uint32_t> ug_first;       // UgCount() + 1 entries
+  std::vector<std::uint32_t> entry;          // entry index, UG-major
 
   [[nodiscard]] std::size_t EntryCount() const { return ug.size(); }
 };

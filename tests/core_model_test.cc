@@ -31,7 +31,6 @@ ProblemInstance TinyInstance() {
        {util::PeeringId{3}, 60.0, 9000.0}},
   };
   inst.peering_count = 4;
-  inst.ugs_with_peering = {{0}, {0, 1}, {0}, {1}};
   inst.total_weight = 3.0;
   return inst;
 }
@@ -444,14 +443,33 @@ TEST(BuildInstance, MeasuredInstanceConsistentWithWorld) {
   }
 }
 
+// Both views of the flat index list every (UG, option) entry once: the
+// peering-major one by ascending UG, the UG-major one in option order.
 TEST(BuildInstance, InvertedIndexMatchesOptions) {
   const test::World& w = test::SharedWorld();
   const auto inst = test::MakeInstance(w);
+  const FlatPeeringIndex flat{inst};
+  ASSERT_EQ(flat.offset.size(), inst.peering_count + 1);
+  ASSERT_EQ(flat.ug_first.size(), inst.UgCount() + 1);
   for (std::uint32_t g = 0; g < inst.peering_count; ++g) {
-    for (std::uint32_t u : inst.ugs_with_peering[g]) {
-      EXPECT_NE(inst.Option(u, util::PeeringId{g}), nullptr);
+    for (std::size_t i = flat.offset[g]; i < flat.offset[g + 1]; ++i) {
+      EXPECT_EQ(flat.option[i], inst.Option(flat.ug[i], util::PeeringId{g}));
+      if (i > flat.offset[g]) {
+        EXPECT_LT(flat.ug[i - 1], flat.ug[i]);
+      }
     }
   }
+  std::size_t entries = 0;
+  for (std::uint32_t u = 0; u < inst.UgCount(); ++u) {
+    ASSERT_EQ(flat.ug_first[u + 1] - flat.ug_first[u], inst.options[u].size());
+    for (std::size_t k = 0; k < inst.options[u].size(); ++k) {
+      const std::uint32_t e = flat.entry[flat.ug_first[u] + k];
+      EXPECT_EQ(flat.ug[e], u);
+      EXPECT_EQ(flat.option[e], &inst.options[u][k]);
+    }
+    entries += inst.options[u].size();
+  }
+  EXPECT_EQ(flat.EntryCount(), entries);
 }
 
 TEST(BuildInstance, EstimatedInstanceCoversSubset) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -65,9 +66,10 @@ TEST_F(OrchestratorTest, MoreBudgetNeverPredictsWorse) {
 TEST_F(OrchestratorTest, EveryAdvertisedSessionHasAUser) {
   Orchestrator orch{inst_, Cfg(4)};
   const auto cfg = orch.ComputeConfig();
+  const FlatPeeringIndex flat{inst_};
   for (std::size_t p = 0; p < cfg.PrefixCount(); ++p) {
     for (const auto sid : cfg.Sessions(p)) {
-      EXPECT_FALSE(inst_.ugs_with_peering[sid.value()].empty());
+      EXPECT_LT(flat.offset[sid.value()], flat.offset[sid.value() + 1]);
     }
   }
 }
@@ -301,6 +303,31 @@ TEST_F(OrchestratorTest, SeedCacheAuditRunsWithoutCrossCallCache) {
   EXPECT_EQ(obs::Metrics().CounterValue(mismatches) - mismatches0, 0u);
 }
 
+// D_reuse must be a number >= 0: the engine's lone candidate is
+// exclusion-free and its empty surviving set means every candidate is
+// dominated only then. 0 and +inf are the extremes it must still match the
+// reference at, with a learned model.
+TEST_F(OrchestratorTest, DReuseMustBeANonNegativeNumber) {
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    OrchestratorConfig cfg = Cfg(4);
+    cfg.d_reuse_km = bad;
+    EXPECT_THROW((Orchestrator{inst_, cfg}), std::invalid_argument) << bad;
+  }
+  for (const double d : {0.0, std::numeric_limits<double>::infinity()}) {
+    OrchestratorConfig cfg = Cfg(4);
+    cfg.d_reuse_km = d;
+    Orchestrator orch{inst_, cfg};
+    SimEnvironment env{*w_.resolver, *w_.oracle, util::Rng{9}};
+    for (std::size_t iter = 0; iter < 3; ++iter) {
+      (void)orch.RunLearningIteration(env, iter);
+      EXPECT_EQ(ConfigToString(orch.ComputeConfig()),
+                ConfigToString(orch.ComputeConfigUncached()))
+          << "d_reuse=" << d << " iter=" << iter;
+    }
+    EXPECT_GT(orch.model().PreferenceCount(), 0u);
+  }
+}
+
 TEST(LearningTerminationTest, NegativeButImprovingDoesNotStop) {
   // Regression: with `best` initialized to 0 and a multiplicative-only
   // margin, an all-negative benefit sequence never advanced the best marker
@@ -355,15 +382,11 @@ ProblemInstance HandInstance(std::size_t peerings,
                              const std::vector<HandUg>& ugs) {
   ProblemInstance inst;
   inst.peering_count = peerings;
-  inst.ugs_with_peering.assign(peerings, {});
-  for (std::uint32_t u = 0; u < ugs.size(); ++u) {
-    inst.ug_weight.push_back(ugs[u].weight);
-    inst.anycast_rtt_ms.push_back(ugs[u].anycast_ms);
-    inst.options.push_back(ugs[u].options);
-    inst.total_weight += ugs[u].weight;
-    for (const IngressOption& o : ugs[u].options) {
-      inst.ugs_with_peering[o.peering.value()].push_back(u);
-    }
+  for (const HandUg& ug : ugs) {
+    inst.ug_weight.push_back(ug.weight);
+    inst.anycast_rtt_ms.push_back(ug.anycast_ms);
+    inst.options.push_back(ug.options);
+    inst.total_weight += ug.weight;
   }
   return inst;
 }
@@ -542,6 +565,60 @@ TEST(ProbeGateTest, RoundingResidueBelowBaseBestStillCounts) {
   EXPECT_EQ(pf.lower_ms, pn.lower_ms);
   EXPECT_EQ(pf.upper_ms, pn.upper_ms);
   EXPECT_EQ(pf.estimated_ms, pn.estimated_ms);
+}
+
+TEST(ProbeGateTest, SparseSetsProbeWhatTheGateLetsThrough) {
+  // D_reuse 1000 km, all PoPs at 100 km unless noted, no learned
+  // preferences. A=0 reaches UG0 (20 ms, anycast 30) and UG2 (10, anycast
+  // 50); B=1 reaches UG0 (35) and UG1 (10, anycast 15); C=2, D=3 and E=4
+  // reach UG3 (anycast 50) at 20 ms @ 2000 km, 22 ms @ 2800 km and 30 ms @
+  // 1500 km, and UG6, UG4 and UG5 (10 ms, anycast 50) respectively.
+  const ProblemInstance inst = HandInstance(
+      5, {{1.0, 30.0, {Opt(0, 20.0, 100.0), Opt(1, 35.0, 100.0)}},
+          {1.0, 15.0, {Opt(1, 10.0, 100.0)}},
+          {1.0, 50.0, {Opt(0, 10.0, 100.0)}},
+          {1.0, 50.0, {Opt(2, 20.0, 2000.0), Opt(3, 22.0, 2800.0),
+                       Opt(4, 30.0, 1500.0)}},
+          {1.0, 50.0, {Opt(3, 10.0, 100.0)}},
+          {1.0, 50.0, {Opt(4, 10.0, 100.0)}},
+          {1.0, 50.0, {Opt(2, 10.0, 100.0)}}});
+  OrchestratorConfig cfg;
+  cfg.prefix_budget = 2;
+  cfg.d_reuse_km = 1000.0;
+  const Orchestrator orch{inst, cfg};
+
+  // Prefix 0 seeds C (70) > D (68) > E (60) > A (50) > B (5); B's UG0 entry
+  // (35 ms, not below anycast 30) is gated and dies. C commits; D (39, UG3
+  // 21) and E (35: 1500 km undercuts C but keeps it, UG3 25) re-evaluate in
+  // O(1); A re-evaluates to 50 and commits, which opens UG0. D
+  // re-evaluates to 39 again and commits (O(1)). E moves UG3's lower window
+  // edge to 1500 km, past D at 2800 km but not C (walk 1, UG3 25 against
+  // 21: 36), and commits (walk 2, a re-derived set). B's re-evaluation walks UG0's dead entry through the
+  // open set: UG0 goes from 20 to (20 + 35) / 2 = 27.5, so B reads
+  // 5 - 7.5 < 0 and is rejected.
+  // Prefix 1 re-seeds all five: B's UG0 entry stays dead (UG0 is closed
+  // again), so B reads 5 and ties C (25 - 20) but has the lower id; A and
+  // E read 0 (E's UG3 entry, 30 ms against 25, dies). B commits; C
+  // re-evaluates to 5 and commits; D would raise UG3 to 21 and is rejected.
+  // 18 evaluations of 2 entries each, 3 of them gated.
+  obs::Counter& probes = obs::Metrics().GetCounter("orchestrator.celf.probes");
+  obs::Counter& gated =
+      obs::Metrics().GetCounter("orchestrator.celf.gated_probes");
+  const std::uint64_t probes0 = probes.Value();
+  const std::uint64_t gated0 = gated.Value();
+  const CountedConfig got = ComputeCounted(orch);
+  const std::uint64_t got_probes = probes.Value() - probes0;
+  const std::uint64_t got_gated = gated.Value() - gated0;
+  const std::vector<std::vector<util::PeeringId>> want{
+      {util::PeeringId{0}, util::PeeringId{2}, util::PeeringId{3},
+       util::PeeringId{4}},
+      {util::PeeringId{1}, util::PeeringId{2}}};
+  EXPECT_EQ(Schedule(got.config), want);
+  EXPECT_EQ(Schedule(orch.ComputeConfigUncached()), want);
+  EXPECT_EQ(got.evaluations, 18u);
+  EXPECT_EQ(got_probes, 36u);
+  EXPECT_EQ(got_gated, 3u);
+  EXPECT_EQ(got.walks, 2u);
 }
 
 TEST(ProbeGateTest, RejectsMoreSessionsThanPairKeysHold) {

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "core/baselines.h"
+#include "core/config_io.h"
 #include "core/evaluate.h"
 #include "core/orchestrator.h"
 #include "core/sim_environment.h"
@@ -31,6 +32,7 @@ TEST_P(OrchestratorPropertyTest, ConfigIsValid) {
   cfg.prefix_budget = 6;
   Orchestrator orch{inst_, cfg};
   const auto config = orch.ComputeConfig();
+  const FlatPeeringIndex flat{inst_};
   EXPECT_LE(config.PrefixCount(), 6u);
   for (std::size_t p = 0; p < config.PrefixCount(); ++p) {
     EXPECT_FALSE(config.Sessions(p).empty());
@@ -38,7 +40,7 @@ TEST_P(OrchestratorPropertyTest, ConfigIsValid) {
       // Every advertised session exists in the deployment...
       EXPECT_LT(sid.value(), w_.deployment->peerings().size());
       // ...and serves at least one UG.
-      EXPECT_FALSE(inst_.ugs_with_peering[sid.value()].empty());
+      EXPECT_LT(flat.offset[sid.value()], flat.offset[sid.value() + 1]);
     }
     // Sessions within a prefix are unique and sorted.
     const auto& s = config.Sessions(p);
@@ -196,6 +198,31 @@ TEST_P(OrchestratorPropertyTest, IncrementalMatchesNaiveWithLearnedModel) {
       EXPECT_GT(gated.Value() - gated0, 0u);
     }
   }
+}
+
+// The same equivalence on a widened action space (prepend 0-1, lower-pref,
+// no-export): the engine's sparse walk serves every variant, and attributed
+// UGs take the tiered reference evaluation. Compared as config text, so the
+// attributes count too. Without a learned model and after each of three
+// learning iterations.
+TEST_P(OrchestratorPropertyTest, WidenedEngineMatchesReference) {
+  OrchestratorConfig cfg;
+  cfg.prefix_budget = 5;
+  cfg.action_space = {.max_prepend = 1,
+                      .enable_lower_pref = true,
+                      .enable_no_export = true};
+  Orchestrator orch{inst_, cfg};
+  EXPECT_EQ(ConfigToString(orch.ComputeConfig()),
+            ConfigToString(orch.ComputeConfigUncached()))
+      << "no model";
+  SimEnvironment env{*w_.resolver, *w_.oracle, util::Rng{GetParam() + 5}};
+  for (std::size_t iter = 0; iter < 3; ++iter) {
+    (void)orch.RunLearningIteration(env, iter);
+    EXPECT_EQ(ConfigToString(orch.ComputeConfig()),
+              ConfigToString(orch.ComputeConfigUncached()))
+        << "iter=" << iter;
+  }
+  EXPECT_GT(orch.model().PreferenceCount(), 0u);
 }
 
 // The seed-marginal cache must actually engage: across a multi-prefix run,

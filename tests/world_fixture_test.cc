@@ -23,7 +23,6 @@ TEST(WorldFixture, CachedWorldMatchesFreshWorld) {
   EXPECT_EQ(a.anycast_rtt_ms, b.anycast_rtt_ms);
   EXPECT_EQ(a.peering_count, b.peering_count);
   EXPECT_EQ(a.total_weight, b.total_weight);
-  EXPECT_EQ(a.ugs_with_peering, b.ugs_with_peering);
   ASSERT_EQ(a.options.size(), b.options.size());
   for (std::size_t ug = 0; ug < a.options.size(); ++ug) {
     ASSERT_EQ(a.options[ug].size(), b.options[ug].size()) << "ug " << ug;
