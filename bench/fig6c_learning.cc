@@ -101,7 +101,7 @@ int main() {
 
   // Catchment-pruning phase (DESIGN.md §14): at the Azure scale (1200 stub
   // ASes, budget 32 — the regime where many peerings' catchments are
-  // saturated) the predictor's cached-seed skip must cut CELF evaluations
+  // saturated) the engine's cached-seed skip must cut CELF evaluations
   // by a large margin while reproducing the from-scratch reference's
   // configuration byte for byte. Each pruned seed skips exactly one
   // evaluation and changes nothing else, so the unpruned count is the

@@ -5,9 +5,9 @@
 //   generate   — produce >= 1M flow arrivals from synthetic UG profiles and
 //                record the generation rate (flows/s of wall time) plus the
 //                trace checksum (the determinism identity).
-//   pin_lookup — microbench the sharded flow-pinning store: insert a large
-//                working set, then time Find() batches and report p50/p99
-//                per-lookup latency.
+//   pin_lookup — microbench the flow-pinning table: insert a large working
+//                set, then time Find() batches and report p50/p99
+//                per-lookup latency. The phase's wall time covers both.
 //   edge_probe_loop — the 8-tunnel TM-Edge alone over the trace horizon:
 //                the probe loop every replay below carries, reported as
 //                des_events and wall_des_ns_per_event.
@@ -236,8 +236,8 @@ int main(int argc, char** argv) {
       keys.push_back(key);
     }
     constexpr std::size_t kBatch = 1024;
-    // A large prime stride scatters the probe sequence across shards so the
-    // batch isn't a cache-resident linear walk.
+    // A large prime stride scatters the probe sequence over the table so
+    // the batch isn't a cache-resident linear walk.
     const std::size_t stride = 104'729 % keys.size();
     std::size_t cursor = 0;
     const std::size_t batches = smoke ? 32 : 512;

@@ -81,73 +81,55 @@ IngressResolver::Result IngressResolver::ResolveWithRoutes(
     throw std::invalid_argument{
         "ResolveWithRoutes: attrs size does not match advertised"};
   }
-  // Group the advertised sessions by neighbor AS. With attributes, each AS's
-  // announcement takes the most attractive session key and the exit-choice
-  // bucket keeps only the sessions achieving it (first-seen order, like the
-  // legacy path): BGP selects per AS, hot potato breaks ties among the
-  // equally-best sessions.
-  std::unordered_map<util::AsId, std::vector<util::PeeringId>> by_as;
+  // Group the advertised sessions by neighbor AS, in first-seen order. Each
+  // AS's announcement takes the most attractive session key, and the
+  // exit-choice bucket keeps only the sessions achieving it, in advertised
+  // order: BGP selects per AS, hot potato breaks ties among the equally-best
+  // sessions. key = (lower-pref, prepend) lexicographic — the order
+  // `bgpsim::Preferred` applies within a relationship class. all_no_export
+  // tracks whether every min-key session carries kNoExportUp (only then does
+  // the AS's best direct route carry it; one exporting variant wins the
+  // engine's seed dedupe). Without attributes every session reads as
+  // default, as in BgpEngine::Propagate.
+  struct AsAgg {
+    std::pair<int, int> key;
+    bool all_no_export = false;
+    std::vector<util::PeeringId> options;
+  };
+  std::unordered_map<util::AsId, AsAgg> aggs;
   bgpsim::Announcement ann{.prefix = util::PrefixId{0},
                            .origin = deployment_->cloud_as(),
                            .to_neighbors = {}};
-  if (attrs.empty()) {
-    for (util::PeeringId pid : advertised) {
-      auto& bucket = by_as[deployment_->peering(pid).peer];
-      if (bucket.empty()) {
-        ann.to_neighbors.push_back(deployment_->peering(pid).peer);
-      }
-      bucket.push_back(pid);
+  for (std::size_t k = 0; k < advertised.size(); ++k) {
+    const bgpsim::NeighborAttr a =
+        attrs.empty() ? bgpsim::NeighborAttr{} : attrs[k];
+    if (a.prepend == bgpsim::kPrependInfinity) continue;  // silent session
+    const util::AsId peer = deployment_->peering(advertised[k]).peer;
+    const std::pair<int, int> key{
+        a.community == bgpsim::Community::kLowerPref ? 1 : 0, a.prepend};
+    const bool nx = a.community == bgpsim::Community::kNoExportUp;
+    const auto [it, inserted] = aggs.try_emplace(peer);
+    AsAgg& e = it->second;
+    if (inserted) ann.to_neighbors.push_back(peer);
+    if (inserted || key < e.key) {
+      e.key = key;
+      e.all_no_export = nx;
+      e.options.assign(1, advertised[k]);
+    } else if (key == e.key) {
+      e.all_no_export = e.all_no_export && nx;
+      e.options.push_back(advertised[k]);
     }
-  } else {
-    // Per-AS aggregation state, keyed like by_as. key = (lower-pref,
-    // prepend) lexicographic — the order `bgpsim::Preferred` applies within
-    // a relationship class. all_no_export tracks whether every min-key
-    // session carries kNoExportUp (only then does the AS's best direct route
-    // carry it; one exporting variant wins the engine's seed dedupe).
-    struct AsAgg {
-      std::pair<int, int> key;
-      bool all_no_export = false;
-      std::vector<util::PeeringId> options;
-    };
-    std::unordered_map<util::AsId, AsAgg> agg;
-    std::vector<util::AsId> as_order;  // first-seen, for deterministic output
-    for (std::size_t k = 0; k < advertised.size(); ++k) {
-      const bgpsim::NeighborAttr& a = attrs[k];
-      if (a.prepend == bgpsim::kPrependInfinity) continue;  // silent session
-      const util::AsId peer = deployment_->peering(advertised[k]).peer;
-      const std::pair<int, int> key{
-          a.community == bgpsim::Community::kLowerPref ? 1 : 0, a.prepend};
-      const bool nx = a.community == bgpsim::Community::kNoExportUp;
-      auto [it, inserted] = agg.try_emplace(peer);
-      AsAgg& e = it->second;
-      if (inserted) {
-        as_order.push_back(peer);
-        e.key = key;
-        e.all_no_export = nx;
-        e.options.push_back(advertised[k]);
-      } else if (key < e.key) {
-        e.key = key;
-        e.all_no_export = nx;
-        e.options.clear();
-        e.options.push_back(advertised[k]);
-      } else if (key == e.key) {
-        e.all_no_export = e.all_no_export && nx;
-        e.options.push_back(advertised[k]);
-      }
+  }
+  for (const util::AsId peer : ann.to_neighbors) {
+    const AsAgg& e = aggs.at(peer);
+    bgpsim::NeighborAttr as_attr;
+    as_attr.prepend = static_cast<std::uint8_t>(e.key.second);
+    if (e.key.first == 1) {
+      as_attr.community = bgpsim::Community::kLowerPref;
+    } else if (e.all_no_export) {
+      as_attr.community = bgpsim::Community::kNoExportUp;
     }
-    for (util::AsId peer : as_order) {
-      AsAgg& e = agg.at(peer);
-      ann.to_neighbors.push_back(peer);
-      bgpsim::NeighborAttr as_attr;
-      as_attr.prepend = static_cast<std::uint8_t>(e.key.second);
-      if (e.key.first == 1) {
-        as_attr.community = bgpsim::Community::kLowerPref;
-      } else if (e.all_no_export) {
-        as_attr.community = bgpsim::Community::kNoExportUp;
-      }
-      ann.attrs.push_back(as_attr);
-      by_as.emplace(peer, std::move(e.options));
-    }
+    ann.attrs.push_back(as_attr);
   }
 
   bgpsim::RoutingOutcome outcome = engine_.Propagate(ann);
@@ -158,9 +140,9 @@ IngressResolver::Result IngressResolver::ResolveWithRoutes(
     if (!outcome.Reachable(ug.as)) continue;
     const auto entry = outcome.EntryAs(ug.as);
     if (!entry.has_value()) continue;
-    const auto it = by_as.find(*entry);
-    if (it == by_as.end()) continue;  // should not happen for valid outcomes
-    ingress[ug.id.value()] = PickExit(*entry, ug.metro, it->second);
+    const auto it = aggs.find(*entry);
+    if (it == aggs.end()) continue;  // should not happen for valid outcomes
+    ingress[ug.id.value()] = PickExit(*entry, ug.metro, it->second.options);
   }
   return Result{std::move(ingress), std::move(outcome)};
 }

@@ -12,6 +12,7 @@
 #include <queue>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace painter::core {
 namespace {
@@ -103,8 +104,7 @@ struct SurvivingSet {
   // Grows the set by a new last candidate at `km` with RTT `rtt` that is
   // preferred over no survivor (DESIGN.md §8's table). Returns false,
   // changing nothing, when the new lower window edge falls inside the set:
-  // only re-deriving the set from the candidates answers that case. Both the
-  // probes and the commits run this one case analysis.
+  // only a walk over the candidates answers that case (UgPrefixState::Walk).
   [[nodiscard]] bool Grow(bool dominated, double km, double rtt,
                           double d_reuse_km) {
     if (dominated) return true;  // it joins no set
@@ -140,13 +140,20 @@ struct UgPrefixState {
     std::uint32_t local;  // RoutingModel::LocalIndex, or kUnobserved
     bool dominated;  // another candidate of the list is known-preferred
     bool wins;       // it has a loser row (it may have won a pair)
+    SessionAttr attr;  // the attributes it was committed under
   };
+  static_assert(sizeof(Cand) == 32, "attributes ride in the padding");
   std::vector<Cand> cands;
   SurvivingSet set;
+  // Some candidate carries a non-default attribute. The surviving set
+  // assumes plain candidates, so such a UG diverts to the tiered attributed
+  // evaluation.
+  bool attributed = false;
 
   void Clear() {
     cands.clear();
     set = SurvivingSet{};
+    attributed = false;
   }
 
   // A new option's two directed dominance bits against the list.
@@ -182,14 +189,60 @@ struct UgPrefixState {
     return out;
   }
 
-  // Appends `opt` (local index `local`) as the last candidate: flags the
-  // candidates it is preferred over as dominated (a dominated candidate
-  // still dominates others, as in the reference), then grows the set in
-  // O(1), or re-derives it on a kill or a partial lower-edge move.
-  void Append(const RoutingModel& model, std::uint32_t ug,
+  // The surviving set of the list plus a new last candidate at `km` with
+  // RTT `rtt` whose bits against the list are `dom`, and whether deriving
+  // it took a walk: SurvivingSet::Grow answers in O(1) unless the candidate
+  // kills a survivor or moves the lower window edge into the set. Probes
+  // and commits both derive their set here.
+  [[nodiscard]] std::pair<SurvivingSet, bool> With(const Dominance& dom,
+                                                   double km, double rtt,
+                                                   double d_reuse_km) const {
+    if (SurvivingSet next = set;
+        !dom.kills && next.Grow(dom.dominated, km, rtt, d_reuse_km)) {
+      return {next, false};
+    }
+    return {Walk(dom, km, rtt, d_reuse_km), true};
+  }
+
+  // With's walk, kept out of the O(1) path so that path inlines into the
+  // probe: one pass for the nearest non-dominated PoP and one for the
+  // window, reading the candidates `dom.row` holds as dominated without
+  // flagging them.
+  [[nodiscard]] SurvivingSet Walk(const Dominance& dom, double km, double rtt,
+                                  double d_reuse_km) const {
+    const auto kept = [&](const Cand& c) {
+      return !c.dominated &&
+             !(dom.row != nullptr && c.local != RoutingModel::kUnobserved &&
+               RoutingModel::RowHas(dom.row, c.local));
+    };
+    double min_km = kInf;
+    for (const Cand& c : cands) {
+      if (kept(c)) min_km = std::min(min_km, c.km);
+    }
+    if (!dom.dominated) min_km = std::min(min_km, km);
+    SurvivingSet out{0.0, 0, min_km, min_km};
+    const auto add = [&](double c_km, double c_rtt) {
+      if (c_km - min_km > d_reuse_km) return;
+      out.sum += c_rtt;
+      ++out.count;
+      out.max_km = std::max(out.max_km, c_km);
+    };
+    for (const Cand& c : cands) {
+      if (kept(c)) add(c.km, c.rtt);
+    }
+    if (!dom.dominated) add(km, rtt);
+    return out;
+  }
+
+  // Appends `opt` (local index `local`) under `attr` as the last candidate:
+  // takes the set With derives, and flags the candidates it is preferred
+  // over as dominated (a dominated candidate still dominates others, as in
+  // the reference). Returns whether deriving the set took a walk.
+  bool Append(const RoutingModel& model, std::uint32_t ug,
               const IngressOption* opt, double rtt, std::uint32_t local,
-              double d_reuse_km) {
+              SessionAttr attr, double d_reuse_km) {
     const Dominance dom = Scan(model, ug, local, d_reuse_km);
+    const auto [next, walked] = With(dom, opt->distance_km, rtt, d_reuse_km);
     if (dom.row != nullptr) {
       for (Cand& c : cands) {
         if (c.local != RoutingModel::kUnobserved &&
@@ -199,26 +252,10 @@ struct UgPrefixState {
       }
     }
     cands.push_back(Cand{opt, rtt, opt->distance_km, local, dom.dominated,
-                         dom.row != nullptr});
-    if (dom.kills || !set.Grow(dom.dominated, opt->distance_km, rtt,
-                               d_reuse_km)) {
-      Rederive(d_reuse_km);
-    }
-  }
-
-  // One pass for the nearest non-dominated PoP and one for the window.
-  void Rederive(double d_reuse_km) {
-    double min_km = kInf;
-    for (const Cand& c : cands) {
-      if (!c.dominated) min_km = std::min(min_km, c.km);
-    }
-    set = SurvivingSet{0.0, 0, min_km, min_km};
-    for (const Cand& c : cands) {
-      if (c.dominated || c.km - min_km > d_reuse_km) continue;
-      set.sum += c.rtt;
-      ++set.count;
-      set.max_km = std::max(set.max_km, c.km);
-    }
+                         dom.row != nullptr, attr});
+    set = next;
+    attributed = attributed || !attr.IsDefault();
+    return walked;
   }
 };
 
@@ -318,6 +355,13 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
   // Variant table: the advertisement attributes Algorithm 1 may pick per
   // (peering, prefix). Variant 0 is always the plain announcement, so the
   // default single-variant table runs the legacy loop unchanged.
+  //
+  // Each variant seeds the heap from a seed slot, slot_of[v]. Every variant
+  // but no-export shares slot 0, the plain seed marginal: against an empty
+  // prefix each UG's trial list is the probed option alone, whose tiered
+  // expectation is its effective RTT regardless of prepend level or
+  // lower-pref. No-export, the last variant, has slot 1: the in-cone subset
+  // of the plain sum. Slot k's marginal is evaluated under slot_attr[k].
   const ActionSpaceConfig& aspace = config_.action_space;
   std::vector<SessionAttr> variants;
   for (std::uint8_t pl = 0; pl <= aspace.max_prepend; ++pl) {
@@ -327,11 +371,13 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
     variants.push_back(
         SessionAttr{.community = bgpsim::Community::kLowerPref});
   }
-  std::uint32_t nx_variant = 0;  // valid only when enable_no_export
+  std::vector<std::size_t> slot_of(variants.size(), 0);
+  std::vector<SessionAttr> slot_attr{SessionAttr{}};
   if (aspace.enable_no_export) {
     variants.push_back(
         SessionAttr{.community = bgpsim::Community::kNoExportUp});
-    nx_variant = static_cast<std::uint32_t>(variants.size() - 1);
+    slot_of.push_back(1);
+    slot_attr.push_back(variants.back());
   }
   const bool wide = variants.size() > 1;
 
@@ -346,16 +392,10 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
   std::vector<util::PeeringId> sessions;  // its advertised sessions, sorted
   std::vector<SessionAttr> session_attrs;  // parallel to `sessions` when wide
   // Per-UG state of the in-progress prefix: the UG's compliant options among
-  // `sessions` and their surviving set, maintained at commit so a probe
-  // rarely walks the list. On the plain path cur_e[u] == state[u].set.Mean().
+  // `sessions`, with their attributes, and their surviving set, maintained
+  // at commit so a probe rarely walks the list. On the plain path
+  // cur_e[u] == state[u].set.Mean().
   std::vector<UgPrefixState> state(n_ug);
-  // Attribute each candidate was committed under (parallel to
-  // state[u].cands) and a per-UG flag set once any candidate carries a
-  // non-default attribute: the surviving set assumes plain candidates, so
-  // flagged UGs divert to the tiered attributed evaluation. Only maintained
-  // when the action space is widened — the legacy space never allocates them.
-  std::vector<std::vector<SessionAttr>> cand_attrs(wide ? n_ug : 0);
-  std::vector<std::uint8_t> cand_attributed(wide ? n_ug : 0, 0);
   // The incremental engine's probe gate: per UG, the effective RTT an entry
   // must undercut for its Eq. 1 term to be possibly non-zero on the prefix
   // under construction (see the prefix-round reset below).
@@ -403,16 +443,14 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
                                     local_of[i]);
   };
 
-  // Cross-round seed-marginal cache. A peering's *seed* marginal (evaluated
-  // against an empty in-progress prefix) depends only on base_best over its
-  // UGs, so committing a prefix invalidates exactly the peerings whose UG
-  // sets intersect the UGs whose base_best dropped — the dirty-UG rule.
-  std::vector<double> seed_delta(inst.peering_count, 0.0);
-  // Seed marginal of the no-export variant: the in-cone subset of the plain
-  // sum, so it gets its own cache slot (same dirty rule — its UG set is a
-  // subset of the plain one).
-  std::vector<double> seed_delta_nx(
-      aspace.enable_no_export ? inst.peering_count : 0, 0.0);
+  // Cross-round seed-marginal cache, one row per seed slot. A peering's
+  // *seed* marginal (evaluated against an empty in-progress prefix) depends
+  // only on base_best over its UGs, so committing a prefix invalidates
+  // exactly the peerings whose UG sets intersect the UGs whose base_best
+  // dropped — the dirty-UG rule. It holds for both slots: the no-export
+  // marginal's UG set is a subset of the plain one.
+  std::vector<std::vector<double>> seed_delta(
+      slot_attr.size(), std::vector<double>(inst.peering_count, 0.0));
   std::vector<std::uint8_t> seed_dirty(inst.peering_count, 1);
   // Catchment-pruning state: a peering's seed marginal is a sum of
   // w_u * max(0, base_best[u] - eff_rtt) terms over its catchment, each
@@ -453,8 +491,9 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
         ++cross_invalidations;
         continue;
       }
-      seed_delta[g] = seed0_cache_[g];
-      if (aspace.enable_no_export) seed_delta_nx[g] = seed0_nx_cache_[g];
+      for (std::size_t k = 0; k < seed_delta.size(); ++k) {
+        seed_delta[k][g] = seed0_cache_[k][g];
+      }
       seed_evaluated[g] = 1;  // cached value is exact → valid pruning bound
       ++cross_hits;
     }
@@ -464,13 +503,12 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
 
   // Eq. 2 mean of state[u].cands + opt, the option of flat-index entry i
   // (kInf when unusable), without mutating state. The incremental engine
-  // reads the two directed dominance bits of opt against the list; unless
-  // opt kills a survivor, the grown surviving set follows from the kept
-  // aggregates in O(1). Sums stay in candidate order with opt last, so every
+  // reads the two directed dominance bits of opt against the list in one
+  // scan and derives the surviving set of the longer list from them (O(1)
+  // unless it walks). Sums stay in candidate order with opt last, so every
   // branch is the reference's mean bit for bit. The reference pass runs
   // ComputeExpectationFromCandidates itself.
   std::vector<const IngressOption*> trial;  // probe scratch, reused
-  UgPrefixState grown;
   auto expected_with = [&](std::uint32_t u, std::size_t i) {
     const UgPrefixState& s = state[u];
     const IngressOption* opt = flat_.option[i];
@@ -484,21 +522,11 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
       return e.usable ? e.mean_rtt : kInf;
     }
     if (s.cands.empty()) return rtt;  // a lone candidate is exclusion-free
-    const std::uint32_t local = local_at(i);
-    const UgPrefixState::Dominance dom =
-        s.Scan(model_, u, local, params.d_reuse_km);
-    SurvivingSet set = s.set;
-    if (!dom.kills &&
-        set.Grow(dom.dominated, opt->distance_km, rtt, params.d_reuse_km)) {
-      return set.Mean();
-    }
-    // The walk: re-derive the grown list's surviving set from the stored
-    // entries — no id lookups, no k² dominance tests.
-    metrics.celf_expectation_fallbacks.Add();
-    grown.cands.assign(s.cands.begin(), s.cands.end());
-    grown.set = s.set;
-    grown.Append(model_, u, opt, rtt, local, params.d_reuse_km);
-    return grown.set.Mean();
+    const auto [next, walked] =
+        s.With(s.Scan(model_, u, local_at(i), params.d_reuse_km),
+               opt->distance_km, rtt, params.d_reuse_km);
+    if (walked) metrics.celf_expectation_fallbacks.Add();
+    return next.Mean();
   };
 
   // Attributed probe: Eq. 2 mean of the list + (opt announced under `attr`).
@@ -506,12 +534,13 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
   // — in the legacy action space that is every call, so it stays
   // bit-identical. Otherwise the attributed tiered evaluation
   // (routing_model.h) runs on the rebuilt AdvertisedOption list.
+  const auto attributed = [&](std::uint32_t u, const SessionAttr& attr) {
+    return wide && (state[u].attributed || !attr.IsDefault());
+  };
   std::vector<AdvertisedOption> atrial;  // probe scratch, reused
   auto expected_with_attr = [&](std::uint32_t u, std::size_t i,
                                 const SessionAttr& attr) {
-    if (!wide || (attr.IsDefault() && cand_attributed[u] == 0)) {
-      return expected_with(u, i);
-    }
+    if (!attributed(u, attr)) return expected_with(u, i);
     metrics.celf_expectation_fallbacks.Add();
     const auto as_advertised = [](const IngressOption* o,
                                   const SessionAttr& a) {
@@ -522,8 +551,8 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
           .no_export = a.community == bgpsim::Community::kNoExportUp};
     };
     atrial.clear();
-    for (std::size_t k = 0; k < state[u].cands.size(); ++k) {
-      atrial.push_back(as_advertised(state[u].cands[k].opt, cand_attrs[u][k]));
+    for (const UgPrefixState::Cand& c : state[u].cands) {
+      atrial.push_back(as_advertised(c.opt, c.attr));
     }
     atrial.push_back(as_advertised(flat_.option[i], attr));
     const PrefixExpectation e =
@@ -591,9 +620,6 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
     std::fill(cur_e.begin(), cur_e.end(), kInf);
     for (UgPrefixState& s : state) s.Clear();
     std::fill(open.begin(), open.end(), 0);
-    for (auto& a : cand_attrs) a.clear();
-    std::fill(cand_attributed.begin(), cand_attributed.end(),
-              static_cast<std::uint8_t>(0));
     // Probe gate (DESIGN.md §8): while every candidate u holds on this
     // prefix has an effective RTT ≥ gate[u], a probe of an option that is
     // not below gate[u] has an Eq. 1 term of exactly +0.0. Every value such
@@ -635,57 +661,42 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
     std::uint64_t round = 0;
     {
       // Seed the CELF heap in peering order. The engine re-evaluates only
-      // dirty peerings — the rest reuse the cached marginal from the
+      // dirty peerings — the rest reuse the cached marginals from the
       // previous round, which a fresh evaluation would reproduce
-      // bit-for-bit; the reference pass re-evaluates every peering.
-      if (!reference) {
-        std::uint64_t hits = 0;
-        std::uint64_t invalidations = 0;
-        for (std::size_t g = 0; g < inst.peering_count; ++g) {
-          if (flat_.offset[g + 1] == flat_.offset[g]) continue;
-          if (!peering_up_[g]) continue;  // down: not a candidate at all
-          if (seed_dirty[g]) {
-            ++invalidations;
-          } else {
-            ++hits;
-          }
-        }
-        metrics.celf_cache_hits.Add(hits);
-        metrics.celf_cache_invalidations.Add(invalidations);
-      }
+      // bit-for-bit; the reference pass re-evaluates every peering. Down
+      // sessions (SetPeeringAvailable) are never evaluated or advertised —
+      // in the cached AND the audit pass alike, so the two see the same
+      // world.
+      std::uint64_t hits = 0;
+      std::uint64_t invalidations = 0;
       for (std::size_t g = 0; g < inst.peering_count; ++g) {
         if (flat_.offset[g + 1] == flat_.offset[g]) continue;
-        // Down sessions (SetPeeringAvailable) are never evaluated or
-        // advertised — in the cached AND the audit pass alike, so the two
-        // see the same world.
         if (!peering_up_[g]) continue;
-        if (!reference && !seed_dirty[g]) continue;  // cache hit
-        const util::PeeringId gid{static_cast<std::uint32_t>(g)};
-        // Catchment-predicted pruning: the cached value upper-bounds the
-        // fresh one (see seed_evaluated above), so ≤ 0 means the peering's
-        // catchment holds no improvable UG — skip.
-        if (!reference && seed_evaluated[g] && seed_delta[g] <= 0.0) {
-          metrics.celf_pruned_seed_evals.Add();
-          if (config_.catchment_audit) {
-            metrics.celf_pruned_audit_checks.Add();
-            config_.catchment_audit(gid, marginal_of(gid, SessionAttr{}));
-          }
-        } else {
-          seed_delta[g] = marginal_of(gid, SessionAttr{});
+        if (!reference && !seed_dirty[g]) {
+          ++hits;
+          continue;
         }
-        if (aspace.enable_no_export) {
-          if (!reference && seed_evaluated[g] && seed_delta_nx[g] <= 0.0) {
+        ++invalidations;
+        const util::PeeringId gid{static_cast<std::uint32_t>(g)};
+        for (std::size_t k = 0; k < seed_delta.size(); ++k) {
+          // Catchment-predicted pruning: the cached value upper-bounds the
+          // fresh one (see seed_evaluated above), so ≤ 0 means the
+          // peering's catchment holds no improvable UG — skip.
+          if (!reference && seed_evaluated[g] && seed_delta[k][g] <= 0.0) {
             metrics.celf_pruned_seed_evals.Add();
             if (config_.catchment_audit) {
               metrics.celf_pruned_audit_checks.Add();
-              config_.catchment_audit(
-                  gid, marginal_of(gid, variants[nx_variant]));
+              config_.catchment_audit(gid, marginal_of(gid, slot_attr[k]));
             }
           } else {
-            seed_delta_nx[g] = marginal_of(gid, variants[nx_variant]);
+            seed_delta[k][g] = marginal_of(gid, slot_attr[k]);
           }
         }
         seed_evaluated[g] = 1;
+      }
+      if (!reference) {
+        metrics.celf_cache_hits.Add(hits);
+        metrics.celf_cache_invalidations.Add(invalidations);
       }
       std::fill(seed_dirty.begin(), seed_dirty.end(),
                 static_cast<std::uint8_t>(0));
@@ -695,7 +706,6 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
         // a lowered base_best) and consume the external dirtiness — the
         // world's changes are now folded in.
         seed0_cache_ = seed_delta;
-        if (aspace.enable_no_export) seed0_nx_cache_ = seed_delta_nx;
         seed_cache_primed_ = true;
         std::fill(ug_dirty_.begin(), ug_dirty_.end(),
                   static_cast<std::uint8_t>(0));
@@ -706,19 +716,11 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
       for (std::uint32_t g = 0; g < inst.peering_count; ++g) {
         if (flat_.offset[g + 1] == flat_.offset[g]) continue;
         if (!peering_up_[g]) continue;  // down sessions never enter the heap
-        if (seed_delta[g] > 0.0) {
-          // Every non-no-export variant shares the plain seed marginal:
-          // against an empty prefix each UG's trial list is the probed
-          // option alone, whose tiered expectation is its effective RTT
-          // regardless of prepend level or lower-pref.
-          for (std::uint32_t v = 0; v < variants.size(); ++v) {
-            if (aspace.enable_no_export && v == nx_variant) continue;
-            heap.push(Scored{seed_delta[g], round, util::PeeringId{g}, v});
+        for (std::uint32_t v = 0; v < variants.size(); ++v) {
+          const double delta = seed_delta[slot_of[v]][g];
+          if (delta > 0.0) {
+            heap.push(Scored{delta, round, util::PeeringId{g}, v});
           }
-        }
-        if (aspace.enable_no_export && seed_delta_nx[g] > 0.0) {
-          heap.push(
-              Scored{seed_delta_nx[g], round, util::PeeringId{g}, nx_variant});
         }
       }
     }
@@ -763,9 +765,18 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
         // No-export never reaches out-of-cone UGs: their candidate state and
         // expectation are untouched by this commit.
         if (nx && !opt->in_peer_cone) continue;
-        cur_e[u] = expected_with_attr(u, i, attr);
-        state[u].Append(model_, u, opt, eff_rtt[i], local_at(i),
-                        params.d_reuse_km);
+        // The reference and the attributed evaluation read the list before
+        // it grows. On the plain engine path the append's surviving set is
+        // the probe's, and its walk is the probe's fallback.
+        const bool plain = !reference && !attributed(u, attr);
+        if (!plain) cur_e[u] = expected_with_attr(u, i, attr);
+        const bool walked = state[u].Append(model_, u, opt, eff_rtt[i],
+                                            local_at(i), attr,
+                                            params.d_reuse_km);
+        if (plain) {
+          if (walked) metrics.celf_expectation_fallbacks.Add();
+          cur_e[u] = state[u].set.Mean();
+        }
         if (!reference && eff_rtt[i] < gate[u]) {
           if (gate[u] != kInf) {
             for (std::uint32_t k = flat_.ug_first[u]; k < flat_.ug_first[u + 1];
@@ -775,10 +786,6 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
             }
           }
           gate[u] = kInf;
-        }
-        if (wide) {
-          cand_attrs[u].push_back(attr);
-          if (!attr.IsDefault()) cand_attributed[u] = 1;
         }
       }
       if (!config_.enable_reuse) break;  // ablation: one peering per prefix

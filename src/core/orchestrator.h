@@ -274,8 +274,9 @@ class Orchestrator {
   // Cross-call seed-cache state, mutated by the const ComputeConfig path
   // (mutable: it is a memo over the model, not logical orchestrator state).
   mutable bool seed_cache_primed_ = false;
-  mutable std::vector<double> seed0_cache_;     // round-0 plain seed marginals
-  mutable std::vector<double> seed0_nx_cache_;  // round-0 no-export marginals
+  // Round-0 seed marginals, one row per seed slot (plain, then no-export
+  // when the action space has it).
+  mutable std::vector<std::vector<double>> seed0_cache_;
   // External dirtiness accumulated since the cache was last primed.
   mutable std::vector<std::uint8_t> ug_dirty_;
   mutable std::vector<std::uint8_t> peering_dirty_ext_;

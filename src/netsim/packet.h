@@ -30,11 +30,10 @@ struct FlowKey {
   friend constexpr auto operator<=>(const FlowKey&, const FlowKey&) = default;
 };
 
-// Full-width 64-bit fingerprint of a flow key. The sharded flow-pinning
-// store (workload/flow_store.h) derives both the shard index (high bits) and
-// the in-shard probe start (low bits) from one value, so the mix quality
-// matters more than for std::hash (which feeds bucketed unordered_maps and
-// is left untouched to preserve their iteration orders).
+// Full-width 64-bit fingerprint of a flow key. The flow-pinning table
+// (workload/flow_store.h) starts its linear probe at the low bits, so the
+// mix quality matters more than for std::hash (which feeds bucketed
+// unordered_maps and is left untouched to preserve their iteration orders).
 [[nodiscard]] constexpr std::uint64_t FlowKeyFingerprint(const FlowKey& k) {
   const std::uint64_t addrs =
       (static_cast<std::uint64_t>(k.src_ip) << 32) | k.dst_ip;

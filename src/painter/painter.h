@@ -43,7 +43,6 @@
 #include "cloudsim/ingress.h"
 #include "core/advertisement.h"
 #include "core/baselines.h"
-#include "core/catchment.h"
 #include "core/evaluate.h"
 #include "core/orchestrator.h"
 #include "core/config_io.h"

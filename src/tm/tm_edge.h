@@ -77,9 +77,8 @@ class TmEdge {
     std::size_t delivered = 0;  // responses received by the client
   };
 
-  // Flow table: sharded open-addressing store (flat arrays, linear probing)
-  // instead of a node-based unordered_map — the pin lookup on every
-  // delivered response is the TM-Edge's hottest path under load. Iterate via
+  // Flow table of the scripted flows (StartFlow): an open-addressing table
+  // read once per packet sent and per response delivered. Iterate via
   // FlowTable::SortedItems() (FlowKey order); slot order is not meaningful.
   using FlowTable = workload::FlowStore<FlowStats>;
 

@@ -1,26 +1,24 @@
-// Sharded open-addressing flow-pinning store.
+// Open-addressing flow-pinning table.
 //
 // The Traffic Manager pins every flow to a destination for its lifetime
-// (§3.2), so under heavy traffic the flow table is the hottest structure in
-// the TM-Edge: one lookup per delivered response and one insert per flow
-// arrival. A node-based unordered_map pays a pointer chase and an allocation
-// per flow; this store keeps keys, values, and slot states in flat parallel
-// arrays — linear probing within a shard, shard selected by the high bits of
-// a strong 64-bit fingerprint (netsim::FlowKeyFingerprint), probe start from
-// the low bits. Deletion uses tombstones so probe chains stay intact;
-// rehashing compacts them away (a mostly-tombstone shard rebuilds at the
-// same capacity instead of growing).
+// (§3.2). TmEdge keeps its per-flow statistics here: one Upsert when a
+// scripted flow starts, and one Find per packet it sends and per response
+// it gets back (a faultsim world scripts two flows). The pin-lookup probes
+// of bench/workload_throughput and perfbench time Find over a
+// 200,000-flow table. The workload replay keeps no table: its pins sit
+// under their expiry buckets (DESIGN.md §13).
 //
-// Iteration order over slots is an implementation detail that depends on the
-// insert/erase history, never on pointer values — it is deterministic for a
-// deterministic op sequence, but NOT key-ordered. Anything that feeds results
-// or reports must use SortedItems(), which snapshots in FlowKey order (the
-// fix for the unordered_map iteration-order dependence the old TmEdge table
-// had).
+// One table of slots in three parallel flat arrays (keys, values, occupied
+// flags), probed linearly from the low bits of a strong 64-bit fingerprint
+// (netsim::FlowKeyFingerprint); a probe reads a slot's one-byte flag before
+// its key. Entries are never removed; the table doubles once it passes 70%
+// full. One array of whole slots inserts slower (DESIGN.md §10).
 //
-// Single-threaded by design: the discrete-event simulator owns the hot path.
-// Sharding is about cache-sized probe neighborhoods and cheap batched expiry
-// (EraseIf walks one flat array per shard), not concurrency.
+// Slot order depends on the insert history, never on pointer values, but it
+// is not key order: anything that feeds results, reports or goldens uses
+// SortedItems(), which snapshots in FlowKey order.
+//
+// Single-threaded: the discrete-event simulator owns it.
 #pragma once
 
 #include <algorithm>
@@ -34,59 +32,30 @@
 
 namespace painter::workload {
 
-struct FlowStoreConfig {
-  // log2 of the shard count; the top shard_bits of the fingerprint pick the
-  // shard. 4 => 16 shards.
-  std::size_t shard_bits = 4;
-  // Initial (and minimum) slot count per shard; power of two.
-  std::size_t min_shard_capacity = 64;
-  // A shard rehashes when (live + tombstones) exceeds this fraction of its
-  // capacity. Probe chains stay short well below 0.8 for linear probing.
-  double max_load_factor = 0.7;
-};
-
 template <typename Value>
 class FlowStore {
  public:
   using Key = netsim::FlowKey;
 
-  explicit FlowStore(FlowStoreConfig config = {}) : config_(config) {
-    if (config_.shard_bits > 16) config_.shard_bits = 16;
-    if (config_.min_shard_capacity < 8) config_.min_shard_capacity = 8;
-    // Round the minimum capacity up to a power of two once, here.
-    std::size_t cap = 8;
-    while (cap < config_.min_shard_capacity) cap <<= 1;
-    config_.min_shard_capacity = cap;
-    if (config_.max_load_factor < 0.1) config_.max_load_factor = 0.1;
-    if (config_.max_load_factor > 0.9) config_.max_load_factor = 0.9;
-    shards_.resize(std::size_t{1} << config_.shard_bits);
-    for (Shard& s : shards_) Rebuild(s, config_.min_shard_capacity);
-  }
+  FlowStore() { Rebuild(kMinCapacity); }
 
   // Finds or default-inserts. The reference is invalidated by the next
-  // insert into the same shard (it may rehash) — use it immediately.
+  // Upsert (it may grow the table) — use it immediately.
   Value& Upsert(const Key& key) {
-    const std::uint64_t h = netsim::FlowKeyFingerprint(key);
-    Shard& shard = ShardOf(h);
-    MaybeRehash(shard);
-    std::size_t slot = 0;
-    if (Locate(shard, key, h, &slot)) return shard.values[slot];
-    // `slot` is the insert position (first tombstone on the probe path, else
-    // the terminating empty slot).
-    if (shard.state[slot] == kEmpty) ++shard.used;
-    shard.state[slot] = kFull;
-    shard.keys[slot] = key;
-    shard.values[slot] = Value{};
-    ++shard.live;
-    ++size_;
-    return shard.values[slot];
+    if (10 * (size_ + 1) > 7 * full_.size()) Rebuild(2 * full_.size());
+    const std::size_t i = Locate(key);
+    if (!full_[i]) {
+      full_[i] = 1;
+      keys_[i] = key;
+      values_[i] = Value{};
+      ++size_;
+    }
+    return values_[i];
   }
 
   [[nodiscard]] Value* Find(const Key& key) {
-    const std::uint64_t h = netsim::FlowKeyFingerprint(key);
-    Shard& shard = ShardOf(h);
-    std::size_t slot = 0;
-    return Locate(shard, key, h, &slot) ? &shard.values[slot] : nullptr;
+    const std::size_t i = Locate(key);
+    return full_[i] ? &values_[i] : nullptr;
   }
   [[nodiscard]] const Value* Find(const Key& key) const {
     return const_cast<FlowStore*>(this)->Find(key);
@@ -99,153 +68,52 @@ class FlowStore {
     return *v;
   }
 
-  bool Erase(const Key& key) {
-    const std::uint64_t h = netsim::FlowKeyFingerprint(key);
-    Shard& shard = ShardOf(h);
-    std::size_t slot = 0;
-    if (!Locate(shard, key, h, &slot)) return false;
-    shard.state[slot] = kTomb;
-    --shard.live;
-    --size_;
-    return true;
-  }
-
-  // Batched expiry: one flat sweep per shard, no per-element hashing.
-  // Removes every entry for which pred(key, value) is true; returns the
-  // number removed. Tombstones are reclaimed by the next rehash.
-  template <typename Pred>
-  std::size_t EraseIf(Pred pred) {
-    std::size_t removed = 0;
-    for (Shard& shard : shards_) {
-      for (std::size_t i = 0; i < shard.state.size(); ++i) {
-        if (shard.state[i] != kFull) continue;
-        if (!pred(static_cast<const Key&>(shard.keys[i]),
-                  static_cast<const Value&>(shard.values[i]))) {
-          continue;
-        }
-        shard.state[i] = kTomb;
-        --shard.live;
-        --size_;
-        ++removed;
-      }
-    }
-    return removed;
-  }
-
-  // Visits every live entry in slot order (deterministic for a deterministic
-  // op history, not key-ordered — see header comment).
-  template <typename Fn>
-  void ForEach(Fn fn) const {
-    for (const Shard& shard : shards_) {
-      for (std::size_t i = 0; i < shard.state.size(); ++i) {
-        if (shard.state[i] == kFull) fn(shard.keys[i], shard.values[i]);
-      }
-    }
-  }
-
   // Snapshot in FlowKey order — the canonical iteration for anything that
   // lands in results, reports, or goldens.
   [[nodiscard]] std::vector<std::pair<Key, Value>> SortedItems() const {
     std::vector<std::pair<Key, Value>> items;
     items.reserve(size_);
-    ForEach([&](const Key& k, const Value& v) { items.emplace_back(k, v); });
+    for (std::size_t i = 0; i < full_.size(); ++i) {
+      if (full_[i]) items.emplace_back(keys_[i], values_[i]);
+    }
     std::sort(items.begin(), items.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     return items;
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t ShardCount() const { return shards_.size(); }
-  [[nodiscard]] std::uint64_t Rehashes() const { return rehashes_; }
-  [[nodiscard]] std::size_t Capacity() const {
-    std::size_t cap = 0;
-    for (const Shard& s : shards_) cap += s.state.size();
-    return cap;
-  }
 
  private:
-  static constexpr std::uint8_t kEmpty = 0;
-  static constexpr std::uint8_t kFull = 1;
-  static constexpr std::uint8_t kTomb = 2;
+  static constexpr std::size_t kMinCapacity = 64;  // a power of two
 
-  struct Shard {
-    std::vector<Key> keys;
-    std::vector<Value> values;
-    std::vector<std::uint8_t> state;
-    std::size_t live = 0;  // kFull slots
-    std::size_t used = 0;  // kFull + kTomb slots (probe-chain occupancy)
-  };
-
-  Shard& ShardOf(std::uint64_t h) {
-    // shard_bits == 0 is a single shard; `h >> 64` would be UB.
-    if (config_.shard_bits == 0) return shards_[0];
-    return shards_[h >> (64 - config_.shard_bits)];
+  // The slot holding `key`, or the empty slot that ends its probe chain.
+  [[nodiscard]] std::size_t Locate(const Key& key) const {
+    const std::size_t mask = full_.size() - 1;
+    std::size_t i =
+        static_cast<std::size_t>(netsim::FlowKeyFingerprint(key)) & mask;
+    while (full_[i] && !(keys_[i] == key)) i = (i + 1) & mask;
+    return i;
   }
 
-  // True if `key` is present (slot set to its position); false with slot set
-  // to the preferred insert position.
-  bool Locate(Shard& shard, const Key& key, std::uint64_t h,
-              std::size_t* slot) const {
-    const std::size_t mask = shard.state.size() - 1;
-    std::size_t i = static_cast<std::size_t>(h) & mask;
-    std::size_t first_tomb = shard.state.size();  // sentinel: none seen
-    for (;;) {
-      const std::uint8_t st = shard.state[i];
-      if (st == kEmpty) {
-        *slot = first_tomb != shard.state.size() ? first_tomb : i;
-        return false;
-      }
-      if (st == kFull && shard.keys[i] == key) {
-        *slot = i;
-        return true;
-      }
-      if (st == kTomb && first_tomb == shard.state.size()) first_tomb = i;
-      i = (i + 1) & mask;
+  void Rebuild(std::size_t capacity) {
+    std::vector<Key> keys = std::exchange(keys_, std::vector<Key>(capacity));
+    std::vector<Value> values =
+        std::exchange(values_, std::vector<Value>(capacity));
+    std::vector<std::uint8_t> full =
+        std::exchange(full_, std::vector<std::uint8_t>(capacity, 0));
+    for (std::size_t j = 0; j < full.size(); ++j) {
+      if (!full[j]) continue;
+      const std::size_t i = Locate(keys[j]);
+      full_[i] = 1;
+      keys_[i] = keys[j];
+      values_[i] = std::move(values[j]);
     }
   }
 
-  void MaybeRehash(Shard& shard) {
-    if (static_cast<double>(shard.used + 1) <=
-        config_.max_load_factor * static_cast<double>(shard.state.size())) {
-      return;
-    }
-    // Grow only if live entries justify it; otherwise rebuild at the same
-    // capacity to shed tombstones.
-    std::size_t cap = shard.state.size();
-    while (static_cast<double>(shard.live + 1) >
-           0.5 * config_.max_load_factor * static_cast<double>(cap)) {
-      cap <<= 1;
-    }
-    Rebuild(shard, cap);
-    ++rehashes_;
-  }
-
-  void Rebuild(Shard& shard, std::size_t cap) {
-    std::vector<Key> old_keys = std::move(shard.keys);
-    std::vector<Value> old_values = std::move(shard.values);
-    std::vector<std::uint8_t> old_state = std::move(shard.state);
-    shard.keys.assign(cap, Key{});
-    shard.values.assign(cap, Value{});
-    shard.state.assign(cap, kEmpty);
-    shard.used = shard.live;
-    const std::size_t mask = cap - 1;
-    for (std::size_t i = 0; i < old_state.size(); ++i) {
-      if (old_state[i] != kFull) continue;
-      std::size_t j =
-          static_cast<std::size_t>(netsim::FlowKeyFingerprint(old_keys[i])) &
-          mask;
-      while (shard.state[j] != kEmpty) j = (j + 1) & mask;
-      shard.state[j] = kFull;
-      shard.keys[j] = old_keys[i];
-      shard.values[j] = std::move(old_values[i]);
-    }
-  }
-
-  FlowStoreConfig config_;
-  std::vector<Shard> shards_;
+  std::vector<Key> keys_;
+  std::vector<Value> values_;
+  std::vector<std::uint8_t> full_;  // 1 where the slot holds an entry
   std::size_t size_ = 0;
-  std::uint64_t rehashes_ = 0;
 };
 
 }  // namespace painter::workload

@@ -1,8 +1,9 @@
-// Catchment predictor accuracy and catchment-pruning soundness.
+// Catchment superset and catchment-pruning soundness.
 //
 // Two correctness bars from DESIGN.md §14:
-//  - the predictor must never miss a shifted UG (zero false negatives): its
-//    compliant-set superset claim is what makes pruning on top of it sound.
+//  - a peering's UG list in the engine's FlatPeeringIndex must never miss a
+//    UG whose ingress shifts when the peering's announcement changes (zero
+//    false negatives): the dirty-UG rule and pruning rely on that superset.
 //    False positives only cost speed, so the rate is reported, not gated.
 //  - pruned CELF seed evaluations must be provably irrelevant: the audit
 //    hook re-runs every skipped from-scratch marginal and this test asserts
@@ -10,31 +11,33 @@
 //    pruned and unpruned engines emit byte-identical configurations.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "core/catchment.h"
 #include "core/config_io.h"
 #include "core/orchestrator.h"
+#include "core/problem.h"
 #include "obs/metrics.h"
 #include "tests/world_fixture.h"
 
 namespace painter::core {
 namespace {
 
-TEST(CatchmentPredictor, SupersetOfRealizedShiftOnSeededWorlds) {
+TEST(PeeringCatchment, SupersetOfRealizedShiftOnSeededWorlds) {
   // 20 seeded worlds; in each, withdraw a handful of sessions one at a time
-  // and compare the realized shifted-UG set against the prediction.
+  // and compare the realized shifted-UG set against the UGs the flat index
+  // lists for the session.
   std::size_t predicted_total = 0;
   std::size_t realized_total = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const test::World& w = test::SharedWorld(seed, 60, 5);
     const auto& peerings = w.deployment->peerings();
     const std::size_t n_ug = w.deployment->ugs().size();
-    const CatchmentPredictor pred{*w.catalog, n_ug, peerings.size()};
+    const ProblemInstance inst = test::MakeInstance(w);
+    const FlatPeeringIndex flat{inst};
 
     std::vector<util::PeeringId> all;
     for (const auto& p : peerings) all.push_back(p.id);
@@ -47,9 +50,10 @@ TEST(CatchmentPredictor, SupersetOfRealizedShiftOnSeededWorlds) {
         if (p.id.value() != target) without.push_back(p.id);
       }
       const auto toggled = w.resolver->Resolve(without);
-      const auto span = pred.ShiftedUgs(util::PeeringId{
-          static_cast<std::uint32_t>(target)});
-      const std::set<std::uint32_t> predicted(span.begin(), span.end());
+      const std::set<std::uint32_t> predicted(
+          flat.ug.begin() + static_cast<std::ptrdiff_t>(flat.offset[target]),
+          flat.ug.begin() +
+              static_cast<std::ptrdiff_t>(flat.offset[target + 1]));
       predicted_total += predicted.size();
       for (std::uint32_t u = 0; u < n_ug; ++u) {
         if (base[u] == toggled[u]) continue;
@@ -72,26 +76,6 @@ TEST(CatchmentPredictor, SupersetOfRealizedShiftOnSeededWorlds) {
                                   static_cast<int>(predicted_total));
   ::testing::Test::RecordProperty("catchment_realized_total",
                                   static_cast<int>(realized_total));
-}
-
-TEST(CatchmentPredictor, PredictShiftedUnionIsSortedUnique) {
-  const test::World& w = test::SharedWorld(3, 60, 5);
-  const auto& peerings = w.deployment->peerings();
-  const CatchmentPredictor pred{*w.catalog, w.deployment->ugs().size(),
-                                peerings.size()};
-  std::vector<util::PeeringId> changed;
-  for (std::size_t i = 0; i < peerings.size(); i += 3) {
-    changed.push_back(peerings[i].id);
-  }
-  const auto joint = pred.PredictShifted(changed);
-  EXPECT_TRUE(std::is_sorted(joint.begin(), joint.end()));
-  EXPECT_EQ(std::adjacent_find(joint.begin(), joint.end()), joint.end());
-  // The union covers each member catchment.
-  for (const util::PeeringId g : changed) {
-    for (const std::uint32_t u : pred.ShiftedUgs(g)) {
-      EXPECT_TRUE(std::binary_search(joint.begin(), joint.end(), u));
-    }
-  }
 }
 
 TEST(CatchmentPruning, AuditedSkipsAreFromScratchZero) {

@@ -12,9 +12,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "core/config_io.h"
 #include "core/orchestrator.h"
+#include "core/sim_environment.h"
+#include "obs/metrics.h"
+#include "tests/pin_hash.h"
 #include "tests/world_fixture.h"
 
 namespace painter::core {
@@ -126,6 +133,136 @@ INSTANTIATE_TEST_SUITE_P(
                       {12, 16, 31, 35, 39, 41, 58, 72, 99, 108},
                       {13, 14, 34, 52, 61, 89, 99, 112, 113, 115, 119},
                       {11, 24, 31, 65, 73, 90, 103, 113}}}));
+
+// Counter pins. The schedules above pin what the engine picks; these pin how
+// it gets there. Each run hashes (tests/pin_hash.h), per planning call, the
+// config text and the delta of every orchestrator.celf.* / celf.pruned.*
+// counter, first for ComputeConfig and then for ComputeConfigUncached on the
+// same model state, which must return the same text. A refactor that keeps
+// every schedule but changes how often the engine probes, walks a candidate
+// list, prunes or serves a cached seed fails here.
+constexpr const char* kCelfCounters[] = {
+    "orchestrator.celf.evaluations",
+    "orchestrator.celf.stale_reevals",
+    "orchestrator.celf.cache_hits",
+    "orchestrator.celf.cache_invalidations",
+    "orchestrator.celf.expectation_fallbacks",
+    "orchestrator.celf.probes",
+    "orchestrator.celf.gated_probes",
+    "orchestrator.celf.commits",
+    "orchestrator.celf.cross_seed_hits",
+    "orchestrator.celf.cross_seed_invalidations",
+    "orchestrator.celf.seed_cache_audit_checks",
+    "orchestrator.celf.seed_cache_audit_mismatches",
+    "celf.pruned.seed_evals",
+    "celf.pruned.audit_checks",
+};
+
+std::uint64_t CelfCounter(std::size_t k) {
+  return obs::Metrics().GetCounter(kCelfCounters[k]).Value();
+}
+
+// Adds `call`'s config text and counter deltas to `h`; returns the text.
+template <typename Call>
+std::string PinCall(test::Fnv1a& h, Call call) {
+  std::vector<std::uint64_t> before;
+  for (std::size_t k = 0; k < std::size(kCelfCounters); ++k) {
+    before.push_back(CelfCounter(k));
+  }
+  const std::string text = ConfigToString(call());
+  for (const char c : text) {
+    h.Add(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
+  }
+  for (std::size_t k = 0; k < std::size(kCelfCounters); ++k) {
+    h.Add(CelfCounter(k) - before[k]);
+  }
+  return text;
+}
+
+// One planning call on the engine and on the reference; returns the
+// engine's configuration.
+AdvertisementConfig PinPlan(test::Fnv1a& h, const Orchestrator& orch) {
+  AdvertisementConfig config;
+  const std::string engine = PinCall(h, [&] {
+    config = orch.ComputeConfig();
+    return config;
+  });
+  const std::string reference =
+      PinCall(h, [&] { return orch.ComputeConfigUncached(); });
+  EXPECT_EQ(engine, reference);
+  return config;
+}
+
+TEST(CelfCounterPins, PlainPlans) {
+  const test::World& w = test::SharedWorld();
+  const auto inst = test::MakeInstance(w);
+  for (const auto& [budget, pin] :
+       {std::pair<std::size_t, std::uint64_t>{8, 0x8a4193bb79d7e8b4ULL},
+        std::pair<std::size_t, std::uint64_t>{32, 0x019fcd3b6848b355ULL}}) {
+    OrchestratorConfig cfg;
+    cfg.prefix_budget = budget;
+    const Orchestrator orch{inst, cfg};
+    test::Fnv1a h;
+    (void)PinPlan(h, orch);
+    EXPECT_EQ(h.value(), pin) << "budget " << budget;
+  }
+}
+
+// Plans 2 and 3 run against learned preferences, so the dominance scan
+// reads loser rows and the surviving sets lose dominated candidates.
+TEST(CelfCounterPins, ThreeLearningIterations) {
+  const test::World& w = test::SharedWorld();
+  const auto inst = test::MakeInstance(w);
+  OrchestratorConfig cfg;
+  cfg.prefix_budget = 8;
+  Orchestrator orch{inst, cfg};
+  SimEnvironment env{*w.resolver, *w.oracle, util::Rng{9}};
+  test::Fnv1a h;
+  for (int iter = 0; iter < 3; ++iter) {
+    const AdvertisementConfig config = PinPlan(h, orch);
+    orch.Absorb(config, env.Execute(config));
+    ASSERT_GT(orch.model().PreferenceCount(), 0u) << "iteration " << iter;
+  }
+  EXPECT_EQ(h.value(), 0xb59875387d1753ccULL);
+}
+
+// A widened action space with no-export keeps a second seed slot, and the
+// cross-call cache carries both slots between calls. Absorb and InvalidateUg
+// dirty part of the cache between calls; the catchment audit re-runs every
+// pruned seed of either slot, and its values join the hash.
+TEST(CelfCounterPins, WideCrossCallWithNoExport) {
+  const test::World& w = test::SharedWorld();
+  const auto inst = test::MakeInstance(w);
+  test::Fnv1a h;
+  OrchestratorConfig cfg;
+  cfg.prefix_budget = 8;
+  cfg.action_space = ActionSpaceConfig{.max_prepend = 1,
+                                       .enable_lower_pref = true,
+                                       .enable_no_export = true};
+  cfg.cross_call_seed_cache = true;
+  cfg.catchment_audit = [&](util::PeeringId g, double fresh) {
+    EXPECT_LE(fresh, 0.0);
+    h.Add(static_cast<std::uint64_t>(g.value()));
+    h.Add(fresh);
+  };
+  Orchestrator orch{inst, cfg};
+  SimEnvironment env{*w.resolver, *w.oracle, util::Rng{5}};
+  obs::Counter& cross_hits =
+      obs::Metrics().GetCounter("orchestrator.celf.cross_seed_hits");
+  const std::uint64_t cross_hits0 = cross_hits.Value();
+  AdvertisementConfig config = PinPlan(h, orch);
+  ASSERT_FALSE(config.AllAttrsDefault());
+  orch.Absorb(config, env.Execute(config));
+  config = PinPlan(h, orch);
+  ASSERT_TRUE(orch.InvalidateUg(3));
+  ASSERT_TRUE(orch.InvalidateUg(40));
+  config = PinPlan(h, orch);
+  orch.Absorb(config, env.Execute(config));
+  (void)PinPlan(h, orch);
+  EXPECT_GT(cross_hits.Value(), cross_hits0)
+      << "no seed was served across calls";
+  EXPECT_EQ(h.value(), 0xc9f958eea2c9a429ULL);
+}
 
 }  // namespace
 }  // namespace painter::core

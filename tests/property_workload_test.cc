@@ -7,11 +7,10 @@
 //    order, a repeated or out-of-range (ug, seq), every truncation and
 //    random byte flips either load as a canonical-order trace of unique
 //    in-range keys or throw std::runtime_error — nothing else.
-//  - Store correctness: the sharded open-addressing store agrees with a
-//    std::unordered_map reference model under randomized insert / erase /
-//    batched-expiry churn that forces rehashes, and a pinned value written
-//    at insertion never changes while the flow lives (pinning immutability,
-//    §3.2).
+//  - Store correctness: the open-addressing flow table agrees with a
+//    std::unordered_map reference model under randomized upserts and finds
+//    that force growth, and a pinned value written at insertion never
+//    changes (pinning immutability, §3.2).
 //  - Policy safety: neither policy ever returns a tunnel whose view is
 //    down, across randomized view sets and load states.
 //  - Engine determinism: two runs of the same replay produce identical
@@ -230,21 +229,21 @@ netsim::FlowKey RandomKey(util::Rng& rng, std::uint32_t space) {
       .proto = 6};
 }
 
-// Randomized differential test against std::unordered_map, with a small
-// initial capacity so growth and tombstone-compaction rehashes both fire.
-TEST(FlowStoreProperty, AgreesWithReferenceModelUnderChurn) {
+// Randomized differential test against std::unordered_map: upserts and
+// finds, half of them of keys already in the table, take the 64-slot table
+// through several growths per seed.
+TEST(FlowStoreProperty, AgreesWithReferenceModelThroughGrowth) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     util::Rng rng{util::MixSeed(seed, 0xF10Fu)};
-    FlowStoreConfig cfg;
-    cfg.shard_bits = 2;
-    cfg.min_shard_capacity = 8;
-    FlowStore<std::uint64_t> store{cfg};
+    FlowStore<std::uint64_t> store;
     std::unordered_map<netsim::FlowKey, std::uint64_t> ref;
+    std::vector<netsim::FlowKey> keys;  // inserted so far
 
     for (int op = 0; op < 6000; ++op) {
-      const double r = rng.Uniform01();
-      if (r < 0.6) {
-        const netsim::FlowKey key = RandomKey(rng, 2000);
+      const bool known = !keys.empty() && rng.Uniform01() < 0.5;
+      const netsim::FlowKey key =
+          known ? keys[rng.Index(keys.size())] : RandomKey(rng, 2000);
+      if (rng.Uniform01() < 0.6) {
         // Value written at first insertion; identical on both sides and —
         // pinning immutability — never rewritten afterwards.
         const std::uint64_t pinned = util::MixSeed(seed, op);
@@ -253,39 +252,24 @@ TEST(FlowStoreProperty, AgreesWithReferenceModelUnderChurn) {
         if (inserted) {
           EXPECT_EQ(slot, 0u);  // fresh entry is value-initialized
           slot = pinned;
+          keys.push_back(key);
         } else {
-          EXPECT_EQ(slot, it->second);  // the pin survived the churn
+          EXPECT_EQ(slot, it->second);  // the pin survived every growth
         }
-      } else if (r < 0.9) {
-        const netsim::FlowKey key = RandomKey(rng, 2000);
-        EXPECT_EQ(store.Erase(key), ref.erase(key) > 0);
       } else {
-        // Batched expiry of a pseudo-random stripe of the key space.
-        const std::uint32_t stripe = static_cast<std::uint32_t>(rng.Index(7));
-        const auto pred = [stripe](const netsim::FlowKey& k) {
-          return k.src_ip % 7 == stripe;
-        };
-        const std::size_t removed = store.EraseIf(
-            [&](const netsim::FlowKey& k, const std::uint64_t&) {
-              return pred(k);
-            });
-        std::size_t ref_removed = 0;
-        for (auto it = ref.begin(); it != ref.end();) {
-          if (pred(it->first)) {
-            it = ref.erase(it);
-            ++ref_removed;
-          } else {
-            ++it;
-          }
+        const std::uint64_t* found = store.Find(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(found != nullptr, it != ref.end());
+        if (found != nullptr) {
+          EXPECT_EQ(*found, it->second);
         }
-        EXPECT_EQ(removed, ref_removed);
       }
       ASSERT_EQ(store.size(), ref.size());
     }
 
-    // Full final audit: every surviving pin is intact, SortedItems is the
-    // reference content in FlowKey order.
-    EXPECT_GT(store.Rehashes(), 0u);
+    // Full final audit: every pin is intact, SortedItems is the reference
+    // content in FlowKey order.
+    ASSERT_GT(store.size(), 1000u);
     const auto items = store.SortedItems();
     ASSERT_EQ(items.size(), ref.size());
     for (std::size_t i = 0; i < items.size(); ++i) {

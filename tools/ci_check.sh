@@ -10,9 +10,9 @@
 #                 surfacing seed-dependent regressions with --output-on-failure.
 #   3. actionspace — the advertisement action-space tier (ctest -L
 #                 actionspace: prepend/community best-path properties,
-#                 v2 config wire format, CELF golden schedules under the
-#                 widened variant table, catchment-predictor superset and
-#                 pruning-audit suites).
+#                 v2 config wire format, CELF golden schedules and counter
+#                 pins under the widened variant table, the flat index's
+#                 catchment superset and the pruning-audit suites).
 #   4. workload — the workload-engine tier (ctest -L workload, including
 #                 replay_alloc_test: a replay's heap allocations must not
 #                 grow with the trace) plus a smoke run of
