@@ -7,6 +7,7 @@
 #include "core/config_io.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
+#include "obs/trace.h"
 
 namespace painter::control {
 namespace {
@@ -144,6 +145,8 @@ void ControlPlaneService::Wake() {
     last_trigger_us_ = now;
     ++stats_.episodes_triggered;
     ServiceMetrics::Get().episodes.Add();
+    episode_start_us_ =
+        obs::TraceSink::Enabled() ? obs::TraceSink::NowUs() : -1.0;
     timeline_.Start();
   }
 
@@ -194,6 +197,13 @@ void ControlPlaneService::OnRound(
     }
   }
   rounds_.push_back(rec);
+  // The episode's span: from its trigger to the end of its last round, so
+  // it also holds the wall time of whatever the simulator ran between the
+  // rounds.
+  if (timeline_.Finished() && episode_start_us_ >= 0.0) {
+    obs::TraceSink::Emit("control.episode", "painter", episode_start_us_,
+                         obs::TraceSink::NowUs() - episode_start_us_);
+  }
 }
 
 std::string ControlPlaneService::CanonicalStats() const {

@@ -155,6 +155,9 @@ class ControlPlaneService {
   ControlPlaneConfig config_;
   CommitCallback on_commit_;
   core::LearningTimeline timeline_;
+  // Trace clock (µs) at the running episode's trigger, or -1 when tracing
+  // was off then: the `control.episode` span (obs/trace.h).
+  double episode_start_us_ = -1.0;
 
   netsim::SimTime anchor_us_ = 0;
   netsim::SimTime wake_us_ = 0;

@@ -11,6 +11,115 @@
 
 namespace painter::core {
 
+namespace {
+
+// The Eq. 2 expectation of every prefix of a configuration, one UG at a
+// time, for the evaluators that score whole configurations. Construction
+// indexes, for each session below peering_count, the prefixes announcing
+// it (ascending) with the attributes of each announcement; sessions at or
+// past peering_count are no UG's option and are left out. For a UG, one
+// pass over its options (sorted by session id) appends each announced
+// option to the candidate list of every prefix announcing it, so each list
+// comes out in ascending session id, as ComputeExpectation's merge gives
+// it. The options' local indices come from one RoutingModel::LocalIndices
+// merge, and every list is evaluated by ComputeExpectationResolved —
+// after the attribute tiering of ComputeExpectationAttributed when some
+// announcement carries attributes.
+class ConfigExpectations {
+ public:
+  ConfigExpectations(const ProblemInstance& instance,
+                     const RoutingModel& model,
+                     const AdvertisementConfig& config,
+                     const ExpectationParams& params)
+      : instance_(&instance),
+        model_(&model),
+        params_(params),
+        attributed_(!config.AllAttrsDefault()),
+        announced_(instance.peering_count),
+        lists_(config.PrefixCount()),
+        tiers_(attributed_ ? config.PrefixCount() : 0) {
+    for (std::uint32_t p = 0; p < config.PrefixCount(); ++p) {
+      const auto& sessions = config.Sessions(p);
+      for (std::size_t j = 0; j < sessions.size(); ++j) {
+        if (sessions[j].value() < instance.peering_count) {
+          announced_[sessions[j].value()].push_back(
+              Announcement{p, config.Attrs(p)[j]});
+        }
+      }
+    }
+  }
+
+  // Calls visit(p, expectation) for every prefix p, in ascending order; a
+  // prefix none of the UG's options is announced on is unusable.
+  template <typename Visit>
+  void ForEachPrefix(std::uint32_t u, Visit&& visit) {
+    const std::vector<IngressOption>& opts = instance_->options.at(u);
+    local_.resize(opts.size());
+    model_->LocalIndices(u, opts, local_);
+    for (auto& list : lists_) list.clear();
+    for (auto& tiers : tiers_) tiers.clear();
+    for (std::size_t k = 0; k < opts.size(); ++k) {
+      const std::size_t s = opts[k].peering.value();
+      if (s >= announced_.size() || announced_[s].empty()) continue;
+      const ResolvedCandidate c{
+          &opts[k],
+          model_->MeasuredRttLocal(u, local_[k]).value_or(opts[k].rtt_ms),
+          local_[k]};
+      for (const Announcement& an : announced_[s]) {
+        lists_[an.prefix].push_back(c);
+        if (attributed_) {
+          tiers_[an.prefix].push_back(AttributeTier(
+              opts[k], an.attr.community == bgpsim::Community::kLowerPref,
+              an.attr.prepend,
+              an.attr.community == bgpsim::Community::kNoExportUp));
+        }
+      }
+    }
+    for (std::size_t p = 0; p < lists_.size(); ++p) {
+      visit(p, Evaluate(u, p));
+    }
+  }
+
+ private:
+  struct Announcement {
+    std::uint32_t prefix;
+    SessionAttr attr;
+  };
+
+  PrefixExpectation Evaluate(std::uint32_t u, std::size_t p) {
+    if (!attributed_) {
+      return ComputeExpectationResolved(*model_, u, lists_[p], params_);
+    }
+    // ComputeExpectationAttributed's tiering: only the lowest tier heard.
+    const std::vector<int>& tiers = tiers_[p];
+    const int best = tiers.empty() ? kUnheardTier
+                                   : *std::min_element(tiers.begin(),
+                                                       tiers.end());
+    tiered_.clear();
+    for (std::size_t k = 0; k < tiers.size(); ++k) {
+      if (tiers[k] == best && best != kUnheardTier) {
+        tiered_.push_back(lists_[p][k]);
+      }
+    }
+    return ComputeExpectationResolved(*model_, u, tiered_, params_);
+  }
+
+  const ProblemInstance* instance_;
+  const RoutingModel* model_;
+  ExpectationParams params_;
+  bool attributed_;
+  // Per session, its announcements in ascending prefix order.
+  std::vector<std::vector<Announcement>> announced_;
+  // One UG's scratch: local indices per option, and per prefix its
+  // candidates (with their tiers when attributed).
+  std::vector<std::uint32_t> local_;
+  std::vector<std::vector<ResolvedCandidate>> lists_;
+  std::vector<std::vector<int>> tiers_;
+  std::vector<ResolvedCandidate> tiered_;
+};
+
+}  // namespace
+
 Orchestrator::Prediction PredictBenefit(const ProblemInstance& instance,
                                         const RoutingModel& model,
                                         const AdvertisementConfig& config,
@@ -27,25 +136,15 @@ Orchestrator::Prediction PredictBenefit(const ProblemInstance& instance,
   // floored at zero — but a UG on a reused prefix may realize anywhere in
   // [lower, upper], which is exactly the uncertainty One-per-PoP strategies
   // suffer from and One-per-Peering never has.
-  const bool attributed = !config.AllAttrsDefault();
+  ConfigExpectations expectations{instance, model, config, params};
   for (std::uint32_t u = 0; u < instance.UgCount(); ++u) {
     const double any = instance.anycast_rtt_ms[u];
-    const PrefixExpectation* best = nullptr;
-    PrefixExpectation scratch;
-    for (std::size_t p = 0; p < config.PrefixCount(); ++p) {
-      const PrefixExpectation e =
-          attributed ? ComputeExpectation(instance, model, u,
-                                          config.Sessions(p), config.Attrs(p),
-                                          params)
-                     : ComputeExpectation(instance, model, u,
-                                          config.Sessions(p), params);
-      if (!e.usable) continue;
-      if (best == nullptr || e.mean_rtt < best->mean_rtt) {
-        scratch = e;
-        best = &scratch;
-      }
-    }
-    if (best == nullptr || best->mean_rtt >= any) continue;  // anycast
+    std::optional<PrefixExpectation> best;
+    expectations.ForEachPrefix(
+        u, [&](std::size_t, const PrefixExpectation& e) {
+          if (e.usable && (!best || e.mean_rtt < best->mean_rtt)) best = e;
+        });
+    if (!best || best->mean_rtt >= any) continue;  // anycast
     const double w = instance.ug_weight[u];
     pred.upper_ms += w * std::max(0.0, any - best->lower_rtt);
     pred.mean_ms += w * std::max(0.0, any - best->mean_rtt);
@@ -317,18 +416,14 @@ double EvaluateDnsSteering(const ProblemInstance& instance,
   // `used` floor in the final loop below.
   const std::size_t cols = config.PrefixCount();
   std::vector<double> rtt(instance.UgCount() * cols, 0.0);
-  const bool attributed = !config.AllAttrsDefault();
+  ConfigExpectations expectations{instance, model, config, params};
   for (std::uint32_t u = 0; u < instance.UgCount(); ++u) {
     double* row = rtt.data() + u * cols;
-    for (std::size_t p = 0; p < cols; ++p) {
-      const PrefixExpectation e =
-          attributed ? ComputeExpectation(instance, model, u,
-                                          config.Sessions(p), config.Attrs(p),
-                                          params)
-                     : ComputeExpectation(instance, model, u,
-                                          config.Sessions(p), params);
-      row[p] = e.usable ? e.mean_rtt : std::numeric_limits<double>::infinity();
-    }
+    expectations.ForEachPrefix(
+        u, [&](std::size_t p, const PrefixExpectation& e) {
+          row[p] = e.usable ? e.mean_rtt
+                            : std::numeric_limits<double>::infinity();
+        });
   }
 
   // Per resolver: pick the single prefix (or anycast) with the best aggregate

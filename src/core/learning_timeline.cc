@@ -61,19 +61,20 @@ void LearningTimeline::RunRound() {
         static_cast<double>(
             obs::Metrics().CounterValue("celf.pruned.seed_evals")));
   }
-  if (on_round_) on_round_(round, reports_.back(), observations);
-
   // Episode termination sees only this episode's reports: a re-armed
   // timeline must not be instantly "complete" because of rounds run by past
   // episodes. For a single episode these are all the rounds, so the report
-  // sequence stays bit-identical to Learn().
+  // sequence stays bit-identical to Learn(). It is decided before the
+  // callback, so the callback of an episode's last round reads Finished().
   const bool cap_hit = config_.max_rounds_per_episode > 0 &&
                        reports_.size() >= config_.max_rounds_per_episode;
-  if (cap_hit || orchestrator_->LearningComplete(reports_)) {
+  const bool done = cap_hit || orchestrator_->LearningComplete(reports_);
+  if (done) {
     finished_ = true;
     active_ = false;
-    return;
   }
+  if (on_round_) on_round_(round, reports_.back(), observations);
+  if (done) return;
   // The episode's round k+1 at anchor + (k+1) * interval — re-derived from
   // the per-episode round count on the absolute grid, like every other
   // periodic scheduler here.

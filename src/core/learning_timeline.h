@@ -79,7 +79,8 @@ class LearningTimeline {
     return reports_;
   }
   // True after the most recent episode terminated (false before the first
-  // Start() and while an episode is running).
+  // Start() and while an episode is running). Already true inside the round
+  // callback of an episode's last round.
   [[nodiscard]] bool Finished() const { return finished_; }
   // Rounds run so far, across every episode.
   [[nodiscard]] std::size_t RoundsRun() const { return rounds_run_; }

@@ -74,6 +74,9 @@ struct OrchestratorMetrics {
       obs::Metrics().GetCounter("orchestrator.learn.iterations");
   obs::Counter& observations =
       obs::Metrics().GetCounter("orchestrator.model.observations");
+  // UGs whose model view entries were re-resolved (RefreshModelView).
+  obs::Counter& view_ugs =
+      obs::Metrics().GetCounter("orchestrator.model_view.ugs_resolved");
   // Heap bytes of the routing model's per-UG state after the last Absorb.
   obs::Gauge& model_footprint =
       obs::Metrics().GetGauge("model.footprint_bytes");
@@ -234,6 +237,15 @@ struct UgPrefixState {
     return out;
   }
 
+  // Appends `opt` under `attr` without deriving a surviving set: the
+  // reference pass evaluates every probe from the list alone, without the
+  // model view.
+  void Push(const IngressOption* opt, SessionAttr attr) {
+    cands.push_back(Cand{opt, 0.0, opt->distance_km, RoutingModel::kUnobserved,
+                         false, false, attr});
+    attributed = attributed || !attr.IsDefault();
+  }
+
   // Appends `opt` (local index `local`) under `attr` as the last candidate:
   // takes the set With derives, and flags the candidates it is preferred
   // over as dominated (a dominated candidate still dominates others, as in
@@ -268,9 +280,11 @@ Orchestrator::Orchestrator(const ProblemInstance& instance,
       model_(instance.UgCount()),
       flat_(instance),
       peering_up_(instance.peering_count, 1),
-      // Everything starts dirty: the first cached call must evaluate the
-      // world before anything can be served from the cross-call cache.
-      ug_dirty_(instance.UgCount(), 1),
+      // Everything starts stamped: the first call resolves the whole model
+      // view, and the first cached call must evaluate the world before
+      // anything can be served from the cross-call cache.
+      ug_stamp_(instance.UgCount(), 1),
+      stamp_(1),
       peering_dirty_ext_(instance.peering_count, 1),
       dirty_ug_count_(instance.UgCount()) {
   // Session ids must fit the model's 16-bit pair keys, and the probe gate's
@@ -288,12 +302,16 @@ Orchestrator::Orchestrator(const ProblemInstance& instance,
   }
 }
 
+bool Orchestrator::StampUg(std::uint32_t u) {
+  const bool fresh = ug_stamp_[u] <= seed_mark_;
+  ug_stamp_[u] = ++stamp_;
+  if (fresh) ++dirty_ug_count_;
+  return fresh;
+}
+
 bool Orchestrator::InvalidateUg(std::uint32_t ug) {
-  if (ug >= instance_->UgCount()) return false;
-  if (ug_dirty_[ug]) return false;
-  ug_dirty_[ug] = 1;
-  ++dirty_ug_count_;
-  return true;
+  if (ug >= instance_->UgCount() || ug_stamp_[ug] > seed_mark_) return false;
+  return StampUg(ug);
 }
 
 bool Orchestrator::InvalidatePeering(util::PeeringId peering) {
@@ -304,7 +322,8 @@ bool Orchestrator::InvalidatePeering(util::PeeringId peering) {
 }
 
 void Orchestrator::InvalidateAll() {
-  std::fill(ug_dirty_.begin(), ug_dirty_.end(), static_cast<std::uint8_t>(1));
+  ++stamp_;
+  std::fill(ug_stamp_.begin(), ug_stamp_.end(), stamp_);
   std::fill(peering_dirty_ext_.begin(), peering_dirty_ext_.end(),
             static_cast<std::uint8_t>(1));
   dirty_ug_count_ = instance_->UgCount();
@@ -342,6 +361,41 @@ AdvertisementConfig Orchestrator::ComputeConfigUncached() const {
   return ComputeConfigImpl(/*reference=*/true);
 }
 
+void Orchestrator::RefreshModelView() const {
+  const obs::TraceSpan span{"orchestrator.model_view"};
+  const ProblemInstance& inst = *instance_;
+  eff_rtt_.resize(flat_.EntryCount());
+  // The local-index bytes exist once the model holds a preference: before
+  // that no dominance bit can be set and every option reads as kUnobserved,
+  // so a plan on an empty model holds no per-entry learned state. Creating
+  // them resolves every UG once.
+  bool all = false;
+  if (local_of_.empty() && model_.PreferenceCount() > 0) {
+    local_of_.resize(flat_.EntryCount());
+    all = true;
+  }
+  std::vector<std::uint32_t> local;
+  std::uint64_t resolved = 0;
+  for (std::uint32_t u = 0; u < inst.UgCount(); ++u) {
+    if (!all && ug_stamp_[u] <= view_mark_) continue;
+    ++resolved;
+    // UG u's entries, in the order of its options.
+    const std::vector<IngressOption>& opts = inst.options[u];
+    const std::uint32_t* entry = flat_.entry.data() + flat_.ug_first[u];
+    local.resize(opts.size());
+    model_.LocalIndices(u, opts, local);
+    for (std::size_t k = 0; k < opts.size(); ++k) {
+      eff_rtt_[entry[k]] =
+          model_.MeasuredRttLocal(u, local[k]).value_or(opts[k].rtt_ms);
+      if (!local_of_.empty()) {
+        local_of_[entry[k]] = RoutingModel::PackLocal(local[k]);
+      }
+    }
+  }
+  view_mark_ = stamp_;
+  OrchestratorMetrics::Get().view_ugs.Add(resolved);
+}
+
 AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
   const obs::TraceSpan span{"orchestrator.ComputeConfig"};
   OrchestratorMetrics& metrics = OrchestratorMetrics::Get();
@@ -351,6 +405,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
   // The reference pass skips the engine's seed cache, pruning, probe gate
   // and surviving-set probes: it re-evaluates everything by definition.
   const bool cross = !reference && config_.cross_call_seed_cache;
+  if (!reference) RefreshModelView();
 
   // Variant table: the advertisement attributes Algorithm 1 may pick per
   // (peering, prefix). Variant 0 is always the plain announcement, so the
@@ -410,24 +465,6 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
   std::vector<std::uint64_t> live(words, ~std::uint64_t{0});
   std::vector<std::uint64_t> open(words, 0);
 
-  // Effective single-candidate RTT per flat-index entry: the measured RTT
-  // when the model has one, else the instance estimate — exactly the value
-  // ComputeExpectationFromCandidates would derive for that option. The same
-  // pass resolves each entry's model local index, which the probes and
-  // commits test dominance bits with; while the model holds no preference no
-  // bit can be set, so the index array is not allocated and every option
-  // reads as kUnobserved. The model is fixed for the whole greedy pass, so
-  // fill once per call.
-  std::vector<double> eff_rtt(flat_.EntryCount());
-  std::vector<std::uint8_t> local_of(
-      model_.PreferenceCount() > 0 ? flat_.EntryCount() : 0);
-  for (std::size_t i = 0; i < eff_rtt.size(); ++i) {
-    const IngressOption* opt = flat_.option[i];
-    const std::uint32_t local = model_.LocalIndex(flat_.ug[i], opt->peering);
-    eff_rtt[i] =
-        model_.MeasuredRttLocal(flat_.ug[i], local).value_or(opt->rtt_ms);
-    if (!local_of.empty()) local_of[i] = RoutingModel::PackLocal(local);
-  }
   // Per peering, the in-cone entries a no-export marginal covers.
   std::vector<std::uint32_t> cone_count(
       aspace.enable_no_export ? inst.peering_count : 0, 0);
@@ -436,11 +473,14 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
       if (flat_.option[i]->in_peer_cone) ++cone_count[g];
     }
   }
+  // The engine reads each entry's effective RTT (eff_rtt_) and local index
+  // from the model view, current for this call (RefreshModelView); probes
+  // and commits test dominance bits with the local index.
   const auto local_at = [&](std::size_t i) {
-    return local_of.empty()
+    return local_of_.empty()
                ? RoutingModel::kUnobserved
                : model_.UnpackLocal(flat_.ug[i], flat_.option[i]->peering,
-                                    local_of[i]);
+                                    local_of_[i]);
   };
 
   // Cross-round seed-marginal cache, one row per seed slot. A peering's
@@ -480,7 +520,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
       if (peering_dirty_ext_[g]) seed_dirty[g] = 1;
     }
     for (std::uint32_t u = 0; u < n_ug; ++u) {
-      if (!ug_dirty_[u]) continue;
+      if (ug_stamp_[u] <= seed_mark_) continue;
       for (const IngressOption& opt : inst.options[u]) {
         seed_dirty[opt.peering.value()] = 1;
       }
@@ -512,7 +552,6 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
   auto expected_with = [&](std::uint32_t u, std::size_t i) {
     const UgPrefixState& s = state[u];
     const IngressOption* opt = flat_.option[i];
-    const double rtt = eff_rtt[i];
     if (reference) {
       trial.clear();
       for (const UgPrefixState::Cand& c : s.cands) trial.push_back(c.opt);
@@ -521,6 +560,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
           ComputeExpectationFromCandidates(model_, u, trial, params);
       return e.usable ? e.mean_rtt : kInf;
     }
+    const double rtt = eff_rtt_[i];
     if (s.cands.empty()) return rtt;  // a lone candidate is exclusion-free
     const auto [next, walked] =
         s.With(s.Scan(model_, u, local_at(i), params.d_reuse_km),
@@ -601,7 +641,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
           const std::size_t i = (w << 6) + static_cast<std::size_t>(b);
           if (nx && !flat_.option[i]->in_peer_cone) continue;
           // The gate: this term is +0.0, and adding it changes no bit.
-          if (!(eff_rtt[i] < gate[flat_.ug[i]])) {
+          if (!(eff_rtt_[i] < gate[flat_.ug[i]])) {
             live[w] &= ~(std::uint64_t{1} << b);
             continue;
           }
@@ -707,8 +747,7 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
         // world's changes are now folded in.
         seed0_cache_ = seed_delta;
         seed_cache_primed_ = true;
-        std::fill(ug_dirty_.begin(), ug_dirty_.end(),
-                  static_cast<std::uint8_t>(0));
+        seed_mark_ = stamp_;
         std::fill(peering_dirty_ext_.begin(), peering_dirty_ext_.end(),
                   static_cast<std::uint8_t>(0));
         dirty_ug_count_ = 0;
@@ -766,18 +805,24 @@ AdvertisementConfig Orchestrator::ComputeConfigImpl(bool reference) const {
         // expectation are untouched by this commit.
         if (nx && !opt->in_peer_cone) continue;
         // The reference and the attributed evaluation read the list before
-        // it grows. On the plain engine path the append's surviving set is
-        // the probe's, and its walk is the probe's fallback.
-        const bool plain = !reference && !attributed(u, attr);
+        // it grows; the reference keeps only the list. On the plain engine
+        // path the append's surviving set is the probe's, and its walk is
+        // the probe's fallback.
+        if (reference) {
+          cur_e[u] = expected_with_attr(u, i, attr);
+          state[u].Push(opt, attr);
+          continue;
+        }
+        const bool plain = !attributed(u, attr);
         if (!plain) cur_e[u] = expected_with_attr(u, i, attr);
-        const bool walked = state[u].Append(model_, u, opt, eff_rtt[i],
+        const bool walked = state[u].Append(model_, u, opt, eff_rtt_[i],
                                             local_at(i), attr,
                                             params.d_reuse_km);
         if (plain) {
           if (walked) metrics.celf_expectation_fallbacks.Add();
           cur_e[u] = state[u].set.Mean();
         }
-        if (!reference && eff_rtt[i] < gate[u]) {
+        if (eff_rtt_[i] < gate[u]) {
           if (gate[u] != kInf) {
             for (std::uint32_t k = flat_.ug_first[u]; k < flat_.ug_first[u + 1];
                  ++k) {
@@ -906,13 +951,10 @@ void Orchestrator::Absorb(
       changed = model_.ObserveLatency(u, *ingress, obs.rtt_ms_of_ug.at(u),
                                       config_.model_update_epsilon_ms) ||
                 changed;
-      // Cross-call dirtiness: only UGs whose model entries actually moved
-      // invalidate their peerings' cached seed marginals — a steady-state
-      // absorb (same ingresses, same RTTs) leaves the cache fully warm.
-      if (changed && !ug_dirty_[u]) {
-        ug_dirty_[u] = 1;
-        ++dirty_ug_count_;
-      }
+      // Only UGs whose model entries actually moved invalidate their
+      // peerings' cached seed marginals and their model view — a
+      // steady-state absorb (same ingresses, same RTTs) leaves both warm.
+      if (changed) StampUg(u);
       ++absorbed;
     }
   }

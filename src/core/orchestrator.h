@@ -156,11 +156,13 @@ class Orchestrator {
   // current routing model, on the incremental engine (DESIGN.md §8, §14):
   // seed marginals cached across prefix rounds and pruned once the cached
   // value is ≤ 0, Eq. 2 probes answered from per-UG surviving sets, and
-  // probes that cannot undercut base_best gated out. With
-  // cross_call_seed_cache, round-0 seed marginals of peerings untouched
-  // since the previous call are served from the cross-call cache (and the
-  // external dirtiness is consumed); with seed_cache_audit,
-  // ComputeConfigUncached() additionally verifies the result.
+  // probes that cannot undercut base_best gated out. Each call first
+  // re-resolves the model view of the UGs whose model entries changed since
+  // the previous call. With cross_call_seed_cache, round-0 seed marginals
+  // of peerings untouched since the previous call are served from the
+  // cross-call cache (and the external dirtiness is consumed); with
+  // seed_cache_audit, ComputeConfigUncached() additionally verifies the
+  // result.
   [[nodiscard]] AdvertisementConfig ComputeConfig() const;
 
   // The from-scratch reference ComputeConfig is audited and tested against:
@@ -247,7 +249,9 @@ class Orchestrator {
   [[nodiscard]] const RoutingModel& model() const { return model_; }
   // Hands out mutable model access for tests/tools that edit the model
   // behind the orchestrator's back — conservatively drops the whole
-  // cross-call seed cache, since arbitrary edits are untrackable.
+  // cross-call seed cache and re-resolves the whole model view, since
+  // arbitrary edits are untrackable. Edits must land before the next
+  // ComputeConfig: call this again for every batch of edits.
   [[nodiscard]] RoutingModel& mutable_model() {
     InvalidateAll();
     return model_;
@@ -258,6 +262,13 @@ class Orchestrator {
   // The greedy pass: the incremental engine, or with `reference` the
   // from-scratch pass of ComputeConfigUncached.
   [[nodiscard]] AdvertisementConfig ComputeConfigImpl(bool reference) const;
+
+  // Records that UG u's model entries may have changed. Returns true when
+  // the cross-call seed cache had not seen a change of u yet (the UG is
+  // newly dirty).
+  bool StampUg(std::uint32_t u);
+  // Re-resolves the model view of every UG stamped since the last refresh.
+  void RefreshModelView() const;
 
   const ProblemInstance* instance_;
   OrchestratorConfig config_;
@@ -271,14 +282,34 @@ class Orchestrator {
   // world as the cached run.
   std::vector<std::uint8_t> peering_up_;
 
-  // Cross-call seed-cache state, mutated by the const ComputeConfig path
-  // (mutable: it is a memo over the model, not logical orchestrator state).
+  // Per-UG change record (DESIGN.md §8 "Model view"). Every event that may
+  // change UG u's model entries — Absorb reporting a change, InvalidateUg,
+  // InvalidateAll (so construction and mutable_model()) — stamps u with the
+  // next value of `stamp_`. Each consumer keeps the stamp it last caught up
+  // to, and u changed since then iff ug_stamp_[u] exceeds it.
+  std::vector<std::uint64_t> ug_stamp_;
+  std::uint64_t stamp_ = 0;
+
+  // The memos below are mutated by the const ComputeConfig path (mutable:
+  // they are memos over the model, not logical orchestrator state).
+
+  // Model view: per flat-index entry, the effective RTT (the measured RTT
+  // when the model has one, else the instance estimate — the value
+  // ComputeExpectationFromCandidates derives for that option) and, once the
+  // model holds a preference, the model local index packed into one byte
+  // (RoutingModel::PackLocal). The engine re-resolves a UG's entries when
+  // its stamp passes view_mark_; the reference pass never reads them.
+  mutable std::vector<double> eff_rtt_;
+  mutable std::vector<std::uint8_t> local_of_;
+  mutable std::uint64_t view_mark_ = 0;
+
+  // Cross-call seed-cache state.
   mutable bool seed_cache_primed_ = false;
   // Round-0 seed marginals, one row per seed slot (plain, then no-export
   // when the action space has it).
   mutable std::vector<std::vector<double>> seed0_cache_;
-  // External dirtiness accumulated since the cache was last primed.
-  mutable std::vector<std::uint8_t> ug_dirty_;
+  // The stamp the cache was last primed at: UGs stamped later are dirty.
+  mutable std::uint64_t seed_mark_ = 0;
   mutable std::vector<std::uint8_t> peering_dirty_ext_;
   mutable std::size_t dirty_ug_count_ = 0;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <climits>
 #include <cmath>
 #include <stdexcept>
 
@@ -21,6 +20,25 @@ std::uint32_t RoutingModel::LocalIndex(std::uint32_t ug,
   const auto it = std::lower_bound(s.keys.begin(), s.keys.end(), key);
   if (it == s.keys.end() || (*it >> 16) != id.value()) return kUnobserved;
   return *it & 0xFFFFu;
+}
+
+void RoutingModel::LocalIndices(std::uint32_t ug,
+                                std::span<const IngressOption> options,
+                                std::span<std::uint32_t> out) const {
+  const UgState& s = ugs_.at(ug);
+  if (out.size() < options.size()) {
+    throw std::invalid_argument{"RoutingModel::LocalIndices: out too short"};
+  }
+  // Keys sort by id first, so the cursor only moves forward; an id at or
+  // past kMaxSessions is above every key and reads as unobserved.
+  std::size_t j = 0;
+  for (std::size_t k = 0; k < options.size(); ++k) {
+    const std::uint32_t id = options[k].peering.value();
+    while (j < s.keys.size() && (s.keys[j] >> 16) < id) ++j;
+    out[k] = j < s.keys.size() && (s.keys[j] >> 16) == id
+                 ? s.keys[j] & 0xFFFFu
+                 : kUnobserved;
+  }
 }
 
 std::uint32_t RoutingModel::Intern(UgState& s, util::PeeringId id) {
@@ -190,43 +208,37 @@ std::size_t RoutingModel::FootprintBytes() const {
   return bytes;
 }
 
-PrefixExpectation ComputeExpectationFromCandidates(
-    const RoutingModel& model, std::uint32_t ug,
-    std::span<const IngressOption* const> candidates,
-    const ExpectationParams& params) {
-  PrefixExpectation out;
-  if (candidates.empty()) return out;
+namespace {
 
-  struct Cand {
-    const IngressOption* opt;
-    double rtt;
-    std::uint32_t local;
-    bool dominated;
-  };
-  // Reused scratch: the greedy inner loop calls this millions of times.
-  thread_local std::vector<Cand> cands;
-  cands.clear();
-  for (const IngressOption* opt : candidates) {
-    const std::uint32_t local = model.LocalIndex(ug, opt->peering);
-    const auto measured = model.MeasuredRttLocal(ug, local);
-    cands.push_back(Cand{opt, measured.value_or(opt->rtt_ms), local, false});
-  }
+// ComputeExpectationResolved on a list it may reorder and shrink: every
+// caller passes its own reused scratch.
+PrefixExpectation EvaluateResolved(const RoutingModel& model, std::uint32_t ug,
+                                   std::vector<ResolvedCandidate>& cands,
+                                   const ExpectationParams& params) {
+  PrefixExpectation out;
+  if (cands.empty()) return out;
 
   // Preference exclusion: drop candidates dominated by another candidate the
   // UG is known to prefer — each candidate's loser row against every other
   // candidate's local index, all tested before any is dropped.
   if (cands.size() > 1 && model.HasPreferences(ug)) {
-    for (const Cand& w : cands) {
+    thread_local std::vector<std::uint8_t> dominated;
+    dominated.assign(cands.size(), 0);
+    for (const ResolvedCandidate& w : cands) {
       const std::uint64_t* row = model.LoserRow(ug, w.local);
       if (row == nullptr) continue;
-      for (Cand& c : cands) {
-        if (c.local != RoutingModel::kUnobserved &&
-            RoutingModel::RowHas(row, c.local)) {
-          c.dominated = true;
+      for (std::size_t k = 0; k < cands.size(); ++k) {
+        if (cands[k].local != RoutingModel::kUnobserved &&
+            RoutingModel::RowHas(row, cands[k].local)) {
+          dominated[k] = 1;
         }
       }
     }
-    std::erase_if(cands, [](const Cand& c) { return c.dominated; });
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < cands.size(); ++k) {
+      if (dominated[k] == 0) cands[kept++] = cands[k];
+    }
+    cands.resize(kept);
     if (cands.empty()) return out;
   }
 
@@ -234,8 +246,8 @@ PrefixExpectation ComputeExpectationFromCandidates(
   // farther from the UG than the closest surviving candidate PoP.
   if (cands.size() > 1) {
     double min_km = cands.front().opt->distance_km;
-    for (const Cand& c : cands) min_km = std::min(min_km, c.opt->distance_km);
-    std::erase_if(cands, [&](const Cand& c) {
+    for (const auto& c : cands) min_km = std::min(min_km, c.opt->distance_km);
+    std::erase_if(cands, [&](const ResolvedCandidate& c) {
       return c.opt->distance_km - min_km > params.d_reuse_km;
     });
   }
@@ -248,8 +260,8 @@ PrefixExpectation ComputeExpectationFromCandidates(
   double wsum = 0.0;
   double wnorm = 0.0;
   double min_km = cands.front().opt->distance_km;
-  for (const Cand& c : cands) min_km = std::min(min_km, c.opt->distance_km);
-  for (const Cand& c : cands) {
+  for (const auto& c : cands) min_km = std::min(min_km, c.opt->distance_km);
+  for (const ResolvedCandidate& c : cands) {
     out.lower_rtt = std::min(out.lower_rtt, c.rtt);
     out.upper_rtt = std::max(out.upper_rtt, c.rtt);
     sum += c.rtt;
@@ -263,6 +275,34 @@ PrefixExpectation ComputeExpectationFromCandidates(
   return out;
 }
 
+}  // namespace
+
+PrefixExpectation ComputeExpectationResolved(
+    const RoutingModel& model, std::uint32_t ug,
+    std::span<const ResolvedCandidate> candidates,
+    const ExpectationParams& params) {
+  thread_local std::vector<ResolvedCandidate> cands;
+  cands.assign(candidates.begin(), candidates.end());
+  return EvaluateResolved(model, ug, cands, params);
+}
+
+PrefixExpectation ComputeExpectationFromCandidates(
+    const RoutingModel& model, std::uint32_t ug,
+    std::span<const IngressOption* const> candidates,
+    const ExpectationParams& params) {
+  // Reused scratch: the from-scratch greedy pass calls this millions of
+  // times.
+  thread_local std::vector<ResolvedCandidate> cands;
+  cands.clear();
+  for (const IngressOption* opt : candidates) {
+    const std::uint32_t local = model.LocalIndex(ug, opt->peering);
+    const auto measured = model.MeasuredRttLocal(ug, local);
+    cands.push_back(
+        ResolvedCandidate{opt, measured.value_or(opt->rtt_ms), local});
+  }
+  return EvaluateResolved(model, ug, cands, params);
+}
+
 PrefixExpectation ComputeExpectationAttributed(
     const RoutingModel& model, std::uint32_t ug,
     std::span<const AdvertisedOption> candidates,
@@ -273,18 +313,19 @@ PrefixExpectation ComputeExpectationAttributed(
   // keep only the best (lower-pref, prepend) tier present. Both passes
   // leave all-default candidate lists untouched, so the legacy action space
   // delegates unchanged.
+  const auto tier = [](const AdvertisedOption& a) {
+    return AttributeTier(*a.opt, a.lower_pref, a.prepend, a.no_export);
+  };
+  int best_tier = kUnheardTier;
+  for (const AdvertisedOption& a : candidates) {
+    best_tier = std::min(best_tier, tier(a));
+  }
   thread_local std::vector<const IngressOption*> surviving;
   surviving.clear();
-  int best_tier = INT_MAX;
   for (const AdvertisedOption& a : candidates) {
-    if (a.no_export && !a.opt->in_peer_cone) continue;
-    const int tier = (a.lower_pref ? 1 : 0) * 256 + a.prepend;
-    best_tier = std::min(best_tier, tier);
-  }
-  for (const AdvertisedOption& a : candidates) {
-    if (a.no_export && !a.opt->in_peer_cone) continue;
-    const int tier = (a.lower_pref ? 1 : 0) * 256 + a.prepend;
-    if (tier == best_tier) surviving.push_back(a.opt);
+    if (tier(a) == best_tier && best_tier != kUnheardTier) {
+      surviving.push_back(a.opt);
+    }
   }
   return ComputeExpectationFromCandidates(model, ug, surviving, params);
 }
@@ -313,40 +354,6 @@ PrefixExpectation ComputeExpectation(
     }
   }
   return ComputeExpectationFromCandidates(model, ug, isect, params);
-}
-
-PrefixExpectation ComputeExpectation(
-    const ProblemInstance& instance, const RoutingModel& model,
-    std::uint32_t ug, std::span<const util::PeeringId> advertised_sessions,
-    std::span<const SessionAttr> attrs, const ExpectationParams& params) {
-  if (attrs.empty()) {
-    return ComputeExpectation(instance, model, ug, advertised_sessions,
-                              params);
-  }
-  const auto& opts = instance.options.at(ug);
-  if (opts.empty() || advertised_sessions.empty()) return {};
-
-  thread_local std::vector<AdvertisedOption> isect;
-  isect.clear();
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < opts.size() && j < advertised_sessions.size()) {
-    if (opts[i].peering < advertised_sessions[j]) {
-      ++i;
-    } else if (advertised_sessions[j] < opts[i].peering) {
-      ++j;
-    } else {
-      const SessionAttr& a = attrs[j];
-      isect.push_back(AdvertisedOption{
-          .opt = &opts[i],
-          .prepend = a.prepend,
-          .lower_pref = a.community == bgpsim::Community::kLowerPref,
-          .no_export = a.community == bgpsim::Community::kNoExportUp});
-      ++i;
-      ++j;
-    }
-  }
-  return ComputeExpectationAttributed(model, ug, isect, params);
 }
 
 }  // namespace painter::core

@@ -137,6 +137,14 @@ class RoutingModel {
   [[nodiscard]] std::uint32_t LocalIndex(std::uint32_t ug,
                                          util::PeeringId id) const;
 
+  // LocalIndex of every option in `options` (sorted by peering id, as
+  // ProblemInstance keeps them) in one merge against the UG's sorted ids:
+  // out[k] = LocalIndex(ug, options[k].peering). Throws std::out_of_range
+  // for ug >= ug_count and std::invalid_argument when `out` is shorter than
+  // `options`.
+  void LocalIndices(std::uint32_t ug, std::span<const IngressOption> options,
+                    std::span<std::uint32_t> out) const;
+
   // The loser row of `local`: bit l (row[l >> 6] >> (l & 63) & 1) is set iff
   // `ug` prefers `local` over local l, for every l the UG observed. nullptr
   // when `local` is kUnobserved or has no record (a record exists once the
@@ -257,13 +265,31 @@ struct PrefixExpectation {
 
 // Same evaluation from an already-intersected candidate list (the UG's
 // compliant options among the advertised sessions): one LocalIndex search
-// per candidate, then |candidates|² bit tests with learned preferences.
-// This is the reference semantics: the naive greedy engine and the
-// attributed path call it directly, and the incremental engine's per-UG
-// surviving-set state (DESIGN.md §8) must match its mean bit for bit.
+// per candidate, then ComputeExpectationResolved. This is the reference
+// semantics: the from-scratch greedy pass and the attributed path call it
+// directly, and the incremental engine's per-UG surviving-set state
+// (DESIGN.md §8) must match its mean bit for bit.
 [[nodiscard]] PrefixExpectation ComputeExpectationFromCandidates(
     const RoutingModel& model, std::uint32_t ug,
     std::span<const IngressOption* const> candidates,
+    const ExpectationParams& params);
+
+// A candidate already resolved against the model: its effective RTT (the
+// measured RTT when the model has one, else the option's estimate) and its
+// local index at the UG (RoutingModel::LocalIndex).
+struct ResolvedCandidate {
+  const IngressOption* opt = nullptr;
+  double rtt = 0.0;
+  std::uint32_t local = RoutingModel::kUnobserved;
+};
+
+// The evaluation core every form above ends in: |candidates|² bit tests with
+// learned preferences, the D_reuse window, then the four statistics over
+// the survivors in list order. Callers that resolve a UG's options once for
+// many prefixes (PredictBenefit, EvaluateDnsSteering) call it directly.
+[[nodiscard]] PrefixExpectation ComputeExpectationResolved(
+    const RoutingModel& model, std::uint32_t ug,
+    std::span<const ResolvedCandidate> candidates,
     const ExpectationParams& params);
 
 // A candidate ingress with the advertisement attributes it was announced
@@ -289,11 +315,15 @@ struct AdvertisedOption {
     std::span<const AdvertisedOption> candidates,
     const ExpectationParams& params);
 
-// Attributed overload of ComputeExpectation: `attrs` parallels
-// `advertised_sessions` (empty = all-default, identical to the legacy path).
-[[nodiscard]] PrefixExpectation ComputeExpectation(
-    const ProblemInstance& instance, const RoutingModel& model,
-    std::uint32_t ug, std::span<const util::PeeringId> advertised_sessions,
-    std::span<const SessionAttr> attrs, const ExpectationParams& params);
+// The tier ComputeExpectationAttributed ranks `opt` announced under `attr`
+// by — lower-pref, then prepend; only the lowest tier present survives —
+// or kUnheardTier for a no-export announcement the UG cannot hear.
+inline constexpr int kUnheardTier = 1 << 30;
+[[nodiscard]] inline int AttributeTier(const IngressOption& opt,
+                                       bool lower_pref, std::uint8_t prepend,
+                                       bool no_export) {
+  if (no_export && !opt.in_peer_cone) return kUnheardTier;
+  return (lower_pref ? 1 : 0) * 256 + prepend;
+}
 
 }  // namespace painter::core

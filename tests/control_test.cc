@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,6 +17,8 @@
 #include "core/sim_environment.h"
 #include "netsim/sim.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "tests/json_test_util.h"
 #include "tests/world_fixture.h"
 #include "util/rng.h"
 
@@ -330,6 +334,28 @@ TEST_F(LearningTimelineRearmTest, ReportsStayBoundedAcrossEpisodes) {
   EXPECT_GT(tl.RoundsRun(), cfg.max_rounds_per_episode);
 }
 
+// The round callback of an episode's last round already reads Finished():
+// the control plane closes its `control.episode` span there.
+TEST_F(LearningTimelineRearmTest, LastRoundCallbackSeesFinished) {
+  netsim::Simulator sim;
+  core::LearningTimelineConfig cfg;
+  cfg.start_s = 1.0;
+  cfg.round_interval_s = 1.0;
+  cfg.max_rounds_per_episode = 2;
+  std::vector<bool> finished;
+  core::LearningTimeline* timeline = nullptr;
+  core::LearningTimeline tl{sim, *orch_, *env_, cfg,
+                            [&](std::size_t, const auto&, const auto&) {
+                              finished.push_back(timeline->Finished());
+                            }};
+  timeline = &tl;
+  for (int episode = 0; episode < 2; ++episode) {
+    tl.Start();
+    sim.Run(sim.Now() + 10.0);
+  }
+  EXPECT_EQ(finished, (std::vector<bool>{false, true, false, true}));
+}
+
 TEST_F(LearningTimelineRearmTest, StartWhileActiveThrows) {
   netsim::Simulator sim;
   core::LearningTimelineConfig cfg;
@@ -396,6 +422,40 @@ TEST_F(ControlPlaneTest, BootstrapsToNonEmptyCommit) {
   ASSERT_FALSE(svc.rounds().empty());
   EXPECT_TRUE(svc.rounds().front().committed);  // bootstrap diff vs empty
   EXPECT_GT(svc.rounds().front().flips, 0u);
+}
+
+// With tracing on, every finished episode is one `control.episode` span and
+// every round's plan one `orchestrator.model_view` span.
+TEST_F(ControlPlaneTest, TracesEachEpisodeAndViewRefresh) {
+  const std::string path = ::testing::TempDir() + "control_episode_trace.json";
+  netsim::Simulator sim;
+  core::Orchestrator orch{inst_, OrchCfg(false)};
+  DeltaBus bus;
+  ChurnEnvironment churn{*inner_, inst_.UgCount(), &sim, &bus};
+  ControlPlaneService svc{sim, orch, churn, bus, ServiceCfg()};
+  obs::TraceSink::Enable(path);
+  svc.Start();
+  sim.Run(30.0);
+  obs::TraceSink::Disable();
+
+  std::ifstream in{path};
+  std::stringstream text;
+  text << in.rdbuf();
+  std::size_t episodes = 0;
+  std::size_t refreshes = 0;
+  const test::JsonValue doc = test::ParseJson(text.str());
+  for (const test::JsonValue& e : doc.AsArray()) {
+    const std::string& name = e.At("name").AsString();
+    if (name == "control.episode") {
+      ++episodes;
+      EXPECT_GE(e.At("dur").AsNumber(), 0.0);
+    }
+    if (name == "orchestrator.model_view") ++refreshes;
+  }
+  ASSERT_GE(svc.stats().episodes_triggered, 2u);
+  EXPECT_EQ(episodes, svc.stats().episodes_triggered -
+                          (svc.timeline().Active() ? 1u : 0u));
+  EXPECT_EQ(refreshes, svc.stats().rounds_run);
 }
 
 TEST_F(ControlPlaneTest, ReactsToSessionLossWithoutFullRecompute) {

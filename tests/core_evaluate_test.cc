@@ -3,6 +3,8 @@
 #include "core/baselines.h"
 #include "core/evaluate.h"
 #include "core/orchestrator.h"
+#include "core/sim_environment.h"
+#include "tests/pin_hash.h"
 #include "tests/world_fixture.h"
 
 namespace painter::core {
@@ -208,6 +210,140 @@ TEST_F(EvaluateTest, FinerResolversGiveMoreDnsBenefit) {
   // A strictly finer partition by UG id refines the coarser one.
   EXPECT_LE(run(1), run(4) + 1e-9);
   EXPECT_LE(run(4), run(32) + 1e-9);
+}
+
+// Prediction pins (tests/pin_hash.h): the bit patterns of PredictBenefit's
+// four fields and of EvaluateDnsSteering's value under three resolver
+// layouts, on the fixture world. The pins were taken before PredictBenefit
+// and EvaluateDnsSteering evaluated each UG in one pass over its options, so
+// a reordered sum or a dropped candidate fails here even where no schedule
+// moves.
+void PinPrediction(test::Fnv1a& h, const ProblemInstance& inst,
+                   const RoutingModel& model, const AdvertisementConfig& cfg,
+                   const ExpectationParams& params) {
+  const Orchestrator::Prediction pred =
+      PredictBenefit(inst, model, cfg, params);
+  h.Add(pred.lower_ms);
+  h.Add(pred.mean_ms);
+  h.Add(pred.estimated_ms);
+  h.Add(pred.upper_ms);
+  // One resolver without ECS; five with resolver 1 on ECS; one per UG.
+  for (const std::size_t resolvers : {std::size_t{1}, std::size_t{5},
+                                      inst.UgCount()}) {
+    DnsSteeringInput dns;
+    dns.resolver_supports_ecs.assign(resolvers, false);
+    if (resolvers == 5) dns.resolver_supports_ecs[1] = true;
+    dns.resolver_of_ug.resize(inst.UgCount());
+    for (std::uint32_t u = 0; u < inst.UgCount(); ++u) {
+      dns.resolver_of_ug[u] = static_cast<std::uint32_t>((u * 7) % resolvers);
+    }
+    h.Add(EvaluateDnsSteering(inst, model, cfg, params, dns));
+  }
+}
+
+// `cfg` with every announcement given one of five attributes in turn:
+// default, prepend 1, prepend 2, lower-pref, no-export.
+AdvertisementConfig WithAttributes(const AdvertisementConfig& cfg) {
+  const SessionAttr cycle[] = {
+      SessionAttr{},
+      SessionAttr{.prepend = 1},
+      SessionAttr{.prepend = 2},
+      SessionAttr{.community = bgpsim::Community::kLowerPref},
+      SessionAttr{.community = bgpsim::Community::kNoExportUp}};
+  AdvertisementConfig out;
+  for (std::size_t p = 0; p < cfg.PrefixCount(); ++p) {
+    std::vector<SessionAttr> attrs;
+    for (std::size_t j = 0; j < cfg.Sessions(p).size(); ++j) {
+      attrs.push_back(cycle[(p + j) % std::size(cycle)]);
+    }
+    out.AddPrefix(cfg.Sessions(p), attrs);
+  }
+  return out;
+}
+
+class PredictionPinTest : public EvaluateTest {
+ protected:
+  // The orchestrator's model after three learning iterations at budget 8.
+  RoutingModel LearnedModel() {
+    OrchestratorConfig cfg;
+    cfg.prefix_budget = 8;
+    Orchestrator orch{inst_, cfg};
+    SimEnvironment env{*w_.resolver, *w_.oracle, util::Rng{17}};
+    for (std::size_t iter = 0; iter < 3; ++iter) {
+      (void)orch.RunLearningIteration(env, iter);
+    }
+    EXPECT_GT(orch.model().PreferenceCount(), 0u);
+    return orch.model();
+  }
+  // A prefix budget's worth of plain configurations: the engine's plan, a
+  // prefix per PoP (reuse, so D_reuse and dominance bite) and a prefix per
+  // peering.
+  std::vector<AdvertisementConfig> Plain() {
+    return {Painter(8), OnePerPop(*w_.deployment, inst_, 6),
+            OnePerPeering(*w_.deployment, inst_, 10)};
+  }
+};
+
+TEST_F(PredictionPinTest, EmptyModel) {
+  const RoutingModel model{inst_.UgCount()};
+  test::Fnv1a h;
+  for (const AdvertisementConfig& cfg : Plain()) {
+    PinPrediction(h, inst_, model, cfg, {});
+    PinPrediction(h, inst_, model, cfg, {.d_reuse_km = 500.0});
+  }
+  EXPECT_EQ(h.value(), 0xaac4fd6eaa37efecULL) << std::hex << h.value();
+}
+
+TEST_F(PredictionPinTest, LearnedModel) {
+  const RoutingModel model = LearnedModel();
+  test::Fnv1a h;
+  for (const AdvertisementConfig& cfg : Plain()) {
+    PinPrediction(h, inst_, model, cfg, {});
+    PinPrediction(h, inst_, model, cfg, {.d_reuse_km = 500.0});
+  }
+  EXPECT_EQ(h.value(), 0x7872f59a72da68a1ULL) << std::hex << h.value();
+}
+
+// Prepend, lower-pref and no-export announcements, on the empty and the
+// learned model.
+TEST_F(PredictionPinTest, AttributedConfigs) {
+  const RoutingModel empty{inst_.UgCount()};
+  const RoutingModel learned = LearnedModel();
+  test::Fnv1a h;
+  for (const AdvertisementConfig& plain : Plain()) {
+    const AdvertisementConfig cfg = WithAttributes(plain);
+    ASSERT_FALSE(cfg.AllAttrsDefault());
+    PinPrediction(h, inst_, empty, cfg, {});
+    PinPrediction(h, inst_, learned, cfg, {});
+    PinPrediction(h, inst_, learned, cfg, {.d_reuse_km = 500.0});
+  }
+  EXPECT_EQ(h.value(), 0x62f4e12705dbe271ULL) << std::hex << h.value();
+}
+
+// Session ids at or past peering_count, which no UG has as an option, and
+// an empty prefix, in plain and attributed configurations.
+TEST_F(PredictionPinTest, SessionsPastTheInstanceAndEmptyPrefixes) {
+  const RoutingModel learned = LearnedModel();
+  const auto past = [&](std::uint32_t k) {
+    return util::PeeringId{static_cast<std::uint32_t>(inst_.peering_count) + k};
+  };
+  AdvertisementConfig cfg = Painter(4);
+  cfg.AddPrefix({});
+  cfg.AddPrefix({past(0), past(3)});
+  std::vector<util::PeeringId> mixed = cfg.Sessions(0);
+  mixed.push_back(past(0));
+  mixed.push_back(past(1));
+  cfg.AddPrefix(mixed);
+  cfg.AddPrefix({});
+  test::Fnv1a h;
+  for (const RoutingModel* model :
+       {&learned, static_cast<const RoutingModel*>(nullptr)}) {
+    const RoutingModel empty{inst_.UgCount()};
+    const RoutingModel& m = model != nullptr ? *model : empty;
+    PinPrediction(h, inst_, m, cfg, {});
+    PinPrediction(h, inst_, m, WithAttributes(cfg), {});
+  }
+  EXPECT_EQ(h.value(), 0x482e0d50847f1823ULL) << std::hex << h.value();
 }
 
 }  // namespace

@@ -425,6 +425,67 @@ TEST(RoutingModelTest, LocalIndexFormsMatchReference) {
   EXPECT_GT(model.FootprintBytes(), 0u);
 }
 
+// LocalIndices resolves a sorted option list in one merge against the UG's
+// ids; it must agree with LocalIndex option by option: on ids the UG never
+// observed, on ids at or past 2^16 (which no key can hold), on a UG with no
+// state, and on a UG with more than 253 observed ids, whose later local
+// indices take PackLocal's escape byte 255.
+TEST(RoutingModelTest, LocalIndicesMatchLocalIndex) {
+  const auto id = [](std::uint32_t v) { return util::PeeringId{v}; };
+  RoutingModel model{3};
+  // UG 1 observes 300 ids in descending order, so local order is not id
+  // order, and the largest storable id last.
+  std::set<std::uint32_t> ids;
+  for (std::uint32_t k = 300; k-- > 0;) {
+    ASSERT_TRUE(model.ObserveLatency(1, id(k * 211 + 3), 10.0 + k));
+    ids.insert(k * 211 + 3);
+  }
+  ASSERT_TRUE(model.ObserveLatency(1, id(RoutingModel::kMaxSessions - 1), 9.0));
+  ids.insert(RoutingModel::kMaxSessions - 1);
+  // UG 2 observes three ids through a preference.
+  const std::vector<util::PeeringId> cands = {id(40), id(7), id(3)};
+  ASSERT_TRUE(model.ObservePreference(2, id(3), cands));
+  for (const util::PeeringId c : cands) ids.insert(c.value());
+  // Ids no UG observed, between and past the observed ones, and past 2^16.
+  for (std::uint32_t v = 1; v < 64000; v += 997) ids.insert(v);
+  for (const std::uint32_t v : {RoutingModel::kMaxSessions,
+                                RoutingModel::kMaxSessions + 3u, 1u << 20}) {
+    ids.insert(v);
+  }
+  std::vector<IngressOption> opts;
+  for (const std::uint32_t v : ids) opts.push_back(IngressOption{id(v)});
+
+  std::size_t escaped = 0;
+  for (std::uint32_t u = 0; u < 3; ++u) {
+    std::vector<std::uint32_t> out(opts.size(), 12345);
+    model.LocalIndices(u, opts, out);
+    std::size_t observed = 0;
+    for (std::size_t k = 0; k < opts.size(); ++k) {
+      ASSERT_EQ(out[k], model.LocalIndex(u, opts[k].peering))
+          << "UG " << u << " id " << opts[k].peering.value();
+      if (out[k] == RoutingModel::kUnobserved) continue;
+      ++observed;
+      if (RoutingModel::PackLocal(out[k]) == 255) {
+        ++escaped;
+        EXPECT_EQ(model.UnpackLocal(u, opts[k].peering, 255), out[k]);
+      }
+    }
+    EXPECT_EQ(observed, u == 0 ? 0u : u == 1 ? 301u : 3u) << "UG " << u;
+  }
+  EXPECT_EQ(escaped, 301u - 254u);  // locals 254..300 of UG 1
+
+  // A prefix of the options, an empty list, and the argument checks.
+  std::vector<std::uint32_t> out(opts.size());
+  model.LocalIndices(1, std::span{opts}.first(10), out);
+  for (std::size_t k = 0; k < 10; ++k) {
+    EXPECT_EQ(out[k], model.LocalIndex(1, opts[k].peering));
+  }
+  model.LocalIndices(1, {}, {});
+  EXPECT_THROW(model.LocalIndices(3, opts, out), std::out_of_range);
+  EXPECT_THROW(model.LocalIndices(1, opts, std::span{out}.first(5)),
+               std::invalid_argument);
+}
+
 TEST(BuildInstance, MeasuredInstanceConsistentWithWorld) {
   const test::World& w = test::SharedWorld();
   const auto inst = test::MakeInstance(w);

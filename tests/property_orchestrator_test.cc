@@ -3,7 +3,10 @@
 // benefit, reuse dominating its ablation in the model, and determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/baselines.h"
 #include "core/config_io.h"
@@ -223,6 +226,154 @@ TEST_P(OrchestratorPropertyTest, WidenedEngineMatchesReference) {
         << "iter=" << iter;
   }
   EXPECT_GT(orch.model().PreferenceCount(), 0u);
+}
+
+// Every orchestrator.celf.* / celf.pruned.* counter.
+constexpr const char* kCelfCounters[] = {
+    "orchestrator.celf.evaluations",
+    "orchestrator.celf.stale_reevals",
+    "orchestrator.celf.cache_hits",
+    "orchestrator.celf.cache_invalidations",
+    "orchestrator.celf.expectation_fallbacks",
+    "orchestrator.celf.probes",
+    "orchestrator.celf.gated_probes",
+    "orchestrator.celf.commits",
+    "orchestrator.celf.cross_seed_hits",
+    "orchestrator.celf.cross_seed_invalidations",
+    "orchestrator.celf.seed_cache_audit_checks",
+    "orchestrator.celf.seed_cache_audit_mismatches",
+    "celf.pruned.seed_evals",
+    "celf.pruned.audit_checks",
+};
+
+// One ComputeConfig call: its config text and every celf counter's delta.
+std::pair<std::string, std::vector<std::uint64_t>> PlanWithCounters(
+    const Orchestrator& orch) {
+  std::vector<std::uint64_t> deltas;
+  for (const char* name : kCelfCounters) {
+    deltas.push_back(obs::Metrics().GetCounter(name).Value());
+  }
+  const std::string text = ConfigToString(orch.ComputeConfig());
+  for (std::size_t k = 0; k < deltas.size(); ++k) {
+    deltas[k] = obs::Metrics().GetCounter(kCelfCounters[k]).Value() - deltas[k];
+  }
+  return {text, deltas};
+}
+
+// The model view (DESIGN.md §8) is persistent Orchestrator state that a
+// plan re-resolves only for the UGs stamped since the previous plan. A
+// long-lived orchestrator goes through every way its model and its
+// dirtiness change: Absorb of SimEnvironment observations, direct
+// mutable_model() edits (one UG past 253 observed ids, so its options take
+// PackLocal's escape byte), InvalidateUg / InvalidatePeering /
+// InvalidateAll and SetPeeringAvailable. After each step it must plan
+// exactly like a fresh orchestrator handed the same model through
+// mutable_model() = model(), whose view is resolved from scratch, and like
+// ComputeConfigUncached(). Without the cross-call cache both engines run
+// the same probes, so their celf counter deltas must match too; with it,
+// the long-lived one serves clean seeds from its cache and the fresh one
+// cannot, so only the plans compare.
+TEST_P(OrchestratorPropertyTest, ModelViewNeverStale) {
+  obs::Counter& resolved =
+      obs::Metrics().GetCounter("orchestrator.model_view.ugs_resolved");
+  const auto n_ug = static_cast<std::uint32_t>(inst_.UgCount());
+  for (const bool cross : {false, true}) {
+    OrchestratorConfig cfg;
+    cfg.prefix_budget = 5;
+    cfg.d_reuse_km = 1500.0;
+    cfg.cross_call_seed_cache = cross;
+    cfg.model_update_epsilon_ms = cross ? 0.5 : 0.0;
+    Orchestrator live{inst_, cfg};
+    SimEnvironment env{*w_.resolver, *w_.oracle, util::Rng{GetParam() + 31}};
+    const auto check = [&](const std::string& step) {
+      const std::string where = std::string{cross ? "cross " : ""} + step;
+      Orchestrator fresh{inst_, cfg};
+      fresh.mutable_model() = live.model();
+      for (std::uint32_t g = 0; g < inst_.peering_count; ++g) {
+        const util::PeeringId gid{g};
+        fresh.SetPeeringAvailable(gid, live.PeeringAvailable(gid));
+      }
+      const auto [text, deltas] = PlanWithCounters(live);
+      const auto [fresh_text, fresh_deltas] = PlanWithCounters(fresh);
+      EXPECT_EQ(text, fresh_text) << where;
+      if (!cross) {
+        EXPECT_EQ(deltas, fresh_deltas) << where;
+      }
+      EXPECT_EQ(text, ConfigToString(live.ComputeConfigUncached())) << where;
+      // Nothing changed since that plan, so the next one resolves no UG.
+      const std::uint64_t before = resolved.Value();
+      EXPECT_EQ(ConfigToString(live.ComputeConfig()), text) << where;
+      EXPECT_EQ(resolved.Value(), before) << where;
+    };
+
+    const std::uint64_t first = resolved.Value();
+    (void)live.ComputeConfig();
+    EXPECT_EQ(resolved.Value() - first, n_ug) << "construction stamps all";
+    check("constructed");
+    for (std::uint32_t iter = 0; iter < 3; ++iter) {
+      const std::string at = " iter=" + std::to_string(iter);
+      const AdvertisementConfig config = live.ComputeConfig();
+      ASSERT_GT(config.PrefixCount(), 0u);
+      live.Absorb(config, env.Execute(config));
+      check("absorb" + at);
+
+      // A measured RTT well below one UG's first estimate, and a preference
+      // among its first three options.
+      const std::uint32_t u = (iter * 37 + 5) % n_ug;
+      const std::vector<IngressOption>& opts = inst_.options[u];
+      if (opts.size() >= 3) {
+        live.mutable_model().ObserveLatency(u, opts[0].peering,
+                                            opts[0].rtt_ms * 0.5);
+        const std::vector<util::PeeringId> cands = {
+            opts[0].peering, opts[1].peering, opts[2].peering};
+        (void)live.mutable_model().ObservePreference(u, opts[2].peering,
+                                                     cands);
+        check("edit" + at);
+      }
+
+      EXPECT_TRUE(live.InvalidateUg((u + 11) % n_ug) || !cross);
+      (void)live.InvalidatePeering(config.Sessions(0).front());
+      check("invalidate" + at);
+
+      const util::PeeringId down = config.Sessions(0).back();
+      ASSERT_TRUE(live.SetPeeringAvailable(down, false));
+      check("down" + at);
+      ASSERT_TRUE(live.SetPeeringAvailable(down, true));
+      if (iter == 1) {
+        live.InvalidateAll();
+        check("invalidate all" + at);
+      }
+    }
+
+    // The UG with the most options observes 260 ids past the instance, so
+    // each of its options it had not observed yet takes a local index of at
+    // least 260 when it then prefers its last option over all the others.
+    std::uint32_t wide = 0;
+    for (std::uint32_t u = 0; u < n_ug; ++u) {
+      if (inst_.options[u].size() > inst_.options[wide].size()) wide = u;
+    }
+    ASSERT_GE(inst_.options[wide].size(), 2u);
+    {
+      RoutingModel& model = live.mutable_model();
+      for (std::uint32_t k = 0; k < 260; ++k) {
+        const util::PeeringId past{
+            static_cast<std::uint32_t>(inst_.peering_count) + k};
+        (void)model.ObserveLatency(wide, past, 50.0 + k);
+      }
+      std::vector<util::PeeringId> all;
+      for (const IngressOption& o : inst_.options[wide]) {
+        all.push_back(o.peering);
+      }
+      (void)model.ObservePreference(wide, all.back(), all);
+      ASSERT_TRUE(std::ranges::any_of(all, [&](util::PeeringId g) {
+        return model.LocalIndex(wide, g) > 253u;
+      }));
+    }
+    check("escaped locals");
+    const AdvertisementConfig config = live.ComputeConfig();
+    live.Absorb(config, env.Execute(config));
+    check("absorb after escaped locals");
+  }
 }
 
 // The seed-marginal cache must actually engage: across a multi-prefix run,
